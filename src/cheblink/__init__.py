@@ -58,6 +58,7 @@ from .sft import (
     load_sft_file,
     orbit_list,
     parse_sft_data,
+    primitive_counts,
     realization_check,
 )
 from .quotients import (

@@ -34,9 +34,8 @@ class CheckFailed(Exception):
 def decimal_str(x: Fraction, places: int = 6) -> str:
     """Render an exact fraction to fixed decimal places, round half up."""
     n, d = x.numerator, x.denominator
-    sign = "-" if n < 0 else ""
-    n = abs(n) * 10 ** places
-    scaled = (2 * n + d) // (2 * d)
+    scaled = (2 * abs(n) * 10 ** places + d) // (2 * d)
+    sign = "-" if n < 0 and scaled else ""
     digits = str(scaled).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
@@ -96,7 +95,6 @@ class ExperimentConfig:
     max_len: int = 11
     skip: int = 0
     tolerance: Fraction = Fraction(1, 50)
-    workers: int = 1
     realization_bound: int = 6
 
 
@@ -140,7 +138,7 @@ def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
             f"strongly_connected={real.strongly_connected}, period={real.period}, "
             f"holonomy order {real.holonomy_order} of {g.order}, "
             f"classes without an orbit of length <= {real.bound}: [{missing}]")
-    report = chebotarev_report(s, cfg.max_len, skip=cfg.skip, workers=cfg.workers)
+    report = chebotarev_report(s, cfg.max_len, skip=cfg.skip)
 
     act = coset_action(g, h)
     classes = conjugacy_classes(g)
@@ -193,7 +191,6 @@ def _cmd_a5(args) -> int:
         max_len=args.max_len,
         skip=args.skip,
         tolerance=Fraction(args.tolerance).limit_denominator(10 ** 9),
-        workers=args.workers,
         realization_bound=args.bound,
     )
     result = run_a5_experiment(cfg)
@@ -307,7 +304,7 @@ def _cmd_sft_orbits(args) -> int:
 def _cmd_sft_chebotarev(args) -> int:
     hom = load_hom_file(args.hom)
     s = load_sft_file(args.sft, hom)
-    report = chebotarev_report(s, args.max_len, skip=args.skip, workers=args.workers)
+    report = chebotarev_report(s, args.max_len, skip=args.skip)
     if args.format == "rows":
         for row in report.class_rows:
             print(render_row(row))
@@ -413,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     a5.add_argument("--skip", type=int, default=0,
                     help="drop this many of the shortest orbits first")
     a5.add_argument("--tolerance", type=float, default=0.02)
-    a5.add_argument("--workers", type=int, default=1)
     a5.add_argument("--bound", type=int, default=6,
                     help="realization-check length bound")
     a5.add_argument("--format", choices=("text", "rows"), default="text")
@@ -458,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--hom", required=True)
     sc.add_argument("--max-len", type=int, required=True)
     sc.add_argument("--skip", type=int, default=0)
-    sc.add_argument("--workers", type=int, default=1)
     sc.add_argument("--format", choices=("text", "rows"), default="text")
     sc.set_defaults(func=_cmd_sft_chebotarev)
     sr = ssub.add_parser("realization", help="connectivity, aperiodicity, "

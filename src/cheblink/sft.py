@@ -12,17 +12,18 @@ orbits against the class sizes |C|/|G|.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files
+from itertools import islice
 from math import gcd
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .freewords import GroupHom, Word, evaluate, parse_hom_data, parse_word
-from .permgroup import class_index, conjugacy_classes, cycle_type, generated_set
+from .permgroup import (FiniteGroup, class_index, conjugacy_classes, cycle_type,
+                        generated_set)
 
-DP_STATE_CAP = 65536  # exact_counts refuses above state_count * |G| states
+DP_STATE_CAP = 65536  # the transfer DP refuses above state_count * |G| states
 
 
 class SftEdge(NamedTuple):
@@ -99,82 +100,98 @@ def _canonical_primitive(seq: list[int]) -> bool:
     return True
 
 
-def _make_orbit(s: LabeledSFT, seq: Sequence[int]) -> Orbit:
-    g = s.hom.target
-    h = s.edge_elem[seq[0]]
-    for ei in seq[1:]:
-        h = g.mul(h, s.edge_elem[ei])
-    return Orbit(len(seq), tuple(seq), h, class_index(g, h))
-
-
-def enumerate_orbits(s: LabeledSFT, max_len: int, *,
-                     start_edges: Sequence[int] | None = None) -> Iterator[Orbit]:
+def enumerate_orbits(s: LabeledSFT, max_len: int) -> Iterator[Orbit]:
     """Stream primitive orbits of length <= max_len, shortest first, within
     a length in lexicographic order of the canonical edge sequence.
 
     A depth-first search per (length, start edge) keeps memory at O(length);
     branches are pruned by exact remaining-step reachability, and only edge
     indices >= the start edge are allowed, since the canonical rotation
-    begins with the least edge on the orbit.  ``start_edges`` restricts the
-    start edge (for splitting work across processes) without changing the
-    relative order of what is emitted.
+    begins with the least edge on the orbit.  The search runs on an explicit
+    stack that carries the label product of each prefix, so no length is
+    too deep for it and an orbit's holonomy costs one multiplication.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    starts = range(len(s.edges)) if start_edges is None else sorted(start_edges)
+    g = s.hom.target
     for length in range(1, max_len + 1):
-        for e0 in starts:
+        for e0 in range(len(s.edges)):
             src0 = s.edge_src[e0]
             if length == 1:
                 if s.edge_dst[e0] == src0:
-                    yield _make_orbit(s, (e0,))
+                    h = s.edge_elem[e0]
+                    yield Orbit(1, (e0,), h, class_index(g, h))
                 continue
             reach = s._reach(src0, length - 1)
             if not reach[length - 1][s.edge_dst[e0]]:
                 continue
-            seq = [e0]
-
-            def extend(state: int, depth: int) -> Iterator[Orbit]:
-                remaining = length - depth - 1
-                for ei in s.out_edges[state]:
-                    if ei < e0:
-                        continue
+            # frame i tries the out-edges after the path seq[:i + 1], whose
+            # label product is prefix[i]
+            seq, prefix = [e0], [s.edge_elem[e0]]
+            frames = [iter(s.out_edges[s.edge_dst[e0]])]
+            while frames:
+                remaining = length - len(seq) - 1
+                for ei in frames[-1]:
                     nst = s.edge_dst[ei]
-                    if not reach[remaining][nst]:
+                    if ei < e0 or not reach[remaining][nst]:
                         continue
                     seq.append(ei)
-                    if remaining == 0:
-                        if _canonical_primitive(seq):
-                            yield _make_orbit(s, seq)
-                    else:
-                        yield from extend(nst, depth + 1)
+                    if remaining:
+                        prefix.append(g.mul(prefix[-1], s.edge_elem[ei]))
+                        frames.append(iter(s.out_edges[nst]))
+                        break
+                    if _canonical_primitive(seq):
+                        h = g.mul(prefix[-1], s.edge_elem[ei])
+                        yield Orbit(length, tuple(seq), h, class_index(g, h))
                     seq.pop()
-
-            yield from extend(s.edge_dst[e0], 1)
-
-
-def _orbit_worker(args) -> list[Orbit]:
-    s, max_len, start_edges = args
-    return list(enumerate_orbits(s, max_len, start_edges=start_edges))
+                else:
+                    frames.pop()
+                    seq.pop()
+                    prefix.pop()
 
 
-def orbit_list(s: LabeledSFT, max_len: int, *, workers: int = 1) -> list[Orbit]:
-    """All orbits of length <= max_len as a sorted list.
+def orbit_list(s: LabeledSFT, max_len: int) -> list[Orbit]:
+    """All orbits of length <= max_len as a list, in stream order."""
+    return list(enumerate_orbits(s, max_len))
 
-    With workers > 1 the start edges are dealt round-robin to worker
-    processes and the merged result is sorted back into stream order, so the
-    output is identical to the serial one.
+
+def _closed_path_totals(s: LabeledSFT, max_n: int,
+                        cap: int = DP_STATE_CAP) -> list[list[int]]:
+    """totals[n][class]: closed paths of length n, for every n <= max_n.
+
+    One pass of max_n steps per start state over sparse per-state counts
+    keyed by the holonomy so far.  Each edge steps through its label's
+    right-multiplication row, built once per call, so a step costs list
+    and dict lookups and no group multiplication.
     """
-    if workers <= 1:
-        return list(enumerate_orbits(s, max_len))
-    edge_ids = list(range(len(s.edges)))
-    chunks = [edge_ids[i::workers] for i in range(workers)]
-    chunks = [c for c in chunks if c]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
-        parts = list(ex.map(_orbit_worker, [(s, max_len, c) for c in chunks]))
-    merged = [o for part in parts for o in part]
-    merged.sort()
-    return merged
+    g = s.hom.target
+    if s.state_count * g.order > cap:
+        raise ValueError(
+            f"{s.state_count} states x group order {g.order} exceeds the DP cap {cap}")
+    class_of = [class_index(g, x) for x in range(g.order)]
+    rows = {lab: [g.mul(x, lab) for x in range(g.order)] for lab in set(s.edge_elem)}
+    moves = [[(s.edge_dst[ei], rows[s.edge_elem[ei]]) for ei in s.out_edges[st]]
+             for st in range(s.state_count)]
+    totals = [[0] * len(conjugacy_classes(g)) for _ in range(max_n + 1)]
+    for s0 in range(s.state_count):
+        cur: list[dict[int, int]] = [{} for _ in range(s.state_count)]
+        cur[s0][g.identity] = 1
+        for n, tot in enumerate(totals):
+            if n:
+                nxt: list[dict[int, int]] = [{} for _ in range(s.state_count)]
+                for st, dist in enumerate(cur):
+                    if not dist:
+                        continue
+                    for dst, row in moves[st]:
+                        out = nxt[dst]
+                        get = out.get
+                        for el, c in dist.items():
+                            y = row[el]
+                            out[y] = get(y, 0) + c
+                cur = nxt
+            for el, c in cur[s0].items():
+                tot[class_of[el]] += c
+    return totals
 
 
 def exact_counts(s: LabeledSFT, n: int, *, cap: int = DP_STATE_CAP) -> tuple[int, ...]:
@@ -182,30 +199,49 @@ def exact_counts(s: LabeledSFT, n: int, *, cap: int = DP_STATE_CAP) -> tuple[int
 
     Based paths: every start state counts, and rotations of a cycle are
     distinct paths.  Dynamic programming over (state, group element), so the
-    cost is linear in n — this is the cross-check oracle for the orbit
-    enumeration, sharing none of its code path.
+    cost is linear in n and no orbit is enumerated.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    g = s.hom.target
-    if s.state_count * g.order > cap:
-        raise ValueError(
-            f"{s.state_count} states x group order {g.order} exceeds the DP cap {cap}")
+    return tuple(_closed_path_totals(s, n, cap)[n])
+
+
+def primitive_counts(g: FiniteGroup,
+                     totals: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Primitive orbits per (length, class) from closed-path totals.
+
+    ``totals[n - 1]`` is exact_counts(s, n) for n = 1..len(totals).  An
+    orbit of length d dividing n contributes d based closed paths of length
+    n, labelled by its holonomy to the power n/d; peeling the proper
+    divisors off and dividing by n leaves the primitive counts.  Raises
+    ValueError when a count comes out fractional or negative, which no
+    shift's totals do.
+    """
     classes = conjugacy_classes(g)
-    counts = [0] * len(classes)
-    for s0 in range(s.state_count):
-        dist: dict[tuple[int, int], int] = {(s0, g.identity): 1}
-        for _ in range(n):
-            nxt: dict[tuple[int, int], int] = {}
-            for (st, el), c in dist.items():
-                for ei in s.out_edges[st]:
-                    key = (s.edge_dst[ei], g.mul(el, s.edge_elem[ei]))
-                    nxt[key] = nxt.get(key, 0) + c
-            dist = nxt
-        for (st, el), c in dist.items():
-            if st == s0:
-                counts[class_index(g, el)] += c
-    return tuple(counts)
+    max_n = len(totals)
+    power_class = []    # power_class[ci][m]: class of the m-th power of class ci
+    for c in classes:
+        acc, pcs = g.identity, [class_index(g, g.identity)]
+        for _ in range(max_n):
+            acc = g.mul(acc, c.representative)
+            pcs.append(class_index(g, acc))
+        power_class.append(pcs)
+    rest = [list(t) for t in totals]
+    out = []
+    for n in range(1, max_n + 1):
+        row = []
+        for ci, t in enumerate(rest[n - 1]):
+            q, r = divmod(t, n)
+            if r or q < 0:
+                raise ValueError(f"totals do not invert at length {n}, class {ci}")
+            row.append(q)
+        out.append(tuple(row))
+        for m in range(2, max_n // n + 1):
+            multiple = rest[m * n - 1]
+            for ci, c in enumerate(row):
+                if c:
+                    multiple[power_class[ci][m]] -= n * c
+    return tuple(out)
 
 
 class DensityRow(NamedTuple):
@@ -252,17 +288,23 @@ class DensityReport:
         return max((r.deviation for r in self.final_type_rows), default=Fraction(0))
 
 
-def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
-                      workers: int = 1) -> DensityReport:
+def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0) -> DensityReport:
     """Empirical class/type densities over orbits of length <= max_len.
 
     The hom must be surjective so the class-size targets |C|/|G| mean what
     they should.  ``skip`` drops that many of the shortest orbits before
-    anything is counted, at every cutoff.
+    anything is counted, at every cutoff; it must leave at least one orbit.
+    Counts come from the transfer DP and divisor peeling, so the cost is
+    linear in max_len; only the skipped orbits are enumerated, to learn
+    their classes.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     if skip < 0:
         raise ValueError("skip must be nonnegative")
     g = s.hom.target
+    # the DP refuses oversized inputs before the slower surjectivity check
+    totals = _closed_path_totals(s, max_len)
     if not s.hom.is_surjective():
         raise ValueError("hom does not map onto its target group")
     classes = conjugacy_classes(g)
@@ -273,15 +315,21 @@ def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
     type_target = {t: sum(class_target[i] for i, tc in enumerate(type_of_class) if tc == t)
                    for t in type_list}
 
-    orbits = orbit_list(s, max_len, workers=workers)[skip:]
+    counts = [list(row) for row in primitive_counts(g, totals[1:])]
+    if skip:
+        available = sum(map(sum, counts))
+        if skip >= available:
+            raise ValueError(f"skip {skip} leaves no orbit: there are {available} "
+                             f"of length <= {max_len}")
+        # the stream is shortest first, so it ends inside the length that
+        # holds the skip-th orbit
+        for o in islice(enumerate_orbits(s, max_len), skip):
+            counts[o.length - 1][o.frobenius_class] -= 1
     per_class = [0] * len(classes)
-    idx = 0
     class_rows: list[DensityRow] = []
     type_rows: list[DensityRow] = []
-    for cutoff in range(1, max_len + 1):
-        while idx < len(orbits) and orbits[idx].length <= cutoff:
-            per_class[orbits[idx].frobenius_class] += 1
-            idx += 1
+    for cutoff, row in enumerate(counts, start=1):
+        per_class = [a + b for a, b in zip(per_class, row)]
         total = sum(per_class)
         for i in range(len(classes)):
             dens = Fraction(per_class[i], total) if total else Fraction(0)

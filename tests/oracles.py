@@ -1,15 +1,14 @@
 """Independent oracles the tests check library output against.
 
 Everything here deliberately uses a different algorithm from the library:
-orbit sets come from filtering raw edge tuples, orbit counts from inverting
-the transfer-matrix totals, and invariant factors from gcds of minors.
-Slow is fine; these only run on small inputs.
+orbit sets come from filtering raw edge tuples and invariant factors from
+gcds of minors.  Slow is fine; these only run on small inputs.
 """
 
 import math
 from itertools import combinations, product
 
-from cheblink import IntMatrix, class_index, conjugacy_classes, exact_counts
+from cheblink import IntMatrix
 
 
 def brute_force_orbits(s, max_len):
@@ -28,46 +27,6 @@ def brute_force_orbits(s, max_len):
                 continue
             out.add((n, min(seq[i:] + seq[:i] for i in range(n))))
     return out
-
-
-def element_power(g, i, m):
-    acc = g.identity
-    for _ in range(m):
-        acc = g.mul(acc, i)
-    return acc
-
-
-def dp_orbit_counts(s, max_n):
-    """Orbit counts per (length, class) from the transfer totals.
-
-    exact_counts(s, n) tallies basepointed closed paths by the class of
-    their label product.  An orbit of length d dividing n contributes d
-    such paths, with label the d-orbit's holonomy raised to n/d.  Peeling
-    the proper divisors off and dividing by n leaves the primitive orbit
-    count — no orbit is ever enumerated.
-    """
-    g = s.hom.target
-    classes = conjugacy_classes(g)
-    k = len(classes)
-    power_class = {}
-    for dj in range(k):
-        rep = classes[dj].representative
-        for m in range(1, max_n + 1):
-            power_class[(dj, m)] = class_index(g, element_power(g, rep, m))
-    counts = {}
-    for n in range(1, max_n + 1):
-        totals = list(exact_counts(s, n))
-        for ci in range(k):
-            t = totals[ci]
-            for d in range(1, n):
-                if n % d:
-                    continue
-                for dj in range(k):
-                    if power_class[(dj, n // d)] == ci:
-                        t -= d * counts[(d, dj)]
-            assert t % n == 0, (n, ci, t)
-            counts[(n, ci)] = t // n
-    return counts
 
 
 def laplace_det(rows):

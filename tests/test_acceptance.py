@@ -10,18 +10,19 @@ from fractions import Fraction
 
 from cheblink import (GroupHom, LabeledSFT, Presentation, SftEdge, Subgroup,
                       all_subgroups, braid_presentation, build_cover,
-                      bundled_a5, class_index, conjugacy_classes,
-                      coset_action, cycle_type, decompose_loop, evaluate,
-                      generated_set, generic_check, parse_braid,
-                      parse_hom_data, parse_word, quotient_search,
-                      realization_check, smith_normal_form,
-                      verify_artin, verify_component_bijection)
+                      bundled_a5, conjugacy_classes, coset_action,
+                      cycle_type, decompose_loop, enumerate_orbits,
+                      exact_counts, generated_set, generic_check,
+                      parse_braid, parse_hom_data, parse_word,
+                      primitive_counts, quotient_search, realization_check,
+                      smith_normal_form, verify_artin,
+                      verify_component_bijection)
 from cheblink.cli import ExperimentConfig, run_a5_experiment
 from cheblink.covers import _loop_word_for
 from cheblink.quotients import IntMatrix
 
 from corpus import corpus
-from oracles import dp_orbit_counts, laplace_det, minor_gcd_factors
+from oracles import laplace_det, minor_gcd_factors
 
 GROUPS = corpus()
 TOLERANCE = Fraction(1, 50)   # 0.02
@@ -44,22 +45,20 @@ def test_criterion_1_a5_density_table():
         assert row.deviation <= TOLERANCE, row
     assert result.max_deviation <= Fraction(1, 1000)  # observed ~0.00042
 
-    # cross-check the orbit counts per type against the transfer-matrix
-    # inversion, which never enumerates an orbit
+    # cross-check the transfer-DP counts per type against orbit enumeration,
+    # which shares none of their counting code
     s, hom = bundled_a5()
     g = hom.target
-    counts = dp_orbit_counts(s, 11)
     act = coset_action(g, Subgroup.point_stabilizer(g, 4))
     classes = conjugacy_classes(g)
     by_type = {}
-    for ci in range(len(classes)):
-        t = cycle_type(act.image(classes[ci].representative))
-        by_type[t] = by_type.get(t, 0) + sum(
-            counts[(n, ci)] for n in range(1, 12))
+    for o in enumerate_orbits(s, 11):
+        t = cycle_type(act.image(classes[o.frobenius_class].representative))
+        by_type[t] = by_type.get(t, 0) + 1
     assert by_type == {r.dtype: r.orbit_count for r in result.rows}
     report(1, "A5 table: counts (1,15,20,24), 25486 orbits, "
               f"max deviation {float(result.max_deviation):.6f} <= 0.02, "
-              "DP cross-check exact")
+              "enumeration cross-check exact")
 
 
 def test_criterion_2_artin_verification_everywhere():
@@ -118,24 +117,24 @@ def test_criterion_4_conservation_identity():
             SftEdge(1, 1, parse_word("x2^-1 x1"))], hom_s3),
         "bundled a5": bundled_a5()[0],
     }
-    from cheblink import enumerate_orbits
     total_pairs = 0
     for name, s in shifts.items():
-        counts = dp_orbit_counts(s, 10)
+        counts = primitive_counts(s.hom.target,
+                                  [exact_counts(s, n) for n in range(1, 11)])
         enumerated = {}
         for o in enumerate_orbits(s, 10):
             key = (o.length, o.frobenius_class)
             enumerated[key] = enumerated.get(key, 0) + 1
-        for key, v in counts.items():
-            assert v == enumerated.get(key, 0), (name, key)
-            total_pairs += 1
+        for n, row in enumerate(counts, start=1):
+            for ci, v in enumerate(row):
+                assert v == enumerated.get((n, ci), 0), (name, n, ci)
+                total_pairs += 1
     report(4, f"conservation identity exact on {total_pairs} "
               "(length, class) cells across 4 shifts, n <= 10")
 
 
 def test_criterion_5_golden_mean_counts():
     """Primitive orbit counts 1..8 equal (1,1,1,1,2,2,4,5)."""
-    from cheblink import enumerate_orbits
     s = LabeledSFT(2, [
         SftEdge(0, 0, parse_word("x1")), SftEdge(0, 1, parse_word("x1")),
         SftEdge(1, 0, parse_word("x1"))],
@@ -144,8 +143,9 @@ def test_criterion_5_golden_mean_counts():
     for o in enumerate_orbits(s, 8):
         per_length[o.length] += 1
     assert tuple(per_length[1:]) == (1, 1, 1, 1, 2, 2, 4, 5)
-    counts = dp_orbit_counts(s, 8)
-    assert [counts[(n, 0)] for n in range(1, 9)] == per_length[1:]
+    counts = primitive_counts(s.hom.target,
+                              [exact_counts(s, n) for n in range(1, 9)])
+    assert [row[0] for row in counts] == per_length[1:]
     report(5, "golden-mean orbit counts (1,1,1,1,2,2,4,5) match the "
               "transfer-matrix oracle")
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cheblink.cli import decimal_str, main
+from cheblink.cli import ExperimentConfig, decimal_str, main, run_a5_experiment
 
 A5_HOM = {"degree": 5, "images": ["(1 2 3 4 5)", "(1 2 3)"]}
 S3_HOM = {"degree": 3, "images": ["(1 2 3)", "(1 2)"]}
@@ -13,6 +13,11 @@ GOLDEN_MEAN = {"states": 2, "edges": [
     {"from": 1, "to": 0, "label": "x1"},
 ]}
 TRIVIAL_HOM = {"degree": 1, "images": ["()"]}
+THREE_CYCLE = {"states": 3, "edges": [
+    {"from": 0, "to": 1, "label": "x1"},
+    {"from": 1, "to": 2, "label": "x1"},
+    {"from": 2, "to": 0, "label": "x1"},
+]}
 
 
 def write(tmp_path, name, data):
@@ -27,6 +32,9 @@ def test_decimal_str_rounds_half_up():
     assert decimal_str(Fraction(0)) == "0.000000"
     assert decimal_str(Fraction(-1, 3)) == "-0.333333"
     assert decimal_str(Fraction(1, 1000000000)) == "0.000000"
+    # no sign when the rounded digits are all zero
+    assert decimal_str(Fraction(-1, 1000000000)) == "0.000000"
+    assert decimal_str(Fraction(-5, 10000000)) == "-0.000001"
     # ties round away from zero, not to even
     assert decimal_str(Fraction(5, 10000000)) == "0.000001"
     assert decimal_str(Fraction(15, 10000000)) == "0.000002"
@@ -101,6 +109,36 @@ def test_sft_orbits(tmp_path, capsys):
     assert "stopped at --limit" in out[-1]
 
 
+def test_sft_orbits_deep_lengths(tmp_path, capsys):
+    # the only orbit is the length-3 cycle, so the search walks every
+    # multiple of 3 up to 3000 edges deep looking for a second one
+    sft = write(tmp_path, "cycle.json", THREE_CYCLE)
+    hom = write(tmp_path, "hom.json", TRIVIAL_HOM)
+    assert main(["sft", "orbits", "--sft", sft, "--hom", hom,
+                 "--max-len", "3000", "--limit", "2"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out == ["len   3  edges [0 1 2]  holonomy ()  class 0"]
+
+
+def test_sft_chebotarev_skip_past_end_is_input_error(tmp_path, capsys):
+    sft = write(tmp_path, "cycle.json", THREE_CYCLE)
+    hom = write(tmp_path, "hom.json", TRIVIAL_HOM)
+    assert main(["sft", "chebotarev", "--sft", sft, "--hom", hom,
+                 "--max-len", "6", "--skip", "5"]) == 2
+    assert "leaves no orbit" in capsys.readouterr().err
+
+
+def test_sft_chebotarev_dp_cap_is_input_error(tmp_path, capsys):
+    # 14 states x |S7| = 70560 > DP_STATE_CAP: refused before any counting
+    sft = write(tmp_path, "ring.json", {"states": 14, "edges": [
+        {"from": i, "to": (i + 1) % 14, "label": "x1"} for i in range(14)]})
+    hom = write(tmp_path, "s7.json",
+                {"degree": 7, "images": ["(1 2 3 4 5 6 7)", "(1 2)"]})
+    assert main(["sft", "chebotarev", "--sft", sft, "--hom", hom,
+                 "--max-len", "3"]) == 2
+    assert "exceeds the DP cap 65536" in capsys.readouterr().err
+
+
 def test_sft_chebotarev_rows_roundtrip(tmp_path, capsys):
     sft = write(tmp_path, "gm.json", GOLDEN_MEAN)
     hom = write(tmp_path, "hom.json", TRIVIAL_HOM)
@@ -154,6 +192,37 @@ def test_a5_rows_frozen_counts(capsys):
     for f in lines:
         recomputed = abs(Fraction(f[3]) - Fraction(f[4]))
         assert decimal_str(recomputed) == f[5]
+
+
+def test_a5_skip_past_end_is_input_error(capsys):
+    # the full 3-shift has 3 + 3 + 8 + 18 + 48 + 116 = 196 orbits up to length 6
+    assert main(["a5", "--max-len", "6", "--skip", "196"]) == 2
+    assert "leaves no orbit" in capsys.readouterr().err
+
+
+def mobius(n):
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def test_a5_experiment_at_length_100():
+    # far beyond enumeration: the DP total must equal the Moebius count of
+    # primitive orbits of the full 3-shift, sum over n of
+    # (1/n) sum_{d | n} mu(n/d) 3^d
+    result = run_a5_experiment(ExperimentConfig(max_len=100))
+    expected = sum(sum(mobius(n // d) * 3 ** d for d in range(1, n + 1) if n % d == 0) // n
+                   for n in range(1, 101))
+    assert result.total_counted == expected
+    assert len(result.rows) == 4
+    for row in result.rows:
+        assert row.deviation <= Fraction(1, 50), row
 
 
 def test_a5_strict_tolerance_fails(capsys):

@@ -1,16 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from cheblink import (GroupHom, LabeledSFT, Presentation, SftEdge, bundled_a5,
                       chebotarev_report, class_index, conjugacy_classes,
-                      enumerate_orbits, exact_counts, orbit_list,
-                      parse_hom_data, parse_sft_data, parse_word,
+                      enumerate_orbits, exact_counts, parse_hom_data,
+                      parse_sft_data, parse_word, primitive_counts,
                       realization_check, reduce)
 
 from corpus import corpus
-from oracles import brute_force_orbits, dp_orbit_counts
+from oracles import brute_force_orbits
 
 GROUPS = corpus()
 
@@ -60,6 +61,18 @@ def test_validation():
                                                 "label": "x1"}]}, hom)
 
 
+def dp_counts(s, max_n):
+    """The divisor inversion of exact_counts as a Counter over (length, class)."""
+    rows = primitive_counts(s.hom.target,
+                            [exact_counts(s, n) for n in range(1, max_n + 1)])
+    return Counter({(n, ci): v for n, row in enumerate(rows, start=1)
+                    for ci, v in enumerate(row) if v})
+
+
+def enumerated_counts(s, max_len):
+    return Counter((o.length, o.frobenius_class) for o in enumerate_orbits(s, max_len))
+
+
 def test_golden_mean_orbit_counts_frozen():
     s = golden_mean()
     per_length = [0] * 9
@@ -77,6 +90,7 @@ def test_golden_mean_exact_counts_are_lucas():
 def test_full_shift_exact_counts():
     s = full_shift_z2()
     # closed 2-paths: ee, en, ne, nn -> classes (even, odd): en and ne odd
+    assert exact_counts(s, 0) == (1, 0)  # the empty path at each state
     assert exact_counts(s, 1) == (1, 1)
     assert exact_counts(s, 2) == (2, 2)
     assert exact_counts(s, 3) == (4, 4)
@@ -127,41 +141,22 @@ def test_conservation_identity():
     # basepointed closed n-paths per class == sum over orbits of length
     # d | n of d, attributed to the class of the holonomy power
     for s in (golden_mean(), full_shift_z2(), two_state_s3()):
-        counts = dp_orbit_counts(s, 8)
-        g = s.hom.target
-        k = len(conjugacy_classes(g))
-        enumerated = {}
-        for o in enumerate_orbits(s, 8):
-            key = (o.length, o.frobenius_class)
-            enumerated[key] = enumerated.get(key, 0) + 1
-        for n in range(1, 9):
-            for ci in range(k):
-                assert counts[(n, ci)] == enumerated.get((n, ci), 0), (n, ci)
-
-
-def test_start_edge_split_is_a_partition():
-    s = two_state_s3()
-    whole = [(o.length, o.edges) for o in enumerate_orbits(s, 6)]
-    pieces = []
-    for ei in range(len(s.edges)):
-        pieces += [(o.length, o.edges)
-                   for o in enumerate_orbits(s, 6, start_edges=[ei])]
-    assert sorted(pieces) == sorted(whole)
-
-
-def test_orbit_list_workers_agree():
-    s, _ = bundled_a5()
-    seq = orbit_list(s, 7)
-    par = orbit_list(s, 7, workers=3)
-    assert seq == par
-    stream = list(enumerate_orbits(s, 7))
-    assert seq == stream  # both sorted by (length, edges)
+        assert dp_counts(s, 8) == enumerated_counts(s, 8)
 
 
 def test_exact_counts_cap():
     s = golden_mean()
     with pytest.raises(ValueError):
         exact_counts(s, 3, cap=1)
+
+
+def test_primitive_counts_rejects_inconsistent_totals():
+    g = trivial_hom().target
+    assert primitive_counts(g, [(1,), (1,)]) == ((1,), (0,))
+    with pytest.raises(ValueError):
+        primitive_counts(g, [(0,), (1,)])  # one closed 2-path, half an orbit
+    with pytest.raises(ValueError):
+        primitive_counts(g, [(3,), (1,)])  # fewer 2-paths than fixed points
 
 
 def test_chebotarev_report_golden_mean():
@@ -197,6 +192,29 @@ def test_chebotarev_skip_drops_shortest():
     # the skipped orbits stay skipped at every cutoff
     assert [r.count for r in rep.rows_at(3)] == [0]
     assert [r.count for r in rep.rows_at(4)] == [1]
+
+
+def test_chebotarev_skip_matches_enumeration():
+    # every cut, including those inside a length, against the stream order
+    s = two_state_s3()
+    k = len(conjugacy_classes(s.hom.target))
+    orbits = list(enumerate_orbits(s, 6))
+    assert any(a.length == b.length for a, b in zip(orbits, orbits[1:]))
+    for skip in range(len(orbits)):
+        rep = chebotarev_report(s, 6, skip=skip)
+        assert rep.total_counted == len(orbits) - skip
+        for cutoff in range(1, 7):
+            kept = Counter(o.frobenius_class for o in orbits[skip:]
+                           if o.length <= cutoff)
+            assert [r.count for r in rep.rows_at(cutoff)] == \
+                [kept[ci] for ci in range(k)], (skip, cutoff)
+
+
+def test_chebotarev_skip_must_leave_an_orbit():
+    s = golden_mean()
+    for skip in (17, 18, 1000):  # 17 orbits of length <= 8
+        with pytest.raises(ValueError, match="leaves no orbit"):
+            chebotarev_report(s, 8, skip=skip)
 
 
 def test_chebotarev_requires_surjective_hom():
@@ -250,8 +268,9 @@ def test_realization_check_periodic():
 
 
 def test_random_sfts_conservation_property():
-    # random small shifts over random corpus groups: enumeration and the
-    # transfer totals must stay consistent
+    # random small shifts over random corpus groups: the DP counts, both as
+    # the divisor inversion of exact_counts and as chebotarev_report rows,
+    # must match orbit enumeration and the brute-force orbit set
     rng = random.Random(77)
     names = ["c2", "s3", "v4"]
     for trial in range(12):
@@ -267,10 +286,18 @@ def test_random_sfts_conservation_property():
                 letters = rng.choices([1, -1, 2, -2], k=rng.randrange(3))
                 edges.append(SftEdge(st, dst, reduce(letters)))
         s = LabeledSFT(states, edges, hom)
-        counts = dp_orbit_counts(s, 6)
-        enumerated = {}
-        for o in enumerate_orbits(s, 6):
-            key = (o.length, o.frobenius_class)
-            enumerated[key] = enumerated.get(key, 0) + 1
-        for key, v in counts.items():
-            assert v == enumerated.get(key, 0), (trial, key)
+        enumerated = enumerated_counts(s, 6)
+        brute = Counter()
+        for n, seq in brute_force_orbits(s, 6):
+            acc = g.identity
+            for ei in seq:
+                acc = g.mul(acc, s.edge_elem[ei])
+            brute[(n, class_index(g, acc))] += 1
+        assert enumerated == brute, trial
+        assert dp_counts(s, 6) == enumerated, trial
+        rep = chebotarev_report(s, 6)
+        k = len(conjugacy_classes(g))
+        for cutoff in range(1, 7):
+            assert [r.count for r in rep.rows_at(cutoff)] == [
+                sum(enumerated[(n, ci)] for n in range(1, cutoff + 1))
+                for ci in range(k)], (trial, cutoff)
