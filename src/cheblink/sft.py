@@ -303,7 +303,8 @@ def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0) -> DensityR
     if skip < 0:
         raise ValueError("skip must be nonnegative")
     g = s.hom.target
-    # the DP refuses oversized inputs before the slower surjectivity check
+    # the DP cap is checked first, so oversized inputs are refused before
+    # the hom's image is closed in its target
     totals = _closed_path_totals(s, max_len)
     if not s.hom.is_surjective():
         raise ValueError("hom does not map onto its target group")

@@ -1,8 +1,9 @@
 """Independent oracles the tests check library output against.
 
 Everything here deliberately uses a different algorithm from the library:
-orbit sets come from filtering raw edge tuples and invariant factors from
-gcds of minors.  Slow is fine; these only run on small inputs.
+orbit sets come from filtering raw edge tuples, invariant factors from
+gcds of minors and subgroup closures from products of all member pairs.
+Slow is fine; these only run on small inputs.
 """
 
 import math
@@ -62,3 +63,24 @@ def minor_gcd_factors(m: IntMatrix) -> list[int]:
         out.append(g // prev)
         prev = g
     return out
+
+
+def closure_by_products(g, seed):
+    """Element indices of the subgroup generated by ``seed``.
+
+    Multiplies every new member by every member on both sides until nothing
+    new appears: about 2 |H|^2 products for a subgroup H.
+    """
+    members = set(seed)
+    members.add(g.identity)
+    frontier = list(members)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in tuple(members):
+                for z in (g.mul(x, y), g.mul(y, x)):
+                    if z not in members:
+                        members.add(z)
+                        nxt.append(z)
+        frontier = nxt
+    return frozenset(members)

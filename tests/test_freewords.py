@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from cheblink import (GroupHom, Presentation, Word, abelianized_matrix,
-                      braid_presentation, compose, cyclic_reduce, evaluate,
-                      parse_braid, parse_hom_data, parse_word, reduce)
+from cheblink import (GroupHom, Permutation, Presentation, Word,
+                      abelianized_matrix, braid_presentation, compose,
+                      cyclic_reduce, evaluate, generate_group, parse_braid,
+                      parse_hom_data, parse_word, reduce)
 from cheblink.freewords import BraidWord, CyclicWord, format_letters
 
 from corpus import corpus
@@ -194,3 +195,17 @@ def test_parse_hom_data():
     assert hom.presentation.relators == ()
     with pytest.raises((ValueError, KeyError)):
         parse_hom_data({"degree": 5})
+
+
+def test_is_surjective_onto_s7():
+    s7 = generate_group([Permutation.parse("(1 2 3 4 5 6 7)", 7),
+                         Permutation.parse("(1 2)", 7)])
+    assert s7.order == 5040
+
+    def hom(*images):
+        return GroupHom(Presentation(2, ()), s7,
+                        tuple(s7.index[Permutation.parse(t, 7)] for t in images))
+
+    assert hom("(1 2 3 4 5 6 7)", "(1 2)").is_surjective()
+    # both images are even, so they generate only A7
+    assert not hom("(1 2 3 4 5 6 7)", "(1 2 3)").is_surjective()

@@ -9,6 +9,7 @@ from cheblink import (Permutation, Subgroup, all_subgroups, class_index,
                       load_group_file, parse_group_data)
 
 from corpus import corpus, EXPECTED_ORDERS
+from oracles import closure_by_products
 
 GROUPS = corpus()
 
@@ -131,6 +132,46 @@ def test_generated_set():
     assert len(generated_set(g, g.generators)) == 24
     three_cycle = g.index[Permutation.parse("(1 2 3)", 4)]
     assert len(generated_set(g, [three_cycle])) == 3
+
+
+def test_generated_set_matches_all_pairs_closure():
+    rng = random.Random(41)
+    for name, g in GROUPS.items():
+        for _ in range(40):
+            # drawing 0-3 times from 3 elements and the identity repeats some
+            picks = rng.sample(range(g.order), min(3, g.order)) + [g.identity]
+            seed = rng.choices(picks, k=rng.randrange(4))
+            assert generated_set(g, seed) == closure_by_products(g, seed), (name, seed)
+
+
+def test_generated_set_products_bounded_by_order_times_generators(monkeypatch):
+    g = GROUPS["a5"]
+    calls = 0
+    plain_mul = g.mul
+
+    def counting_mul(i, j):
+        nonlocal calls
+        calls += 1
+        return plain_mul(i, j)
+
+    monkeypatch.setattr(g, "mul", counting_mul)
+    assert len(generated_set(g, g.generators)) == 60
+    assert calls <= g.order * len(g.generators)
+
+
+def test_all_subgroups_match_joins_of_all_pairs_closures():
+    for name, g in GROUPS.items():
+        if g.order > 24:
+            continue
+        cyclics = {closure_by_products(g, [i]) for i in range(g.order)}
+        subs = set(cyclics)
+        frontier = set(cyclics)
+        while frontier:
+            frontier = {closure_by_products(g, s | c) for s in frontier
+                        for c in cyclics} - subs
+            subs |= frontier
+        expected = sorted(subs, key=lambda ms: (len(ms), sorted(ms)))
+        assert [h.members for h in all_subgroups(g)] == expected, name
 
 
 FROZEN_SUBGROUP_COUNTS = {
