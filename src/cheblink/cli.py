@@ -17,14 +17,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .covers import build_cover, decompose_loop, verify_artin
-from .freewords import (GroupHom, braid_presentation, cyclic_reduce, evaluate,
-                        format_letters, load_hom_file, parse_braid, parse_word)
+from .freewords import (braid_presentation, cyclic_reduce, evaluate, format_letters,
+                        load_hom_file, parse_braid, parse_word)
 from .permgroup import (FiniteGroup, Subgroup, all_subgroups, conjugacy_classes,
                         coset_action, cycle_type, load_group_file, Permutation)
 from .quotients import (generic_check, load_matrix_file, quotient_search,
                         smith_normal_form)
 from .sft import (DensityRow, bundled_a5, chebotarev_report, enumerate_orbits,
-                  load_sft_file, parse_sft_data, realization_check)
+                  load_sft_file, realization_check)
 
 
 class CheckFailed(Exception):
@@ -40,19 +40,20 @@ def decimal_str(x: Fraction, places: int = 6) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
+def rendered(density: Fraction, target: Fraction) -> tuple[str, Fraction]:
+    """The density as printed, and its exact deviation |printed - target|."""
+    dens = decimal_str(density)
+    return dens, abs(Fraction(dens) - target)
+
+
 def render_row(row: DensityRow) -> str:
     """One machine-readable line: cutoff, key, count, density, target, deviation.
 
     Tab-separated; the deviation is |rendered density - target| so the line
     round-trips: parse the fields, redo the arithmetic, get the same digits.
     """
-    dens = decimal_str(row.density)
-    dev = decimal_str(abs(Fraction(dens) - row.target))
-    return f"{row.cutoff}\t{row.key}\t{row.count}\t{dens}\t{row.target}\t{dev}"
-
-
-def _type_key(t: tuple[int, ...]) -> str:
-    return "type:(" + ",".join(map(str, t)) + ")"
+    dens, dev = rendered(row.density, row.target)
+    return f"{row.cutoff}\t{row.key}\t{row.count}\t{dens}\t{row.target}\t{decimal_str(dev)}"
 
 
 def parse_subgroup(group: FiniteGroup, spec: str) -> Subgroup:
@@ -114,17 +115,15 @@ def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
 
     Loads the shift and its labeling hom (bundled ones by default), insists
     the target is the alternating group on 5 points, gates on the
-    realization check, then maps each Frobenius class through the coset
-    action of the configured subgroup and aggregates by cycle type.
+    realization check, then reads each Frobenius class's decomposition type
+    through the coset action of the configured subgroup.
     """
-    if cfg.hom_path is None:
-        s, hom = bundled_a5()
-        if cfg.sft_path is not None:
-            s = load_sft_file(cfg.sft_path, hom)
+    hom = load_hom_file(cfg.hom_path) if cfg.hom_path else None
+    if cfg.sft_path is None:
+        s = bundled_a5(hom)[0]
     else:
-        hom = load_hom_file(cfg.hom_path)
-        s = load_sft_file(cfg.sft_path, hom) if cfg.sft_path else bundled_a5_with(hom)
-    g = hom.target
+        s = load_sft_file(cfg.sft_path, hom or bundled_a5()[1])
+    g = s.hom.target
     if g.degree != 5 or g.order != 60:
         raise CheckFailed(
             f"hom target has degree {g.degree} and order {g.order}; "
@@ -138,49 +137,20 @@ def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
             f"strongly_connected={real.strongly_connected}, period={real.period}, "
             f"holonomy order {real.holonomy_order} of {g.order}, "
             f"classes without an orbit of length <= {real.bound}: [{missing}]")
-    report = chebotarev_report(s, cfg.max_len, skip=cfg.skip)
-
-    act = coset_action(g, h)
-    classes = conjugacy_classes(g)
-    dtype_of_class = [cycle_type(act.image(c.representative)) for c in classes]
-    dtypes = sorted(set(dtype_of_class))
-    target = {t: Fraction(sum(len(c.members) for c, tc in zip(classes, dtype_of_class) if tc == t),
-                          g.order) for t in dtypes}
-    elements = {t: sum(len(c.members) for c, tc in zip(classes, dtype_of_class) if tc == t)
-                for t in dtypes}
-
-    per_cutoff = []
-    for cutoff in range(1, cfg.max_len + 1):
-        class_rows = report.rows_at(cutoff)
-        total = sum(r.count for r in class_rows)
-        for t in dtypes:
-            cnt = sum(r.count for r, tc in zip(class_rows, dtype_of_class) if tc == t)
-            dens = Fraction(cnt, total) if total else Fraction(0)
-            per_cutoff.append(DensityRow(cutoff, _type_key(t), cnt, dens, target[t],
-                                         abs(dens - target[t])))
-
-    rows = []
-    final = [r for r in per_cutoff if r.cutoff == cfg.max_len]
-    for t, r in zip(dtypes, final):
-        rows.append(A5TableRow(t, elements[t], r.count, r.density, r.target, r.deviation))
-    max_dev = max((r.deviation for r in rows), default=Fraction(0))
+    report = chebotarev_report(s, cfg.max_len, skip=cfg.skip, action=coset_action(g, h))
+    rows = tuple(A5TableRow(t, int(r.target * g.order), r.count, r.density, r.target,
+                            r.deviation)
+                 for t, r in zip(report.types, report.final_type_rows))
+    max_dev = report.max_type_deviation
     return A5Result(
-        rows=tuple(rows),
+        rows=rows,
         total_counted=report.total_counted,
         max_deviation=max_dev,
         within_tolerance=max_dev <= cfg.tolerance,
         subgroup_order=len(h),
         subgroup_index=h.index,
-        per_cutoff=tuple(per_cutoff),
+        per_cutoff=report.type_rows,
     )
-
-
-def bundled_a5_with(hom: GroupHom):
-    """The bundled full-shift graph, relabeled through a caller-supplied hom."""
-    from importlib.resources import files
-
-    data = json.loads((files("cheblink") / "data" / "a5_full_shift.json").read_text())
-    return parse_sft_data(data, hom)
 
 
 def _cmd_a5(args) -> int:
@@ -203,15 +173,14 @@ def _cmd_a5(args) -> int:
               f"subgroup of order {result.subgroup_order}, index {result.subgroup_index}")
         print(f"{'type':<14} {'elements':>8} {'orbits':>8} {'density':>10} "
               f"{'target':>8} {'deviation':>10}")
+        shown = Fraction(0)
         for r in result.rows:
             tname = "(" + ",".join(map(str, r.dtype)) + ")"
-            dens = decimal_str(r.density)
-            dev = decimal_str(abs(Fraction(dens) - r.target))
+            dens, dev = rendered(r.density, r.target)
+            shown = max(shown, dev)
             print(f"{tname:<14} {r.element_count:>8} {r.orbit_count:>8} {dens:>10} "
-                  f"{str(r.target):>8} {dev:>10}")
+                  f"{str(r.target):>8} {decimal_str(dev):>10}")
         verdict = "within" if result.within_tolerance else "OVER"
-        shown = max((abs(Fraction(decimal_str(r.density)) - r.target)
-                     for r in result.rows), default=Fraction(0))
         print(f"max deviation {decimal_str(shown)} — "
               f"{verdict} tolerance {decimal_str(cfg.tolerance)}")
     if not result.within_tolerance:
@@ -316,9 +285,9 @@ def _cmd_sft_chebotarev(args) -> int:
           f"(length <= {report.max_len}, skip {report.skip})")
     print(f"{'key':<28} {'count':>8} {'density':>10} {'target':>8} {'deviation':>10}")
     for row in report.final_class_rows + report.final_type_rows:
-        dens = decimal_str(row.density)
-        dev = decimal_str(abs(Fraction(dens) - row.target))
-        print(f"{row.key:<28} {row.count:>8} {dens:>10} {str(row.target):>8} {dev:>10}")
+        dens, dev = rendered(row.density, row.target)
+        print(f"{row.key:<28} {row.count:>8} {dens:>10} {str(row.target):>8} "
+              f"{decimal_str(dev):>10}")
     return 0
 
 

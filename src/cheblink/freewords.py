@@ -270,7 +270,7 @@ def abelianized_matrix(p: Presentation):
     """Exponent-sum matrix of the relators (one row per relator)."""
     from .quotients import IntMatrix
 
-    return IntMatrix.from_rows(
+    return IntMatrix(
         [r.exponent_vector(p.generator_count) for r in p.relators],
         cols=p.generator_count)
 

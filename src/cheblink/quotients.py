@@ -37,10 +37,6 @@ class IntMatrix:
         self.cols = cols
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
-        return cls(rows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
@@ -255,7 +251,7 @@ def generic_check(p: Presentation, classes: Sequence[Word]) -> GenericityResult:
     n = p.generator_count
     rows = [r.exponent_vector(n) for r in p.relators]
     rows += [w.exponent_vector(n) for w in classes]
-    stacked = IntMatrix.from_rows(rows, cols=n)
+    stacked = IntMatrix(rows, cols=n)
     sf = smith_normal_form(stacked)
     factors = (sf.diagonal + (0,) * n)[:n]
     bad = next((i for i, d in enumerate(factors) if d != 1), None)
@@ -337,4 +333,4 @@ def load_matrix_file(path) -> IntMatrix:
             rows.append([int(tok) for tok in line.split()])
     if not rows:
         raise ValueError("matrix file has no rows")
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(rows)

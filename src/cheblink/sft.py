@@ -20,10 +20,11 @@ from math import gcd
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .freewords import GroupHom, Word, evaluate, parse_hom_data, parse_word
-from .permgroup import (FiniteGroup, class_index, conjugacy_classes, cycle_type,
-                        generated_set)
+from .permgroup import (CosetAction, FiniteGroup, class_index, conjugacy_classes,
+                        cycle_type, generated_set)
 
 DP_STATE_CAP = 65536  # the transfer DP refuses above state_count * |G| states
+SKIP_CAP = 10 ** 6    # chebotarev_report refuses to enumerate more skipped orbits
 
 
 class SftEdge(NamedTuple):
@@ -259,9 +260,9 @@ class DensityReport:
 
     ``class_rows``/``type_rows`` hold one row per (cutoff, class) and
     (cutoff, cycle type); types aggregate the classes whose representatives
-    share a cycle type in the target's permutation action.  Densities are
-    exact fractions over the orbits counted at that cutoff (after the
-    leading ``skip`` orbits are dropped).
+    share a cycle type in the report's permutation action, listed in row
+    order in ``types``.  Densities are exact fractions over the orbits
+    counted at that cutoff (after the leading ``skip`` orbits are dropped).
     """
 
     group_order: int
@@ -270,6 +271,7 @@ class DensityReport:
     total_counted: int
     class_rows: tuple[DensityRow, ...]
     type_rows: tuple[DensityRow, ...]
+    types: tuple[tuple[int, ...], ...]
 
     def rows_at(self, cutoff: int, *, types: bool = False) -> list[DensityRow]:
         rows = self.type_rows if types else self.class_rows
@@ -288,21 +290,30 @@ class DensityReport:
         return max((r.deviation for r in self.final_type_rows), default=Fraction(0))
 
 
-def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0) -> DensityReport:
+def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
+                      action: Optional[CosetAction] = None) -> DensityReport:
     """Empirical class/type densities over orbits of length <= max_len.
 
     The hom must be surjective so the class-size targets |C|/|G| mean what
-    they should.  ``skip`` drops that many of the shortest orbits before
-    anything is counted, at every cutoff; it must leave at least one orbit.
-    Counts come from the transfer DP and divisor peeling, so the cost is
-    linear in max_len; only the skipped orbits are enumerated, to learn
-    their classes.
+    they should.  ``skip`` (at most SKIP_CAP) drops that many of the
+    shortest orbits before anything is counted, at every cutoff; it must
+    leave at least one orbit.  Counts come from the transfer DP and divisor
+    peeling, so the cost is linear in max_len; only the skipped orbits are
+    enumerated, to learn their classes.  Types are the cycle types of class
+    representatives under ``action``, a coset action of the target on G/H
+    (decomposition types in that cover), or under the target's own
+    permutations when it is None.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if skip < 0:
         raise ValueError("skip must be nonnegative")
+    if skip > SKIP_CAP:
+        raise ValueError(f"skip {skip} exceeds the skip cap {SKIP_CAP}: "
+                         "skipped orbits are enumerated one by one")
     g = s.hom.target
+    if action is not None and action.group is not g:
+        raise ValueError("the coset action is not on the hom's target group")
     # the DP cap is checked first, so oversized inputs are refused before
     # the hom's image is closed in its target
     totals = _closed_path_totals(s, max_len)
@@ -311,7 +322,8 @@ def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0) -> DensityR
     classes = conjugacy_classes(g)
     class_target = [Fraction(len(c.members), g.order) for c in classes]
     class_key = [f"class:{g.elements[c.representative].cycle_string()}" for c in classes]
-    type_of_class = [cycle_type(g.elements[c.representative]) for c in classes]
+    image = g.elements.__getitem__ if action is None else action.image
+    type_of_class = [cycle_type(image(c.representative)) for c in classes]
     type_list = sorted(set(type_of_class))
     type_target = {t: sum(class_target[i] for i, tc in enumerate(type_of_class) if tc == t)
                    for t in type_list}
@@ -349,6 +361,7 @@ def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0) -> DensityR
         total_counted=sum(per_class),
         class_rows=tuple(class_rows),
         type_rows=tuple(type_rows),
+        types=tuple(type_list),
     )
 
 
@@ -490,9 +503,11 @@ def load_sft_file(path, hom: GroupHom) -> LabeledSFT:
         return parse_sft_data(json.load(fh), hom)
 
 
-def bundled_a5() -> tuple[LabeledSFT, GroupHom]:
-    """The packaged 3-symbol full shift labeled into A5 (see data/)."""
+def bundled_a5(hom: Optional[GroupHom] = None) -> tuple[LabeledSFT, GroupHom]:
+    """The packaged 3-symbol full shift labeled into A5 (see data/), or
+    relabeled through ``hom`` when one is given."""
     data_dir = files("cheblink") / "data"
-    hom = parse_hom_data(json.loads((data_dir / "a5_hom.json").read_text()))
+    if hom is None:
+        hom = parse_hom_data(json.loads((data_dir / "a5_hom.json").read_text()))
     s = parse_sft_data(json.loads((data_dir / "a5_full_shift.json").read_text()), hom)
     return s, hom

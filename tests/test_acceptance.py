@@ -153,7 +153,7 @@ def test_criterion_6_smith_normal_form_battery():
     for _ in range(1000):
         r = rng.randrange(1, 7)
         c = rng.randrange(1, 7)
-        mats.append(IntMatrix.from_rows(
+        mats.append(IntMatrix(
             [[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)]))
     for a in mats:
         sf = smith_normal_form(a)

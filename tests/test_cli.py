@@ -1,5 +1,8 @@
 import json
+import shutil
 from fractions import Fraction
+from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,8 @@ GOLDEN_MEAN = {"states": 2, "edges": [
     {"from": 0, "to": 1, "label": "x1"},
     {"from": 1, "to": 0, "label": "x1"},
 ]}
+DATA = files("cheblink") / "data"
+GOLDEN = Path(__file__).parent / "golden"
 TRIVIAL_HOM = {"degree": 1, "images": ["()"]}
 THREE_CYCLE = {"states": 3, "edges": [
     {"from": 0, "to": 1, "label": "x1"},
@@ -192,6 +197,45 @@ def test_a5_rows_frozen_counts(capsys):
     for f in lines:
         recomputed = abs(Fraction(f[3]) - Fraction(f[4]))
         assert decimal_str(recomputed) == f[5]
+
+
+def test_a5_rows_golden(capsys):
+    # the whole flagship rows output, byte for byte
+    assert main(["a5", "--max-len", "11", "--format", "rows"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "a5_rows_len11.tsv").read_text()
+
+
+def test_a5_coset_types_of_klein_subgroup(capsys):
+    # index 15: decomposition types are cycle types on the 15 cosets, not on
+    # the 5 points, while the orbit counts per class stay those of plain a5
+    assert main(["a5", "--subgroup", "(1 2)(3 4);(1 3)(2 4)"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "subgroup of order 4, index 15" in lines[0]
+    table = {f[0]: int(f[2]) for f in (l.split() for l in lines[2:-1])}
+    assert table == {"(" + ",".join(["1"] * 15) + ")": 414,
+                     "(2,2,2,2,2,2,1,1,1)": 6381,
+                     "(3,3,3,3,3)": 8505,
+                     "(5,5,5)": 10186}
+
+
+def test_a5_loads_either_file_alone(tmp_path, capsys):
+    # --hom alone relabels the packaged shift; --sft alone uses the packaged hom
+    assert main(["a5"]) == 0
+    plain = capsys.readouterr().out
+    hom = tmp_path / "hom.json"
+    sft = tmp_path / "sft.json"
+    shutil.copyfile(DATA / "a5_hom.json", hom)
+    shutil.copyfile(DATA / "a5_full_shift.json", sft)
+    assert main(["a5", "--hom", str(hom)]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(["a5", "--sft", str(sft)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_a5_skip_cap_is_input_error(capsys):
+    # refused before any skipped orbit is enumerated
+    assert main(["a5", "--max-len", "30", "--skip", "1000001"]) == 2
+    assert "exceeds the skip cap 1000000" in capsys.readouterr().err
 
 
 def test_a5_skip_past_end_is_input_error(capsys):

@@ -14,23 +14,23 @@ GROUPS = corpus()
 
 
 def test_intmatrix_basics():
-    a = IntMatrix.from_rows([[1, 2], [3, 4]])
+    a = IntMatrix([[1, 2], [3, 4]])
     b = IntMatrix.identity(2)
     assert a @ b == a
     assert (b @ a).entries == ((1, 2), (3, 4))
     z = IntMatrix.zero(0, 3)
     assert (z @ IntMatrix.zero(3, 2)).entries == ()
     with pytest.raises(ValueError):
-        IntMatrix.from_rows([[1, 2], [3]])
+        IntMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         a @ IntMatrix.identity(3)
 
 
 def test_det():
-    assert IntMatrix.from_rows([[2, 4], [6, 8]]).det() == -8
+    assert IntMatrix([[2, 4], [6, 8]]).det() == -8
     assert IntMatrix.identity(4).det() == 1
-    assert IntMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
-    assert IntMatrix.from_rows([], cols=0).det() == 1
+    assert IntMatrix([[1, 2], [2, 4]]).det() == 0
+    assert IntMatrix([], cols=0).det() == 1
 
 
 def test_det_matches_laplace_on_random():
@@ -38,7 +38,7 @@ def test_det_matches_laplace_on_random():
     for _ in range(150):
         n = rng.randrange(1, 5)
         rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        assert IntMatrix.from_rows(rows).det() == laplace_det(rows)
+        assert IntMatrix(rows).det() == laplace_det(rows)
 
 
 SNF_PINNED = [
@@ -55,7 +55,7 @@ SNF_PINNED = [
 
 def test_smith_normal_form_pinned():
     for rows, factors in SNF_PINNED:
-        a = IntMatrix.from_rows(rows)
+        a = IntMatrix(rows)
         sf = smith_normal_form(a)
         assert list(sf.diagonal) == factors, rows
         assert sf.u @ sf.s @ sf.v == a
@@ -74,7 +74,7 @@ def test_smith_normal_form_empty_shapes():
 def _random_matrix(rng, max_dim=6, span=9):
     r = rng.randrange(1, max_dim + 1)
     c = rng.randrange(1, max_dim + 1)
-    return IntMatrix.from_rows(
+    return IntMatrix(
         [[rng.randrange(-span, span + 1) for _ in range(c)] for _ in range(r)])
 
 

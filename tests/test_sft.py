@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from cheblink import (GroupHom, LabeledSFT, Presentation, SftEdge, bundled_a5,
-                      chebotarev_report, class_index, conjugacy_classes,
-                      enumerate_orbits, exact_counts, parse_hom_data,
-                      parse_sft_data, parse_word, primitive_counts,
-                      realization_check, reduce)
+from cheblink import (GroupHom, LabeledSFT, Presentation, SftEdge, Subgroup,
+                      bundled_a5, chebotarev_report, class_index,
+                      conjugacy_classes, coset_action, enumerate_orbits,
+                      exact_counts, parse_hom_data, parse_sft_data, parse_word,
+                      primitive_counts, realization_check, reduce)
 
 from corpus import corpus
 from oracles import brute_force_orbits
@@ -170,19 +170,37 @@ def test_chebotarev_report_golden_mean():
 
 def test_chebotarev_report_densities_are_consistent():
     s = two_state_s3()
-    rep = chebotarev_report(s, 7)
-    k = len(conjugacy_classes(s.hom.target))
-    for cutoff in range(1, 8):
-        rows = rep.rows_at(cutoff)
-        assert len(rows) == k
-        total = sum(r.count for r in rows)
-        assert sum(r.density for r in rows) == (1 if total else 0)
-        for r in rows:
-            if total:
-                assert r.density == Fraction(r.count, total)
-            assert r.deviation == abs(r.density - r.target)
-    type_rows = rep.rows_at(7, types=True)
-    assert sum(r.count for r in type_rows) == rep.total_counted
+    g = s.hom.target
+    # the coset action on the trivial subgroup is the regular action, whose
+    # cycle types differ from the natural ones on 3 points
+    for action, types in ((None, ((1, 1, 1), (2, 1), (3,))),
+                          (coset_action(g, Subgroup.trivial(g)),
+                           ((1,) * 6, (2, 2, 2), (3, 3)))):
+        rep = chebotarev_report(s, 7, action=action)
+        assert rep.types == types
+        k = len(conjugacy_classes(g))
+        for cutoff in range(1, 8):
+            rows = rep.rows_at(cutoff)
+            assert len(rows) == k
+            total = sum(r.count for r in rows)
+            assert sum(r.density for r in rows) == (1 if total else 0)
+            for r in rows:
+                if total:
+                    assert r.density == Fraction(r.count, total)
+                assert r.deviation == abs(r.density - r.target)
+            type_rows = rep.rows_at(cutoff, types=True)
+            assert [r.key for r in type_rows] == \
+                ["type:(" + ",".join(map(str, t)) + ")" for t in types]
+            assert sum(r.count for r in type_rows) == total
+            assert sum(r.target for r in type_rows) == 1
+        assert sum(r.count for r in rep.final_type_rows) == rep.total_counted
+
+
+def test_chebotarev_rejects_action_on_another_group():
+    s = two_state_s3()
+    other = parse_hom_data({"degree": 3, "images": ["(1 2 3)", "(1 2)"]}).target
+    with pytest.raises(ValueError, match="coset action"):
+        chebotarev_report(s, 4, action=coset_action(other, Subgroup.trivial(other)))
 
 
 def test_chebotarev_skip_drops_shortest():
