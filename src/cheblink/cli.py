@@ -65,8 +65,15 @@ def parse_subgroup(group: FiniteGroup, spec: str) -> Subgroup:
     if spec == "whole":
         return Subgroup.whole(group)
     if spec.startswith("stab:"):
-        point = int(spec[5:]) - 1
-        return Subgroup.point_stabilizer(group, point)
+        try:
+            point = int(spec[5:])
+        except ValueError:
+            raise ValueError(f"subgroup spec {spec!r}: the point must be an integer "
+                             f"in 1..{group.degree}") from None
+        if not 1 <= point <= group.degree:
+            raise ValueError(f"subgroup spec {spec!r}: point {point} outside "
+                             f"1..{group.degree}")
+        return Subgroup.point_stabilizer(group, point - 1)
     gens = []
     for part in spec.split(";"):
         p = Permutation.parse(part, group.degree)

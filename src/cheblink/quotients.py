@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .freewords import GroupHom, Presentation, Word
-from .permgroup import FiniteGroup, generated_set
+from .permgroup import FiniteGroup, conjugacy_classes, generated_set
 
 
 class IntMatrix:
@@ -272,9 +272,17 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
     Backtracks over generator images in canonical element order, checking
     each relator as soon as every generator it mentions has an image, so the
     full |target|^generators space is rarely walked.  ``budget`` bounds that
-    worst case and the search refuses to start beyond it.  With
-    ``dedup_conjugacy`` only the lexicographically least hom of each
-    conjugation orbit is kept.
+    worst case and the search refuses to start beyond it.  Results come in
+    lexicographic order of their image tuples.
+
+    With ``dedup_conjugacy`` only the lexicographically least hom of each
+    conjugation orbit is kept, and the rest are pruned during the backtrack:
+    a tuple t is least among its conjugates exactly when each t[k] is least
+    in its orbit under conjugation by the joint centralizer of t[:k] (the
+    whole target for k = 0).  So the first image runs over the class
+    representatives, a later candidate is skipped as soon as an element of
+    the running centralizer conjugates it lower, and the centralizer is
+    narrowed to the elements commuting with each chosen image.
     """
     g = target
     n = p.generator_count
@@ -288,37 +296,38 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
 
     images = [g.identity] * n
     results: list[GroupHom] = []
+    mul, inv = g.mul, g.inv
 
     def eval_partial(w: Word) -> int:
         acc = g.identity
         for l in w.letters:
-            e = images[l - 1] if l > 0 else g.inv(images[-l - 1])
-            acc = g.mul(acc, e)
+            e = images[l - 1] if l > 0 else inv(images[-l - 1])
+            acc = mul(acc, e)
         return acc
 
-    def assign(k: int) -> None:
+    def assign(k: int, cent: list[int]) -> None:
+        # cent: the nontrivial elements centralizing images[:k] (dedup only)
         if k == n:
             if surjective_only and len(generated_set(g, images)) != g.order:
                 return
             results.append(GroupHom(p, g, tuple(images)))
             return
-        for cand in range(g.order):
+        if dedup_conjugacy and k == 0:
+            cands = [c.representative for c in conjugacy_classes(g)]
+        else:
+            cands = range(g.order)
+        for cand in cands:
             images[k] = cand
-            if all(eval_partial(r) == g.identity for r in by_max[k + 1]):
-                assign(k + 1)
-
-    assign(0)
-    if dedup_conjugacy:
-        kept = []
-        for hom in results:
-            t = hom.images
-            for c in range(g.order):
-                ci = g.inv(c)
-                if tuple(g.mul(g.mul(c, x), ci) for x in t) < t:
-                    break
+            if not all(eval_partial(r) == g.identity for r in by_max[k + 1]):
+                continue
+            if dedup_conjugacy:
+                if k and any(mul(mul(c, cand), inv(c)) < cand for c in cent):
+                    continue
+                assign(k + 1, [c for c in cent if mul(c, cand) == mul(cand, c)])
             else:
-                kept.append(hom)
-        results = kept
+                assign(k + 1, cent)
+
+    assign(0, [x for x in range(g.order) if x != g.identity])
     return results
 
 

@@ -393,7 +393,11 @@ class RealizationReport:
 
 def realization_check(s: LabeledSFT, bound: int) -> RealizationReport:
     """Check strong connectivity, aperiodicity, holonomy-generation, and
-    that every class of the target is hit by some orbit of length <= bound."""
+    that every class of the target is hit by some orbit of length <= bound.
+
+    Raises ValueError for a bound below 1."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
     g = s.hom.target
     n = s.state_count
 

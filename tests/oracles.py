@@ -2,7 +2,8 @@
 
 Everything here deliberately uses a different algorithm from the library:
 orbit sets come from filtering raw edge tuples, invariant factors from
-gcds of minors and subgroup closures from products of all member pairs.
+gcds of minors, subgroup closures from products of all member pairs and
+conjugacy representatives of homs by trying every conjugator on each hom.
 Slow is fine; these only run on small inputs.
 """
 
@@ -84,3 +85,22 @@ def closure_by_products(g, seed):
                         nxt.append(z)
         frontier = nxt
     return frozenset(members)
+
+
+def least_conjugate_homs(g, homs):
+    """The homs whose image tuple is least among all its conjugates.
+
+    Conjugates each hom's images by every element of ``g`` and keeps the hom
+    when none of the conjugate tuples is lexicographically smaller: up to
+    2 |G| n products per hom on n generators.  Keeps the input order.
+    """
+    kept = []
+    for hom in homs:
+        t = hom.images
+        for c in range(g.order):
+            ci = g.inv(c)
+            if tuple(g.mul(g.mul(c, x), ci) for x in t) < t:
+                break
+        else:
+            kept.append(hom)
+    return kept

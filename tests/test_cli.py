@@ -176,6 +176,17 @@ def test_quotient_search(tmp_path, capsys):
     assert out.startswith("1 surjection(s)")
 
 
+def test_quotient_search_a5_golden(tmp_path, capsys):
+    # the whole output of a surjective search up to conjugacy, byte for byte
+    grp = write(tmp_path, "a5.json",
+                {"degree": 5, "generators": A5_HOM["images"]})
+    assert main(["quotient", "search", "--braid",
+                 "3:s1^-1 s2 s1 s2^-1 s2^-1 s2^-1", "--target", grp,
+                 "--surjective-only", "--dedup-conjugacy"]) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / "quotient_a5_knot.txt").read_text()
+
+
 def test_a5_defaults(capsys):
     assert main(["a5"]) == 0
     out = capsys.readouterr().out
@@ -280,6 +291,32 @@ def test_a5_realization_bound_gate(capsys):
     assert main(["a5", "--bound", "5"]) == 1
     err = capsys.readouterr().err
     assert "realization check failed" in err
+
+
+def test_a5_realization_bound_below_one_is_input_error(capsys):
+    assert main(["a5", "--bound", "0"]) == 2
+    assert capsys.readouterr().err == "error: bound must be at least 1\n"
+
+
+def test_sft_realization_bound_below_one_is_input_error(tmp_path, capsys):
+    sft = write(tmp_path, "gm.json", GOLDEN_MEAN)
+    hom = write(tmp_path, "hom.json", TRIVIAL_HOM)
+    assert main(["sft", "realization", "--sft", sft, "--hom", hom,
+                 "--bound", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bound must be at least 1\n"
+
+
+def test_a5_stab_spec_errors_are_one_based(capsys):
+    # stab:K names a 1-based point, and so do its refusals
+    for spec, message in (
+            ("stab:9", "subgroup spec 'stab:9': point 9 outside 1..5"),
+            ("stab:0", "subgroup spec 'stab:0': point 0 outside 1..5"),
+            ("stab:x", "subgroup spec 'stab:x': the point must be an integer "
+                       "in 1..5")):
+        assert main(["a5", "--subgroup", spec]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_a5_rejects_wrong_target(tmp_path, capsys):

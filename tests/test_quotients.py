@@ -8,7 +8,7 @@ from cheblink import (IntMatrix, Presentation, braid_presentation,
 from cheblink.quotients import load_matrix_file
 
 from corpus import corpus
-from oracles import laplace_det, minor_gcd_factors
+from oracles import laplace_det, least_conjugate_homs, minor_gcd_factors
 
 GROUPS = corpus()
 
@@ -193,6 +193,57 @@ def test_quotient_search_dedup_covers_everything():
                 s3.mul(s3.mul(c, i), s3.inv(c)) for i in hom.images))
     assert regenerated == {h.images for h in full}
     assert len(reps) < len(full)
+
+
+def _random_braid(rng, strands):
+    letters = [f"s{rng.randrange(1, strands)}{rng.choice(('', '^-1'))}"
+               for _ in range(rng.randrange(1, 8))]
+    return f"{strands}:" + " ".join(letters)
+
+
+def test_quotient_search_dedup_matches_least_conjugate_oracle():
+    # the pruned search keeps exactly the homs the post-hoc filter keeps from
+    # the full search, image tuple by image tuple and in the same order
+    rng = random.Random(23)
+    braids = [_random_braid(rng, strands) for strands in (2, 3) for _ in range(8)]
+    # A5 walks 60^3 image triples per 3-strand braid: a knot and one more
+    a5_three_strand = ["3:s1^-1 s2 s1 s2^-1 s2^-1 s2^-1"] + \
+        [b for b in braids if b.startswith("3:")][:1]
+    pruned = 0
+    for name, g in GROUPS.items():
+        cases = braids if name != "a5" else \
+            [b for b in braids if b.startswith("2:")] + a5_three_strand
+        for text in cases:
+            p = braid_presentation(parse_braid(text))
+            for surjective in (False, True):
+                full = quotient_search(p, g, surjective_only=surjective)
+                reps = quotient_search(p, g, surjective_only=surjective,
+                                       dedup_conjugacy=True)
+                expected = least_conjugate_homs(g, full)
+                assert [h.images for h in reps] == \
+                    [h.images for h in expected], (name, text, surjective)
+                pruned += len(full) - len(reps)
+    assert pruned  # some orbits had more than one member
+
+
+def test_quotient_search_dedup_work_bounded(monkeypatch):
+    # pruning during the search: the full search followed by a post-hoc
+    # conjugator filter makes 45938 products here
+    trefoil = braid_presentation(parse_braid("2:s1 s1 s1"))
+    a5 = GROUPS["a5"]
+    calls = 0
+    plain_mul = a5.mul
+
+    def counting_mul(i, j):
+        nonlocal calls
+        calls += 1
+        return plain_mul(i, j)
+
+    monkeypatch.setattr(a5, "mul", counting_mul)
+    homs = quotient_search(trefoil, a5, surjective_only=True,
+                           dedup_conjugacy=True)
+    assert len(homs) == 2
+    assert calls <= 10 ** 4, calls
 
 
 def test_quotient_search_budget():

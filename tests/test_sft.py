@@ -254,6 +254,13 @@ def test_realization_check_bundled():
     assert [w.length for w in rep.class_witnesses] == [6, 1, 2, 1, 1]
 
 
+def test_realization_check_rejects_bound_below_one():
+    s, _ = bundled_a5()
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="^bound must be at least 1$"):
+            realization_check(s, bound)
+
+
 def test_realization_check_identity_labels():
     # every label trivial: holonomy group collapses, most classes unreachable
     hom = parse_hom_data({"degree": 3, "images": ["(1 2 3)", "(1 2)"]})
