@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import json
 import re
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 GENERATION_CAP = 10080
+# entries in all the right-multiplication rows one group keeps (about 16 MB
+# of tuple slots); products on rows past it are formed one at a time
+ROW_CACHE_CAP = 1 << 21
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -157,6 +161,13 @@ class FiniteGroup:
     tuples (identity first).  ``word_for(i)`` returns a shortest word in the
     generators (1-based positive letters) evaluating to element i, recorded
     during the generating closure; the identity's word is empty.
+
+    Products come from right-multiplication rows: ``right_row(j)[i] ==
+    mul(i, j)``, the index of elements[i] ∘ elements[j].  A row is built from
+    the image tuples the first time it is needed and kept while the rows kept
+    by this group hold at most ``ROW_CACHE_CAP`` entries in all; past that,
+    ``mul`` forms each product on an uncached row from the two permutations
+    and keeps nothing, so memory stays bounded at every order.
     """
 
     def __init__(self, degree, elements, generator_perms, words):
@@ -166,7 +177,10 @@ class FiniteGroup:
         self.generators = tuple(self.index[g] for g in generator_perms)
         self._words = tuple(tuple(w) for w in words)
         self.identity = self.index[Permutation.identity(degree)]
-        self._mul = None
+        self._images = tuple(p.images for p in self.elements)
+        self._position = {t: i for i, t in enumerate(self._images)}
+        self._rows: list[tuple[int, ...] | None] = [None] * len(self.elements)
+        self._row_entries = 0
         self._inv = None
         self._classes = None
         self._class_of = None
@@ -175,24 +189,28 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def _mul_table(self):
-        if self._mul is None:
-            if self.order <= 360:
-                idx = self.index
-                els = self.elements
-                self._mul = [tuple(idx[compose(a, b)] for b in els) for a in els]
-            else:
-                self._mul = {}
-        return self._mul
+    def right_row(self, j: int) -> tuple[int, ...]:
+        """The products of every element with j on its right, by index."""
+        row = self._rows[j]
+        if row is None:
+            b = self._images[j]
+            # a one-index itemgetter returns a bare item; degree 1 has only
+            # the identity, so there the image tuple is its own product
+            pick = itemgetter(*b) if len(b) > 1 else tuple
+            row = tuple(map(self._position.__getitem__, map(pick, self._images)))
+            if self._row_entries + len(row) <= ROW_CACHE_CAP:
+                self._rows[j] = row
+                self._row_entries += len(row)
+        return row
 
     def mul(self, i: int, j: int) -> int:
-        tbl = self._mul_table()
-        if isinstance(tbl, dict):
-            r = tbl.get((i, j))
-            if r is None:
-                r = tbl[(i, j)] = self.index[compose(self.elements[i], self.elements[j])]
-            return r
-        return tbl[i][j]
+        row = self._rows[j]
+        if row is None:
+            if self._row_entries + len(self._rows) > ROW_CACHE_CAP:
+                a = self._images[i]
+                return self._position[tuple(map(a.__getitem__, self._images[j]))]
+            row = self.right_row(j)
+        return row[i]
 
     def inv(self, i: int) -> int:
         if self._inv is None:
@@ -258,7 +276,8 @@ def conjugacy_classes(g: FiniteGroup) -> tuple[ConjugacyClass, ...]:
             while stack:
                 x = stack.pop()
                 for k in g.generators:
-                    y = g.mul(g.mul(k, x), g.inv(k))
+                    # k^-1 x k, on the generators' rows only
+                    y = g.mul(g.inv(g.mul(g.inv(x), k)), k)
                     if y not in orbit:
                         orbit.add(y)
                         stack.append(y)

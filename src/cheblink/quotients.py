@@ -14,6 +14,11 @@ from typing import Iterable, Optional, Sequence
 from .freewords import GroupHom, Presentation, Word
 from .permgroup import FiniteGroup, conjugacy_classes, generated_set
 
+TRIAL_DIVISION_CAP = 2 ** 24  # _least_prime_factor trial-divides no further
+# Miller–Rabin with the primes up to 41 as bases decides primality below this
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
 
 class IntMatrix:
     """An immutable integer matrix; ``entries`` is a tuple of row tuples."""
@@ -214,13 +219,53 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     return SmithForm(IntMatrix(u, m), IntMatrix(b, n), IntMatrix(v, n), IntMatrix(vinv, n))
 
 
+def _is_prime(n: int) -> bool:
+    """Miller–Rabin with the bases in MILLER_RABIN_BASES; exact for n below
+    MILLER_RABIN_LIMIT (Sorenson and Webster, Math. Comp. 2017)."""
+    if n < 2:
+        return False
+    for p in MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    odd, s = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        s += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _least_prime_factor(d: int) -> int:
+    """The least prime factor of |d| > 1.
+
+    |d| itself when it is a prime below MILLER_RABIN_LIMIT; otherwise trial
+    division up to TRIAL_DIVISION_CAP.  Raises ValueError when neither
+    settles it: a composite whose factors all exceed the cap, or a |d| at or
+    above the limit with no factor below the cap.
+    """
     d = abs(d)
-    f = 2
+    if d < MILLER_RABIN_LIMIT and _is_prime(d):
+        return d
+    if d % 2 == 0:
+        return 2
+    f = 3
     while f * f <= d:
         if d % f == 0:
             return f
-        f += 1
+        if f > TRIAL_DIVISION_CAP:
+            raise ValueError(f"cannot find the least prime factor of {d}: it has none "
+                             f"below {TRIAL_DIVISION_CAP} and is not a prime below "
+                             f"{MILLER_RABIN_LIMIT}")
+        f += 2
     return d
 
 

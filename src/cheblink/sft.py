@@ -162,15 +162,15 @@ def _closed_path_totals(s: LabeledSFT, max_n: int,
 
     One pass of max_n steps per start state over sparse per-state counts
     keyed by the holonomy so far.  Each edge steps through its label's
-    right-multiplication row, built once per call, so a step costs list
-    and dict lookups and no group multiplication.
+    right-multiplication row (``FiniteGroup.right_row``), so a step costs
+    tuple and dict lookups and no group multiplication.
     """
     g = s.hom.target
     if s.state_count * g.order > cap:
         raise ValueError(
             f"{s.state_count} states x group order {g.order} exceeds the DP cap {cap}")
     class_of = [class_index(g, x) for x in range(g.order)]
-    rows = {lab: [g.mul(x, lab) for x in range(g.order)] for lab in set(s.edge_elem)}
+    rows = {lab: g.right_row(lab) for lab in set(s.edge_elem)}
     moves = [[(s.edge_dst[ei], rows[s.edge_elem[ei]]) for ei in s.out_edges[st]]
              for st in range(s.state_count)]
     totals = [[0] * len(conjugacy_classes(g)) for _ in range(max_n + 1)]

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
@@ -77,6 +80,44 @@ def test_generic_check(capsys):
     assert main(["generic", "check", "--braid", "2:s1 s1 s1"]) == 0
     out = capsys.readouterr().out
     assert "NOT GENERATED" in out and "Z/2" in out
+
+
+def radix_classes(n, base=16):
+    """Class words on the trivial braid whose invariant factor is n: x_i^base
+    x_{i+1}^-1 for each i, then n's base-`base` digits as exponents."""
+    digits = []
+    while n:
+        n, r = divmod(n, base)
+        digits.append(r)
+    words = [" ".join([f"x{i}"] * base + [f"x{i + 1}^-1"]) for i in range(1, len(digits))]
+    words.append(" ".join(f"x{i}" for i, c in enumerate(digits, start=1) for _ in range(c)))
+    return f"{len(digits)}:", ";".join(words)
+
+
+def test_generic_check_large_prime_witness(capsys):
+    braid, classes = radix_classes(2 ** 61 - 1)
+    assert main(["generic", "check", "--braid", braid, "--classes", classes]) == 0
+    out = capsys.readouterr().out
+    assert f"invariant factors per generator: [{'1, ' * 15}{2 ** 61 - 1}]" in out
+    assert f"witness surjection onto Z/{2 ** 61 - 1} " in out
+
+
+def test_generic_check_unfactorable_invariant_is_input_error(capsys):
+    n = 16777259 * 16777289  # two primes above the trial-division cap
+    braid, classes = radix_classes(n)
+    assert main(["generic", "check", "--braid", braid, "--classes", classes]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(n) in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = write(tmp_path, "s4.json", {"degree": 4, "generators": ["(1 2 3 4)", "(1 2)"]})
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "cheblink", "group", "classes", path],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "group of order 24 on 4 points; 5 classes" in proc.stdout
 
 
 def test_cover_decompose(tmp_path, capsys):

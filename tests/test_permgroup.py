@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from cheblink import (Permutation, Subgroup, all_subgroups, class_index,
-                      compose, conjugacy_classes, coset_action, cycle_type,
-                      generate_group, generated_set, group_file_data,
-                      load_group_file, parse_group_data)
+from cheblink import (ConjugacyClass, Permutation, Subgroup, all_subgroups,
+                      class_index, compose, conjugacy_classes, coset_action,
+                      cycle_type, generate_group, generated_set, group_file_data,
+                      load_group_file, parse_group_data, permgroup)
+from cheblink.cli import main
 
-from corpus import corpus, EXPECTED_ORDERS
+from corpus import corpus, perm_group, EXPECTED_ORDERS
 from oracles import closure_by_products
 
 GROUPS = corpus()
@@ -268,3 +269,60 @@ def test_parse_group_data_validates():
         parse_group_data({"degree": 3})
     with pytest.raises(ValueError):
         parse_group_data({"degree": 3, "generators": ["(1 5)"]})
+
+
+def fresh(g):
+    """The same group with an empty row cache."""
+    return generate_group([g.elements[k] for k in g.generators], degree=g.degree)
+
+
+def cached_rows(g):
+    return sum(row is not None for row in g._rows)
+
+
+@pytest.mark.parametrize("name", ["s4", "a5"])
+def test_mul_rows_cached_and_uncached_match_composition(monkeypatch, name):
+    g = fresh(GROUPS[name])
+    cap = 3 * g.order
+    monkeypatch.setattr(permgroup, "ROW_CACHE_CAP", cap)
+    for j in range(g.order):
+        for i in range(g.order):
+            assert g.elements[g.mul(i, j)] == compose(g.elements[i], g.elements[j])
+        assert g._row_entries <= cap
+        assert g.right_row(j) == tuple(g.mul(i, j) for i in range(g.order))
+        # the first three rows are kept, every later product is formed alone
+        assert (g._rows[j] is not None) == (j < 3)
+    assert cached_rows(g) == 3 and g._row_entries == cap
+
+
+@pytest.mark.parametrize("rows", [None, 2])
+def test_mul_matches_composition_on_s6(monkeypatch, rows):
+    g = perm_group(6, "(1 2 3 4 5 6)", "(1 2)")
+    assert g.order == 720
+    if rows is not None:
+        monkeypatch.setattr(permgroup, "ROW_CACHE_CAP", rows * g.order)
+    rng = random.Random(11)
+    for _ in range(3000):
+        i, j = rng.randrange(g.order), rng.randrange(g.order)
+        assert g.elements[g.mul(i, j)] == compose(g.elements[i], g.elements[j])
+        assert g._row_entries <= permgroup.ROW_CACHE_CAP
+    if rows is not None:
+        assert cached_rows(g) == rows
+
+
+def test_trivial_group_of_degree_one(tmp_path):
+    g = perm_group(1)
+    assert (g.order, g.degree) == (1, 1)
+    assert g.mul(0, 0) == 0 and g.inv(0) == 0 and g.right_row(0) == (0,)
+    assert conjugacy_classes(g) == (ConjugacyClass(0, frozenset({0})),)
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({"degree": 1, "generators": []}))
+    assert main(["group", "classes", str(path)]) == 0
+
+
+def test_conjugacy_classes_build_only_generator_rows():
+    g = perm_group(7, "(1 2 3 4 5 6 7)", "(1 2)")
+    classes = conjugacy_classes(g)
+    assert g.order == 5040 and len(classes) == 15
+    assert sum(len(c.members) for c in classes) == g.order
+    assert cached_rows(g) <= 2 * len(g.generators)

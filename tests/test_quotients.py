@@ -1,13 +1,15 @@
 import random
+import time
 
 import pytest
 
 from cheblink import (IntMatrix, Presentation, braid_presentation,
-                      generic_check, parse_braid, parse_word, quotient_search,
-                      smith_normal_form)
-from cheblink.quotients import load_matrix_file
+                      generic_check, parse_braid, parse_word, permgroup,
+                      quotient_search, quotients, smith_normal_form)
+from cheblink.quotients import (MILLER_RABIN_LIMIT, TRIAL_DIVISION_CAP,
+                                _least_prime_factor, load_matrix_file)
 
-from corpus import corpus
+from corpus import corpus, perm_group
 from oracles import laplace_det, least_conjugate_homs, minor_gcd_factors
 
 GROUPS = corpus()
@@ -244,6 +246,64 @@ def test_quotient_search_dedup_work_bounded(monkeypatch):
                            dedup_conjugacy=True)
     assert len(homs) == 2
     assert calls <= 10 ** 4, calls
+
+
+def test_quotient_search_onto_s7_keeps_row_cache_bounded(monkeypatch):
+    # without a cap the search keeps a product for every pair it forms;
+    # a lowered cap keeps the test quick and still lets the cache fill
+    cap = 64 * 5040
+    monkeypatch.setattr(permgroup, "ROW_CACHE_CAP", cap)
+    s7 = perm_group(7, "(1 2 3 4 5 6 7)", "(1 2)")
+    homs = quotient_search(Presentation(1, (parse_word("x1 x1"),)), s7)
+    # the identity, 21 transpositions, 105 double and 105 triple transpositions
+    assert len(homs) == 232
+    assert all(s7.mul(h.images[0], h.images[0]) == s7.identity for h in homs)
+    assert s7._row_entries <= cap
+    assert s7._row_entries + s7.order > cap  # the cache did fill
+
+
+def test_least_prime_factor_small_values():
+    def naive(d):
+        f = 2
+        while f * f <= d:
+            if d % f == 0:
+                return f
+            f += 1
+        return d
+
+    for d in range(2, 5000):
+        assert _least_prime_factor(d) == naive(d)
+        assert _least_prime_factor(-d) == naive(d)
+
+
+def test_least_prime_factor_large_prime_is_quick():
+    t0 = time.perf_counter()
+    assert _least_prime_factor(2 ** 61 - 1) == 2 ** 61 - 1
+    assert time.perf_counter() - t0 < 1
+
+
+def test_least_prime_factor_finds_factor_below_cap():
+    # the least prime of a 20-digit invariant factor met in practice
+    assert 16686353 < TRIAL_DIVISION_CAP
+    assert _least_prime_factor(16686353 * (2 ** 61 - 1)) == 16686353
+
+
+def test_least_prime_factor_refuses_what_it_cannot_settle(monkeypatch):
+    # a lowered cap keeps the trial division short; the CLI test of
+    # `generic check` runs the real one
+    monkeypatch.setattr(quotients, "TRIAL_DIVISION_CAP", 1000)
+    with pytest.raises(ValueError, match=str(1009 * 1013)):
+        _least_prime_factor(1009 * 1013)
+    assert _least_prime_factor(1009 * 1013 * 997) == 997
+    # a strong pseudoprime to every prime base up to 37; base 41 exposes it
+    psi12 = 399165290221 * 798330580441
+    with pytest.raises(ValueError, match=str(psi12)):
+        _least_prime_factor(psi12)
+    # a prime at or above the Miller-Rabin limit is refused as well
+    big = 2 ** 127 - 1
+    assert big >= MILLER_RABIN_LIMIT
+    with pytest.raises(ValueError, match=str(big)):
+        _least_prime_factor(big)
 
 
 def test_quotient_search_budget():
