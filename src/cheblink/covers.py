@@ -94,8 +94,8 @@ def decompose_loop(cover: CoveringGraph, w: CyclicWord | Word) -> LiftResult:
     for l in w.letters:
         if abs(l) > cover.generator_count:
             raise ValueError(f"letter {l} outside x1..x{cover.generator_count}")
-    rev = tuple(reversed(w.letters))
     steps, steps_inv = cover.steps, cover.steps_inv
+    walk = [steps[l - 1] if l > 0 else steps_inv[-l - 1] for l in reversed(w.letters)]
     visited = [False] * cover.vertex_count
     comps = []
     for v0 in range(cover.vertex_count):
@@ -105,8 +105,8 @@ def decompose_loop(cover: CoveringGraph, w: CyclicWord | Word) -> LiftResult:
         fiber = [v0]
         u = v0
         while True:
-            for l in rev:
-                u = steps[l - 1][u] if l > 0 else steps_inv[-l - 1][u]
+            for step in walk:
+                u = step[u]
             if u == v0:
                 break
             visited[u] = True
@@ -237,18 +237,22 @@ def verify_component_bijection(cover: CoveringGraph, w: CyclicWord | Word) -> Bi
         ok_c = hol in cls
         dir1 = dir1 and ok_h and ok_c
         checks.append(ComponentCheck(v, hol, ok_h, ok_c))
+    # some conjugate of z lies in H exactly when z's class meets H, so the
+    # least conjugator is searched for only then, and the search finds one
+    meets = not cls.isdisjoint(h.members)
     conjugator = None
-    for c in range(g.order):
-        if g.mul(g.mul(c, z), g.inv(c)) in h.members:
-            conjugator = c
-            break
+    if meets:
+        for c in range(g.order):
+            if g.mul(g.mul(c, z), g.inv(c)) in h.members:
+                conjugator = c
+                break
     dir2 = conjugator is None or bool(checks)
     return BijectionReport(
         word=w,
         image=z,
         decomposition_type=lift.decomposition_type,
         degree_one_checks=tuple(checks),
-        class_meets_subgroup=conjugator is not None,
+        class_meets_subgroup=meets,
         conjugator=conjugator,
         direction1_ok=dir1,
         direction2_ok=dir2,

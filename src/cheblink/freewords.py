@@ -71,22 +71,19 @@ def reduce(letters: Iterable[int]) -> Word:
     return Word(tuple(out))
 
 
-def _letter_key(l: int) -> tuple[int, bool]:
-    return (abs(l), l < 0)
-
-
 def _canonical_rotation(ls: tuple[int, ...]) -> tuple[int, ...]:
-    if not ls:
+    # one int key per letter, 2k - 1 for x_k and 2k for x_k^-1, orders the
+    # letters x1 < x1^-1 < x2 < ...; the least rotation of the keys wins
+    n = len(ls)
+    if n < 2:
         return ls
-    best_key = None
-    best = ls
-    for i in range(len(ls)):
-        rot = ls[i:] + ls[:i]
-        key = tuple(_letter_key(x) for x in rot)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = rot
-    return best
+    keys = tuple([2 * l - 1 if l > 0 else -2 * l for l in ls])
+    best, at = keys, 0
+    for i in range(1, n):
+        rot = keys[i:] + keys[:i]
+        if rot < best:
+            best, at = rot, i
+    return ls[at:] + ls[:at]
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,13 @@ GENERATION_CAP = 10080
 # entries in all the right-multiplication rows one group keeps (about 16 MB
 # of tuple slots); products on rows past it are formed one at a time
 ROW_CACHE_CAP = 1 << 21
+# single products an element serves as a right factor before ``mul`` builds
+# its row: a row costs about |G|/3 single products, so an element used once
+# or twice never pays for one
+_PRODUCTS_BEFORE_ROW = 8
+# joins the all_subgroups search may plan, times the group order; S5 plans
+# 1.25e6 and A6 3.0e7
+SUBGROUP_JOIN_BUDGET = 1 << 25
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -163,11 +170,13 @@ class FiniteGroup:
     during the generating closure; the identity's word is empty.
 
     Products come from right-multiplication rows: ``right_row(j)[i] ==
-    mul(i, j)``, the index of elements[i] ∘ elements[j].  A row is built from
-    the image tuples the first time it is needed and kept while the rows kept
-    by this group hold at most ``ROW_CACHE_CAP`` entries in all; past that,
-    ``mul`` forms each product on an uncached row from the two permutations
-    and keeps nothing, so memory stays bounded at every order.
+    mul(i, j)``, the index of elements[i] ∘ elements[j].  ``mul`` forms the
+    first few products on j's right from the two permutations, one at a time,
+    and builds j's row from the image tuples only when j serves one more; a
+    row is kept while the rows kept by this group hold at most
+    ``ROW_CACHE_CAP`` entries in all.  Past that, every product on an
+    uncached row is formed alone and nothing is kept, so memory stays
+    bounded at every order.
     """
 
     def __init__(self, degree, elements, generator_perms, words):
@@ -181,6 +190,7 @@ class FiniteGroup:
         self._position = {t: i for i, t in enumerate(self._images)}
         self._rows: list[tuple[int, ...] | None] = [None] * len(self.elements)
         self._row_entries = 0
+        self._single_products = [0] * len(self.elements)
         self._inv = None
         self._classes = None
         self._class_of = None
@@ -206,7 +216,10 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         row = self._rows[j]
         if row is None:
-            if self._row_entries + len(self._rows) > ROW_CACHE_CAP:
+            served = self._single_products[j]
+            if (served < _PRODUCTS_BEFORE_ROW
+                    or self._row_entries + len(self._rows) > ROW_CACHE_CAP):
+                self._single_products[j] = served + 1
                 a = self._images[i]
                 return self._position[tuple(map(a.__getitem__, self._images[j]))]
             row = self.right_row(j)
@@ -306,8 +319,13 @@ def generated_set(g: FiniteGroup, seed: Iterable[int]) -> frozenset:
     |<seed>| * (kept generators) calls to ``g.mul`` plus one membership test
     per seed element.  Every kept generator at least doubles the members,
     so at most log2 |<seed>| generators are kept.
+
+    The closure stops early once it holds more than half of g: a subgroup
+    with over |G|/2 elements is g itself (Lagrange), so every index is
+    returned without forming the remaining products.
     """
     mul = g.mul
+    half = g.order // 2
     members = {g.identity}
     gens: list[int] = []
     for s in seed:
@@ -324,6 +342,8 @@ def generated_set(g: FiniteGroup, seed: Iterable[int]) -> frozenset:
         while frontier:
             nxt = []
             for x in frontier:
+                if len(members) > half:
+                    return frozenset(range(g.order))
                 for k in gens:
                     z = mul(x, k)
                     if z not in members:
@@ -394,7 +414,12 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
 
     Sorted by (order, sorted member indices).  The search closes at most
     one join per (subgroup, cyclic subgroup) pair, each by ``generated_set``
-    in at most |G| log2 |G| products.
+    in at most |G| log2 |G| products.  It runs in levels, joining the
+    subgroups the last level found with every cyclic subgroup; before each
+    level it adds that level's pairs to the joins planned and raises
+    ValueError once joins * |G| exceeds ``SUBGROUP_JOIN_BUDGET``.  S6, whose
+    362 cyclic subgroups plan 9.4e7 for the first level alone, is refused
+    before any join.
     """
     cyclics = set()
     for i in range(g.order):
@@ -406,7 +431,13 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
         cyclics.add(frozenset(powers))
     subs = set(cyclics)
     frontier = set(cyclics)
+    pairs = 0
     while frontier:
+        pairs += len(frontier) * len(cyclics)
+        if pairs * g.order > SUBGROUP_JOIN_BUDGET:
+            raise ValueError(
+                f"subgroup search in a group of order {g.order} plans {pairs} joins; "
+                f"joins x order exceeds the budget of {SUBGROUP_JOIN_BUDGET}")
         new = set()
         for s in frontier:
             for c in cyclics:

@@ -2,8 +2,10 @@
 
 Everything here deliberately uses a different algorithm from the library:
 orbit sets come from filtering raw edge tuples, invariant factors from
-gcds of minors, subgroup closures from products of all member pairs and
-conjugacy representatives of homs by trying every conjugator on each hom.
+gcds of minors, subgroup closures from products of all member pairs,
+conjugacy representatives of homs by trying every conjugator on each hom,
+canonical rotations by comparing per-letter key tuples, and conjugators by
+composing permutations for every element of the group.
 Slow is fine; these only run on small inputs.
 """
 
@@ -104,3 +106,28 @@ def least_conjugate_homs(g, homs):
         else:
             kept.append(hom)
     return kept
+
+
+def rotation_by_tuple_keys(letters):
+    """The least rotation of a cyclic word under x1 < x1^-1 < x2 < x2^-1 < ...
+
+    Compares every rotation through one (generator, inverted) key per
+    letter; the first least rotation wins.
+    """
+    if not letters:
+        return letters
+    rotations = [letters[i:] + letters[:i] for i in range(len(letters))]
+    return min(rotations, key=lambda r: [(abs(l), l < 0) for l in r])
+
+
+def conjugator_by_full_scan(g, z, members):
+    """The least element c of ``g`` with c z c^-1 in ``members``, else None.
+
+    Tries every element in index order and forms c z c^-1 by composing the
+    permutations themselves, not through the group's products.
+    """
+    zp = g.elements[z]
+    for c, cp in enumerate(g.elements):
+        if g.index[cp * zp * cp.inverse()] in members:
+            return c
+    return None

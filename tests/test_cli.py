@@ -138,6 +138,29 @@ def test_cover_verify_artin(tmp_path, capsys):
     assert "MISMATCH" not in out
 
 
+@pytest.mark.parametrize("name,degree,generators", [
+    ("a5", 5, ["(1 2 3 4 5)", "(1 2 3)"]),
+    ("s4", 4, ["(1 2 3 4)", "(1 2)"]),
+])
+def test_cover_verify_artin_all_subgroups_golden(tmp_path, capsys, name, degree, generators):
+    # the whole output, byte for byte, as captured before the cover checks
+    # were made cheaper
+    grp = write(tmp_path, f"{name}.json", {"degree": degree, "generators": generators})
+    assert main(["cover", "verify-artin", "--group", grp, "--all-subgroups"]) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / f"verify_artin_{name}.txt").read_text()
+
+
+def test_cover_verify_artin_join_budget_is_input_error(tmp_path, capsys):
+    grp = write(tmp_path, "s6.json",
+                {"degree": 6, "generators": ["(1 2 3 4 5 6)", "(1 2)"]})
+    assert main(["cover", "verify-artin", "--group", grp, "--all-subgroups"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "budget" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_cover_verify_artin_needs_spec(tmp_path, capsys):
     grp = write(tmp_path, "s4.json",
                 {"degree": 4, "generators": ["(1 2 3 4)", "(1 2)"]})

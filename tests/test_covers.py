@@ -7,9 +7,10 @@ from cheblink import (GroupHom, Permutation, Presentation, Subgroup,
                       cycle_type, decompose_loop, evaluate, generate_group,
                       parse_word, reduce, verify_artin,
                       verify_component_bijection)
-from cheblink.covers import _loop_word_for
+from cheblink.covers import BijectionReport, ComponentCheck, _loop_word_for
 
 from corpus import corpus
+from oracles import conjugator_by_full_scan
 
 GROUPS = corpus()
 
@@ -195,3 +196,63 @@ def test_component_bijection_exhaustive_s4():
                 continue
             rep = verify_component_bijection(cover, w)
             assert rep.passed, (len(h), z)
+
+
+def test_bijection_report_matches_full_scan_oracle():
+    # degree-1 components are the fixed points of the loop's coset-action
+    # image; holonomies and images are composed from the permutations
+    for name, g in GROUPS.items():
+        hom = free_hom(g)
+        for h in all_subgroups(g):
+            cover = build_cover(hom, h)
+            act = cover.action
+            for z in range(g.order):
+                w = _loop_word_for(g, z)
+                if w is None:
+                    continue
+                image = Permutation.identity(g.degree)
+                for l in w.letters:
+                    image = image * g.elements[g.generators[l - 1]]
+                y = g.index[image]
+                perm = act.image(y)
+                checks = []
+                for v in range(act.degree):
+                    if perm(v) == v:
+                        r = g.elements[act.reps[v]]
+                        hol = g.index[r * image * r.inverse()]
+                        in_class = conjugator_by_full_scan(g, y, {hol}) is not None
+                        checks.append(ComponentCheck(v, hol, hol in h.members, in_class))
+                conjugator = conjugator_by_full_scan(g, y, h.members)
+                rep = verify_component_bijection(cover, w)
+                assert rep == BijectionReport(
+                    word=w,
+                    image=y,
+                    decomposition_type=cycle_type(perm),
+                    degree_one_checks=tuple(checks),
+                    class_meets_subgroup=conjugator is not None,
+                    conjugator=conjugator,
+                    direction1_ok=all(c.in_subgroup and c.in_class for c in checks),
+                    direction2_ok=conjugator is None or bool(checks),
+                ), (name, len(h), z)
+
+
+def test_component_bijection_work_bounded(monkeypatch):
+    # a loop whose class misses H needs no conjugator search: scanning all
+    # of A5 for one on each of the 2019 such loops made 290,918 products
+    # here, and searching only when the class meets H makes 48,638
+    g = GROUPS["a5"]
+    hom = free_hom(g)
+    covers = [build_cover(hom, h) for h in all_subgroups(g)]
+    words = [_loop_word_for(g, z) for z in range(g.order)]
+    calls = 0
+    plain_mul = g.mul
+
+    def counting_mul(i, j):
+        nonlocal calls
+        calls += 1
+        return plain_mul(i, j)
+
+    monkeypatch.setattr(g, "mul", counting_mul)
+    reports = [verify_component_bijection(c, w) for c in covers for w in words]
+    assert len(reports) == 59 * 60 and all(r.passed for r in reports)
+    assert calls <= 60_000

@@ -6,9 +6,10 @@ from cheblink import (GroupHom, Permutation, Presentation, Word,
                       abelianized_matrix, braid_presentation, compose,
                       cyclic_reduce, evaluate, generate_group, parse_braid,
                       parse_hom_data, parse_word, reduce)
-from cheblink.freewords import BraidWord, CyclicWord, format_letters
+from cheblink.freewords import BraidWord, CyclicWord, _canonical_rotation, format_letters
 
 from corpus import corpus
+from oracles import rotation_by_tuple_keys
 
 GROUPS = corpus()
 
@@ -81,6 +82,23 @@ def test_cyclic_canonical_rotation_is_least():
         ls = c.letters
         for r in range(n):
             assert cyclic_reduce(reduce(ls[r:] + ls[:r])).letters == ls
+
+
+def test_canonical_rotation_matches_tuple_key_oracle():
+    # ties between equal rotations of periodic words, and x_k against its
+    # inverse, are where an int key per letter could go wrong
+    for letters in [(), (3,), (-1,), (-1, 1), (2, -2, 2, -2), (-1, 2, 1, 2),
+                    (-2, -1, 2, 1), (1, -1, 1, -1, 1, -1), (-3, 3, -2, 2)]:
+        assert _canonical_rotation(letters) == rotation_by_tuple_keys(letters), letters
+    rng = random.Random(17)
+    for _ in range(500):
+        block = tuple(rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(rng.randrange(1, 6)))
+        letters = block * rng.choice((1, 1, 2, 3))
+        assert _canonical_rotation(letters) == rotation_by_tuple_keys(letters), letters
+        w = cyclic_reduce(reduce(letters))
+        assert w.letters == rotation_by_tuple_keys(w.letters), letters
+        for r in range(len(w)):
+            assert cyclic_reduce(Word(w.letters[r:] + w.letters[:r])) == w
 
 
 def test_cyclic_words_validate():

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -160,6 +161,33 @@ def test_generated_set_products_bounded_by_order_times_generators(monkeypatch):
     assert calls <= g.order * len(g.generators)
 
 
+def test_generated_set_of_whole_group_seeds_matches_all_pairs_closure(monkeypatch):
+    # seeds that generate all of g are where the closure stops at half of g
+    rng = random.Random(43)
+    for name, g in GROUPS.items():
+        whole = frozenset(range(g.order))
+        seeds = [list(g.generators), list(reversed(g.generators))]
+        while len(seeds) < 12:
+            seed = rng.sample(range(g.order), min(rng.randrange(1, 4), g.order))
+            if closure_by_products(g, seed) == whole:
+                seeds.append(seed)
+        for seed in seeds:
+            assert generated_set(g, seed) == whole, (name, seed)
+    # A5 from a 5-cycle and a 3-cycle: closing all 60 members took 120 products
+    g = GROUPS["a5"]
+    calls = 0
+    plain_mul = g.mul
+
+    def counting_mul(i, j):
+        nonlocal calls
+        calls += 1
+        return plain_mul(i, j)
+
+    monkeypatch.setattr(g, "mul", counting_mul)
+    assert generated_set(g, g.generators) == frozenset(range(60))
+    assert calls < 60
+
+
 def test_all_subgroups_match_joins_of_all_pairs_closures():
     for name, g in GROUPS.items():
         if g.order > 24:
@@ -184,6 +212,17 @@ FROZEN_SUBGROUP_COUNTS = {
 def test_all_subgroups_counts():
     for name, expected in FROZEN_SUBGROUP_COUNTS.items():
         assert len(all_subgroups(GROUPS[name])) == expected, name
+
+
+def test_all_subgroups_join_budget():
+    s5 = perm_group(5, "(1 2 3 4 5)", "(1 2)")
+    assert len(all_subgroups(s5)) == 156
+    # 362 cyclic subgroups and 1455 subgroups: refused before any join
+    s6 = perm_group(6, "(1 2 3 4 5 6)", "(1 2)")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="budget"):
+        all_subgroups(s6)
+    assert time.perf_counter() - start < 2
 
 
 def test_subgroups_satisfy_lagrange():
@@ -308,6 +347,24 @@ def test_mul_matches_composition_on_s6(monkeypatch, rows):
         assert g._row_entries <= permgroup.ROW_CACHE_CAP
     if rows is not None:
         assert cached_rows(g) == rows
+
+
+def test_mul_builds_a_row_only_after_single_products(monkeypatch):
+    # the first 8 products with j on the right are formed alone, the 9th
+    # builds j's row
+    g = fresh(GROUPS["a5"])
+    j = 7
+    for i in range(8):
+        assert g.elements[g.mul(i, j)] == compose(g.elements[i], g.elements[j])
+    assert cached_rows(g) == 0
+    k = g.mul(0, j)
+    assert g._rows[j] is not None and cached_rows(g) == 1
+    assert g.elements[k] == compose(g.elements[0], g.elements[j])
+    # a full cache still forms every later product alone
+    monkeypatch.setattr(permgroup, "ROW_CACHE_CAP", g.order)
+    for i in range(g.order):
+        assert g.elements[g.mul(i, 8)] == compose(g.elements[i], g.elements[8])
+    assert cached_rows(g) == 1
 
 
 def test_trivial_group_of_degree_one(tmp_path):

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from cheblink import (IntMatrix, Presentation, braid_presentation,
+from cheblink import (IntMatrix, Presentation, braid_presentation, cycle_type,
                       generic_check, parse_braid, parse_word, permgroup,
                       quotient_search, quotients, smith_normal_form)
 from cheblink.quotients import (MILLER_RABIN_LIMIT, TRIAL_DIVISION_CAP,
@@ -248,16 +248,30 @@ def test_quotient_search_dedup_work_bounded(monkeypatch):
     assert calls <= 10 ** 4, calls
 
 
-def test_quotient_search_onto_s7_keeps_row_cache_bounded(monkeypatch):
-    # without a cap the search keeps a product for every pair it forms;
-    # a lowered cap keeps the test quick and still lets the cache fill
-    cap = 64 * 5040
-    monkeypatch.setattr(permgroup, "ROW_CACHE_CAP", cap)
+def test_quotient_search_onto_s7_builds_no_rows():
+    # each candidate is a right factor twice in the search and twice more
+    # when its hom checks the relator, too few to pay for a row of 5040
+    # entries; a row per candidate would fill all 416 rows the cap allows
     s7 = perm_group(7, "(1 2 3 4 5 6 7)", "(1 2)")
     homs = quotient_search(Presentation(1, (parse_word("x1 x1"),)), s7)
+    assert s7._row_entries == 0
     # the identity, 21 transpositions, 105 double and 105 triple transpositions
     assert len(homs) == 232
     assert all(s7.mul(h.images[0], h.images[0]) == s7.identity for h in homs)
+
+
+def test_quotient_search_onto_s7_keeps_row_cache_bounded(monkeypatch):
+    # without a cap the search keeps a product for every pair it forms;
+    # a lowered cap keeps the test quick and still lets the cache fill.
+    # x1^9 makes every candidate a right factor nine times, enough for a row
+    cap = 64 * 5040
+    monkeypatch.setattr(permgroup, "ROW_CACHE_CAP", cap)
+    s7 = perm_group(7, "(1 2 3 4 5 6 7)", "(1 2)")
+    homs = quotient_search(Presentation(1, (parse_word(" ".join(["x1"] * 9)),)), s7)
+    # the identity, 70 3-cycles and 280 products of two disjoint 3-cycles
+    assert len(homs) == 351
+    assert all(cycle_type(s7.elements[h.images[0]]) in ((1,) * 7, (3, 1, 1, 1, 1), (3, 3, 1))
+               for h in homs)
     assert s7._row_entries <= cap
     assert s7._row_entries + s7.order > cap  # the cache did fill
 
