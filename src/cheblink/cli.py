@@ -432,8 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--skip", type=int, default=0)
     sc.add_argument("--format", choices=("text", "rows"), default="text")
     sc.set_defaults(func=_cmd_sft_chebotarev)
-    sr = ssub.add_parser("realization", help="connectivity, aperiodicity, "
-                                             "holonomy and class witnesses")
+    sr = ssub.add_parser("realization", help="lift on states x G strongly connected "
+                                             "with period 1 (the period shown is the "
+                                             "lift's), and class witnesses")
     sr.add_argument("--sft", required=True)
     sr.add_argument("--hom", required=True)
     sr.add_argument("--bound", type=int, default=6)

@@ -122,19 +122,22 @@ def _loop_word_for(g: FiniteGroup, z: int) -> Optional[CyclicWord]:
     Uses the shortest word recorded during group generation (positive letters
     only, hence already cyclically reduced); the identity falls back to the
     first generator raised to its order.  None only for the trivial group.
+    The first call builds every element's word and keeps them on the group,
+    as ``conjugacy_classes`` keeps the classes.
     """
-    letters = g.word_for(z)
-    if not letters:
-        if not g.generators:
-            return None
-        k = g.generators[0]
-        m = 1
-        x = k
-        while x != g.identity:
-            x = g.mul(x, k)
-            m += 1
-        letters = (1,) * m
-    return cyclic_reduce(Word(letters))
+    if g._loop_words is None:
+        identity_word = None
+        if g.generators:
+            k = g.generators[0]
+            m = 1
+            x = k
+            while x != g.identity:
+                x = g.mul(x, k)
+                m += 1
+            identity_word = cyclic_reduce(Word((1,) * m))
+        words = map(g.word_for, range(g.order))
+        g._loop_words = tuple(cyclic_reduce(Word(w)) if w else identity_word for w in words)
+    return g._loop_words[z]
 
 
 @dataclass(frozen=True)

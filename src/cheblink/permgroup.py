@@ -194,6 +194,7 @@ class FiniteGroup:
         self._inv = None
         self._classes = None
         self._class_of = None
+        self._loop_words = None
 
     @property
     def order(self) -> int:

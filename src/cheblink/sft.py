@@ -20,10 +20,9 @@ from math import gcd
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .freewords import GroupHom, Word, evaluate, parse_hom_data, parse_word
-from .permgroup import (CosetAction, FiniteGroup, class_index, conjugacy_classes,
-                        cycle_type, generated_set)
+from .permgroup import CosetAction, FiniteGroup, class_index, conjugacy_classes, cycle_type
 
-DP_STATE_CAP = 65536  # the transfer DP refuses above state_count * |G| states
+DP_STATE_CAP = 65536  # the transfer DP and realization_check refuse above state_count * |G|
 SKIP_CAP = 10 ** 6    # chebotarev_report refuses to enumerate more skipped orbits
 
 
@@ -156,23 +155,34 @@ def orbit_list(s: LabeledSFT, max_len: int) -> list[Orbit]:
     return list(enumerate_orbits(s, max_len))
 
 
-def _closed_path_totals(s: LabeledSFT, max_n: int,
-                        cap: int = DP_STATE_CAP) -> list[list[int]]:
-    """totals[n][class]: closed paths of length n, for every n <= max_n.
+def _lift_moves(s: LabeledSFT,
+                cap: int = DP_STATE_CAP) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """moves[state]: (destination, label's right-multiplication row) per out-edge.
 
-    One pass of max_n steps per start state over sparse per-state counts
-    keyed by the holonomy so far.  Each edge steps through its label's
-    right-multiplication row (``FiniteGroup.right_row``), so a step costs
-    tuple and dict lookups and no group multiplication.
+    These are the edges of the lift on states x G: an edge steps (state, x)
+    to (destination, row[x]), by tuple lookup and no group multiplication.
+    Raises ValueError when the lift has more than ``cap`` vertices.
     """
     g = s.hom.target
     if s.state_count * g.order > cap:
         raise ValueError(
             f"{s.state_count} states x group order {g.order} exceeds the DP cap {cap}")
-    class_of = [class_index(g, x) for x in range(g.order)]
     rows = {lab: g.right_row(lab) for lab in set(s.edge_elem)}
-    moves = [[(s.edge_dst[ei], rows[s.edge_elem[ei]]) for ei in s.out_edges[st]]
-             for st in range(s.state_count)]
+    return [[(s.edge_dst[ei], rows[s.edge_elem[ei]]) for ei in s.out_edges[st]]
+            for st in range(s.state_count)]
+
+
+def _closed_path_totals(s: LabeledSFT, max_n: int,
+                        cap: int = DP_STATE_CAP) -> list[list[int]]:
+    """totals[n][class]: closed paths of length n, for every n <= max_n.
+
+    One pass of max_n steps per start state over sparse per-state counts
+    keyed by the holonomy so far, stepping along the lift's edges
+    (``_lift_moves``).
+    """
+    g = s.hom.target
+    moves = _lift_moves(s, cap)
+    class_of = [class_index(g, x) for x in range(g.order)]
     totals = [[0] * len(conjugacy_classes(g)) for _ in range(max_n + 1)]
     for s0 in range(s.state_count):
         cur: list[dict[int, int]] = [{} for _ in range(s.state_count)]
@@ -367,13 +377,14 @@ def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
 
 @dataclass(frozen=True, eq=False)
 class RealizationReport:
-    """Can this shift possibly equidistribute?  Structural checks plus a
-    search for an orbit in every conjugacy class, up to a length bound."""
+    """Can this shift possibly equidistribute?  Whether the lift on
+    states x G mixes, plus a search for an orbit in every conjugacy class,
+    up to a length bound."""
 
-    strongly_connected: bool
-    period: Optional[int]           # None when not strongly connected
+    strongly_connected: bool        # the base shift
+    period: Optional[int]           # the lift's; None when the base is not strongly connected
     holonomy_generates: bool
-    holonomy_order: int
+    holonomy_order: int             # holonomies of closed paths at state 0
     class_witnesses: tuple[Optional[Orbit], ...]
     bound: int
 
@@ -392,87 +403,51 @@ class RealizationReport:
 
 
 def realization_check(s: LabeledSFT, bound: int) -> RealizationReport:
-    """Check strong connectivity, aperiodicity, holonomy-generation, and
-    that every class of the target is hit by some orbit of length <= bound.
+    """Check that the skew product mixes, and that every class of the
+    target is hit by some orbit of length <= bound.
 
-    Raises ValueError for a bound below 1."""
+    The skew product mixes when the lift on states x G is strongly
+    connected with period 1.  One breadth-first search of the lift from
+    (state 0, identity) reads off the forward reach, the holonomy group (the
+    elements reached over state 0) and the period (the gcd of
+    level[u] + 1 - level[v] over the edges it scans); a backward search of
+    the base completes strong connectivity.  Over a strongly connected base
+    every lift component is a left translate of the searched one, so the
+    lift is strongly connected exactly when the holonomy generates.
+
+    Raises ValueError for a bound below 1 or a lift over the DP cap."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
     g = s.hom.target
-    n = s.state_count
+    n, order = s.state_count, g.order
+    moves = _lift_moves(s)
+    level = [-1] * (n * order)
+    level[g.identity] = 0
+    queue = [(0, g.identity)]
+    period = 0
+    for u, x in queue:  # the loop visits what it appends: breadth first
+        step = level[u * order + x] + 1
+        for v, row in moves[u]:
+            y = row[x]
+            w = v * order + y
+            if level[w] < 0:
+                level[w] = step
+                queue.append((v, y))
+            else:
+                period = gcd(period, step - level[w])
+    holonomy_order = order - level[:order].count(-1)
 
-    fwd = [False] * n
-    fwd[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for ei in s.out_edges[u]:
-            v = s.edge_dst[ei]
-            if not fwd[v]:
-                fwd[v] = True
-                stack.append(v)
     into: list[list[int]] = [[] for _ in range(n)]
-    for ei in range(len(s.edges)):
-        into[s.edge_dst[ei]].append(s.edge_src[ei])
-    bwd = [False] * n
-    bwd[0] = True
+    for a, b in zip(s.edge_src, s.edge_dst):
+        into[b].append(a)
+    bwd = {0}
     stack = [0]
     while stack:
-        u = stack.pop()
-        for v in into[u]:
-            if not bwd[v]:
-                bwd[v] = True
-                stack.append(v)
-    connected = all(fwd) and all(bwd)
-
-    period = None
-    if connected:
-        level = [-1] * n
-        level[0] = 0
-        queue = [0]
-        while queue:
-            nxt = []
-            for u in queue:
-                for ei in s.out_edges[u]:
-                    v = s.edge_dst[ei]
-                    if level[v] < 0:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-            queue = nxt
-        period = 0
-        for ei in range(len(s.edges)):
-            period = gcd(period, level[s.edge_src[ei]] + 1 - level[s.edge_dst[ei]])
-        period = abs(period)
-
-    # holonomy subgroup from a spanning tree of the underlying undirected graph
-    elt: list[Optional[int]] = [None] * n
-    elt[0] = g.identity
-    adj: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
-    for ei in range(len(s.edges)):
-        adj[s.edge_src[ei]].append((ei, True))
-        adj[s.edge_dst[ei]].append((ei, False))
-    queue = [0]
-    while queue:
-        nxt = []
-        for u in queue:
-            for ei, forward in adj[u]:
-                w = s.edge_dst[ei] if forward else s.edge_src[ei]
-                if elt[w] is None:
-                    lab = s.edge_elem[ei]
-                    elt[w] = g.mul(elt[u], lab) if forward else g.mul(elt[u], g.inv(lab))
-                    nxt.append(w)
-        queue = nxt
-    if any(e is None for e in elt):
-        holonomy_order = 0
-        generates = False
-    else:
-        gens = set()
-        for ei in range(len(s.edges)):
-            gens.add(g.mul(g.mul(elt[s.edge_src[ei]], s.edge_elem[ei]),
-                           g.inv(elt[s.edge_dst[ei]])))
-        members = generated_set(g, gens)
-        holonomy_order = len(members)
-        generates = holonomy_order == g.order
+        for a in into[stack.pop()]:
+            if a not in bwd:
+                bwd.add(a)
+                stack.append(a)
+    connected = len(bwd) == n == len({u for u, _ in queue})
 
     classes = conjugacy_classes(g)
     witnesses: list[Optional[Orbit]] = [None] * len(classes)
@@ -486,8 +461,8 @@ def realization_check(s: LabeledSFT, bound: int) -> RealizationReport:
 
     return RealizationReport(
         strongly_connected=connected,
-        period=period,
-        holonomy_generates=generates,
+        period=period if connected else None,
+        holonomy_generates=holonomy_order == order,
         holonomy_order=holonomy_order,
         class_witnesses=tuple(witnesses),
         bound=bound,

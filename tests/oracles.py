@@ -4,12 +4,14 @@ Everything here deliberately uses a different algorithm from the library:
 orbit sets come from filtering raw edge tuples, invariant factors from
 gcds of minors, subgroup closures from products of all member pairs,
 conjugacy representatives of homs by trying every conjugator on each hom,
-canonical rotations by comparing per-letter key tuples, and conjugators by
-composing permutations for every element of the group.
+canonical rotations by comparing per-letter key tuples, conjugators by
+composing permutations for every element of the group, and a shift's
+connectivity, period and holonomy from separate passes over its base graph.
 Slow is fine; these only run on small inputs.
 """
 
 import math
+from typing import Optional
 from itertools import combinations, product
 
 from cheblink import IntMatrix
@@ -131,3 +133,76 @@ def conjugator_by_full_scan(g, z, members):
         if g.index[cp * zp * cp.inverse()] in members:
             return c
     return None
+
+
+def realization_by_passes(s):
+    """(strongly connected, base period, holonomy order) of a labeled shift.
+
+    Three passes over the base graph: a forward and a backward DFS from
+    state 0 for strong connectivity, a BFS whose levels give the period as
+    the gcd of level[u] + 1 - level[v] over all edges (None unless strongly
+    connected), and an undirected spanning tree whose non-tree edges give
+    generators of the holonomy group, closed by ``closure_by_products``
+    (order 0 when the graph is not even weakly connected).
+    """
+    g = s.hom.target
+    n = s.state_count
+
+    def reach(adj):
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        return seen
+
+    fwd_adj = [[] for _ in range(n)]
+    bwd_adj = [[] for _ in range(n)]
+    for a, b in zip(s.edge_src, s.edge_dst):
+        fwd_adj[a].append(b)
+        bwd_adj[b].append(a)
+    connected = all(reach(fwd_adj)) and all(reach(bwd_adj))
+
+    period: Optional[int] = None
+    if connected:
+        level = [-1] * n
+        level[0] = 0
+        queue = [0]
+        while queue:
+            nxt = []
+            for u in queue:
+                for v in fwd_adj[u]:
+                    if level[v] < 0:
+                        level[v] = level[u] + 1
+                        nxt.append(v)
+            queue = nxt
+        period = 0
+        for a, b in zip(s.edge_src, s.edge_dst):
+            period = math.gcd(period, level[a] + 1 - level[b])
+
+    elt = [None] * n
+    elt[0] = g.identity
+    adj = [[] for _ in range(n)]
+    for ei in range(len(s.edges)):
+        adj[s.edge_src[ei]].append((ei, True))
+        adj[s.edge_dst[ei]].append((ei, False))
+    queue = [0]
+    while queue:
+        nxt = []
+        for u in queue:
+            for ei, forward in adj[u]:
+                w = s.edge_dst[ei] if forward else s.edge_src[ei]
+                if elt[w] is None:
+                    lab = s.edge_elem[ei]
+                    elt[w] = g.mul(elt[u], lab) if forward else g.mul(elt[u], g.inv(lab))
+                    nxt.append(w)
+        queue = nxt
+    if any(e is None for e in elt):
+        return connected, period, 0
+    gens = {g.mul(g.mul(elt[s.edge_src[ei]], s.edge_elem[ei]), g.inv(elt[s.edge_dst[ei]]))
+            for ei in range(len(s.edges))}
+    return connected, period, len(closure_by_products(g, gens))

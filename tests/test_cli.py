@@ -232,6 +232,33 @@ def test_sft_realization(tmp_path, capsys):
     assert "realization check passed" in out
 
 
+def test_sft_realization_fails_a_lift_of_period_two(tmp_path, capsys):
+    # one state, loops (1 2) and (1 3): every orbit of length n has sign
+    # (-1)^n, so the lift on states x S3 has period 2 though the base has 1
+    sft = write(tmp_path, "loops.json", {"states": 1, "edges": [
+        {"from": 0, "to": 0, "label": "x1"},
+        {"from": 0, "to": 0, "label": "x2"},
+    ]})
+    hom = write(tmp_path, "hom.json", {"degree": 3, "images": ["(1 2)", "(1 3)"]})
+    assert main(["sft", "realization", "--sft", sft, "--hom", hom,
+                 "--bound", "4"]) == 1
+    captured = capsys.readouterr()
+    assert "period: 2 (aperiodic: False)" in captured.out.splitlines()
+    assert captured.err == "FAIL: realization check failed\n"
+
+
+def test_sft_realization_over_the_dp_cap_is_input_error(tmp_path, capsys):
+    states = 92  # 92 x 720 lift vertices
+    sft = write(tmp_path, "ring.json", {"states": states, "edges": [
+        {"from": i, "to": (i + 1) % states, "label": "x1"} for i in range(states)]})
+    hom = write(tmp_path, "s6.json", {"degree": 6, "images": ["(1 2 3 4 5 6)", "(1 2)"]})
+    assert main(["sft", "realization", "--sft", sft, "--hom", hom]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 92 states x group order 720 exceeds "
+                            "the DP cap 65536\n")
+
+
 def test_quotient_search(tmp_path, capsys):
     grp = write(tmp_path, "c2.json", {"degree": 2, "generators": ["(1 2)"]})
     assert main(["quotient", "search", "--braid", "2:s1 s1 s1",

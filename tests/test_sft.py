@@ -1,8 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cheblink import (GroupHom, LabeledSFT, Presentation, SftEdge, Subgroup,
                       bundled_a5, chebotarev_report, class_index,
@@ -11,7 +14,7 @@ from cheblink import (GroupHom, LabeledSFT, Presentation, SftEdge, Subgroup,
                       primitive_counts, realization_check, reduce)
 
 from corpus import corpus
-from oracles import brute_force_orbits
+from oracles import brute_force_orbits, realization_by_passes
 
 GROUPS = corpus()
 
@@ -290,6 +293,72 @@ def test_realization_check_periodic():
     assert rep.strongly_connected
     assert rep.period == 2
     assert not rep.passed
+
+
+def s3_two_transposition_loops():
+    """One state, loops labelled (1 2) and (1 3): every orbit of length n
+    has sign (-1)^n, so the lift on states x S3 has period 2."""
+    hom = parse_hom_data({"degree": 3, "images": ["(1 2)", "(1 3)"]})
+    return LabeledSFT(1, [SftEdge(0, 0, parse_word("x1")),
+                          SftEdge(0, 0, parse_word("x2"))], hom)
+
+
+def test_realization_check_fails_a_lift_of_period_two():
+    rep = realization_check(s3_two_transposition_loops(), 4)
+    assert rep.strongly_connected
+    assert rep.holonomy_order == 6 and rep.holonomy_generates
+    assert not rep.missing_classes
+    assert rep.period == 2
+    assert not rep.passed
+
+
+@st.composite
+def small_shift_specs(draw):
+    """(corpus group, state count, edges as (src, dst, letters))."""
+    states = draw(st.integers(1, 3))
+    node = st.integers(0, states - 1)
+    letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=2)
+    edges = draw(st.lists(st.tuples(node, node, letters), min_size=1, max_size=6))
+    return draw(st.sampled_from(["c2", "s3", "v4"])), states, edges
+
+
+def shift_from_spec(spec):
+    name, states, edges = spec
+    g = GROUPS[name]
+    hom = GroupHom(Presentation(2, ()), g, (g.generators[0], g.generators[-1]))
+    return LabeledSFT(states, [SftEdge(a, b, reduce(list(w))) for a, b, w in edges], hom)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_shift_specs())
+@example(("s3", 1, [(0, 0, [2]), (0, 0, [2, 1])]))         # lift period 2
+@example(("c2", 2, [(0, 1, []), (1, 0, [])]))              # base period 2
+@example(("c2", 2, [(0, 1, [1]), (1, 0, []), (0, 0, [])]))  # aperiodic, generating
+@example(("v4", 2, [(0, 0, [1]), (0, 1, []), (1, 1, [2])]))  # not strongly connected
+@example(("s3", 2, [(0, 0, [1]), (1, 1, [2])]))            # not weakly connected
+@example(("s3", 2, [(0, 0, [1]), (0, 1, [2]), (1, 0, [1, 2]), (1, 1, [-2, 1])]))
+def test_realization_lift_search_matches_oracles(spec):
+    # strong connectivity and holonomy against the separate base passes;
+    # the lift period against the gcd of the lengths of closed lift paths,
+    # which the DP counts as closed paths with identity holonomy
+    s = shift_from_spec(spec)
+    g = s.hom.target
+    rep = realization_check(s, 1)
+    connected, base_period, holonomy_order = realization_by_passes(s)
+    assert rep.strongly_connected == connected
+    if not connected:
+        assert rep.period is None
+        # loops at state 0 along the edges' direction generate a subgroup
+        # of what loops along either direction generate
+        assert holonomy_order % rep.holonomy_order == 0
+        return
+    assert rep.holonomy_order == holonomy_order
+    assert rep.holonomy_generates == (holonomy_order == g.order)
+    ident = class_index(g, g.identity)
+    closed = [n for n in range(1, s.state_count * g.order + 1)
+              if exact_counts(s, n)[ident]]
+    assert rep.period == gcd(*closed)
+    assert rep.period % base_period == 0
 
 
 def test_random_sfts_conservation_property():
