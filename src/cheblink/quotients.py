@@ -320,6 +320,13 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
     worst case and the search refuses to start beyond it.  Results come in
     lexicographic order of their image tuples.
 
+    Each node compiles its relators once: the letters on the images already
+    chosen are multiplied out, leaving a few fixed elements between the
+    occurrences of the new generator x, so a candidate costs about one
+    product per occurrence.  A relator with one occurrence reads
+    a x^(±1) b = 1 and forces x = (b a)^(∓1); the node then tries only that
+    image, when it is among the candidates it would have tried anyway.
+
     With ``dedup_conjugacy`` only the lexicographically least hom of each
     conjugation orbit is kept, and the rest are pruned during the backtrack:
     a tuple t is least among its conjugates exactly when each t[k] is least
@@ -341,14 +348,41 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
 
     images = [g.identity] * n
     results: list[GroupHom] = []
+    ident = g.identity
     mul, inv = g.mul, g.inv
+    X, X_INV = -1, -2  # markers for the new image and its inverse
 
-    def eval_partial(w: Word) -> int:
-        acc = g.identity
-        for l in w.letters:
-            e = images[l - 1] if l > 0 else inv(images[-l - 1])
-            acc = mul(acc, e)
-        return acc
+    def compile_relator(w: Word, k: int) -> tuple[bool, tuple[int, ...]]:
+        # w with images[:k] multiplied out, rotated to start at its first
+        # letter on x_{k+1} (a conjugate, so it holds exactly when w does):
+        # (neg, factors) holds for x when x^(-1 if neg else 1) times the
+        # factors is the identity, a factor being an element or a marker
+        letters = w.letters
+        start = next(i for i, l in enumerate(letters) if abs(l) == k + 1)
+        letters = letters[start:] + letters[:start]
+        factors: list[int] = []
+        run = ident
+        for l in letters[1:]:
+            if abs(l) == k + 1:
+                if run != ident:
+                    factors.append(run)
+                    run = ident
+                factors.append(X if l > 0 else X_INV)
+            else:
+                e = images[l - 1] if l > 0 else inv(images[-l - 1])
+                run = e if run == ident else mul(run, e)
+        if run != ident:
+            factors.append(run)
+        return letters[0] < 0, tuple(factors)
+
+    def holds(checks, x: int, xi: int) -> bool:
+        for neg, factors in checks:
+            acc = xi if neg else x
+            for f in factors:
+                acc = mul(acc, f if f >= 0 else x if f == X else xi)
+            if acc != ident:
+                return False
+        return True
 
     def assign(k: int, cent: list[int]) -> None:
         # cent: the nontrivial elements centralizing images[:k] (dedup only)
@@ -361,9 +395,21 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
             cands = [c.representative for c in conjugacy_classes(g)]
         else:
             cands = range(g.order)
+        checks = []
+        forced = None
+        for neg, factors in (compile_relator(r, k) for r in by_max[k + 1]):
+            if forced is None and all(f >= 0 for f in factors):
+                # x^(±1) b = 1 has the one solution x = b^(∓1)
+                b = factors[0] if factors else ident
+                forced = b if neg else inv(b)
+            else:
+                checks.append((neg, factors))
+        if forced is not None:
+            cands = [forced] if forced in cands else []
+        need_inv = any(neg or X_INV in factors for neg, factors in checks)
         for cand in cands:
             images[k] = cand
-            if not all(eval_partial(r) == g.identity for r in by_max[k + 1]):
+            if not holds(checks, cand, inv(cand) if need_inv else cand):
                 continue
             if dedup_conjugacy:
                 if k and any(mul(mul(c, cand), inv(c)) < cand for c in cent):

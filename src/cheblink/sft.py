@@ -182,8 +182,9 @@ def _closed_path_totals(s: LabeledSFT, max_n: int,
     """
     g = s.hom.target
     moves = _lift_moves(s, cap)
-    class_of = [class_index(g, x) for x in range(g.order)]
-    totals = [[0] * len(conjugacy_classes(g)) for _ in range(max_n + 1)]
+    classes = conjugacy_classes(g)
+    class_of = g._class_of  # filled by conjugacy_classes
+    totals = [[0] * len(classes) for _ in range(max_n + 1)]
     for s0 in range(s.state_count):
         cur: list[dict[int, int]] = [{} for _ in range(s.state_count)]
         cur[s0][g.identity] = 1

@@ -4,6 +4,7 @@ Everything here deliberately uses a different algorithm from the library:
 orbit sets come from filtering raw edge tuples, invariant factors from
 gcds of minors, subgroup closures from products of all member pairs,
 conjugacy representatives of homs by trying every conjugator on each hom,
+homs themselves by evaluating every relator on every image tuple,
 canonical rotations by comparing per-letter key tuples, conjugators by
 composing permutations for every element of the group, and a shift's
 connectivity, period and holonomy from separate passes over its base graph.
@@ -108,6 +109,60 @@ def least_conjugate_homs(g, homs):
         else:
             kept.append(hom)
     return kept
+
+
+def homs_by_brute_force(p, g, surjective_only):
+    """Image tuples of every hom from the presented group to ``g``.
+
+    Walks all |G|^n image tuples in lexicographic order and keeps those on
+    which every relator composes to the identity, composing the elements'
+    image tuples themselves (never through the group's products); with
+    ``surjective_only``, also those whose images close up to all of ``g``.
+    """
+    perms = [e.images for e in g.elements]
+    inverses = []
+    for a in perms:
+        b = [0] * len(a)
+        for i, x in enumerate(a):
+            b[x] = i
+        inverses.append(tuple(b))
+    ident = tuple(range(g.degree))
+
+    def compose(a, b):  # a after b, as g.mul composes its factors
+        return tuple(map(a.__getitem__, b))
+
+    def value(t, w):
+        acc = ident
+        for l in w.letters:
+            acc = compose(acc, perms[t[l - 1]] if l > 0 else inverses[t[-l - 1]])
+        return acc
+
+    sizes = {}  # closure size by image set, to spare repeated closures
+
+    def closure_size(gens):
+        if gens in sizes:
+            return sizes[gens]
+        seen = {ident}
+        frontier = [ident]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for a in gens:
+                    y = compose(x, a)
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        sizes[gens] = len(seen)
+        return len(seen)
+
+    relators = sorted(p.relators, key=lambda r: len(r.letters))  # quickest to fail first
+    out = []
+    for t in product(range(g.order), repeat=p.generator_count):
+        if all(value(t, r) == ident for r in relators) and not (
+                surjective_only and closure_size(frozenset(perms[i] for i in t)) != g.order):
+            out.append(t)
+    return out
 
 
 def rotation_by_tuple_keys(letters):

@@ -120,6 +120,22 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert "group of order 24 on 4 points; 5 classes" in proc.stdout
 
 
+def test_reader_closing_the_pipe_early_is_not_an_error():
+    # `cheblink a5 ... | head -2`: the output, some 4 MB, outgrows any pipe
+    # buffer, so the writer meets the closed pipe while it still has rows
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "cheblink", "a5", "--max-len", "2000",
+                             "--format", "rows"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 def test_cover_decompose(tmp_path, capsys):
     hom = write(tmp_path, "hom.json", A5_HOM)
     assert main(["cover", "decompose", "--hom", hom,

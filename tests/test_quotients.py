@@ -2,15 +2,18 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cheblink import (IntMatrix, Presentation, braid_presentation, cycle_type,
+from cheblink import (GroupHom, IntMatrix, Presentation, braid_presentation, cycle_type,
                       generic_check, parse_braid, parse_word, permgroup,
                       quotient_search, quotients, smith_normal_form)
 from cheblink.quotients import (MILLER_RABIN_LIMIT, TRIAL_DIVISION_CAP,
                                 _least_prime_factor, load_matrix_file)
 
 from corpus import corpus, perm_group
-from oracles import laplace_det, least_conjugate_homs, minor_gcd_factors
+from oracles import (homs_by_brute_force, laplace_det, least_conjugate_homs,
+                     minor_gcd_factors)
 
 GROUPS = corpus()
 
@@ -246,6 +249,57 @@ def test_quotient_search_dedup_work_bounded(monkeypatch):
                            dedup_conjugacy=True)
     assert len(homs) == 2
     assert calls <= 10 ** 4, calls
+
+
+def test_quotient_search_forced_image_work_bounded(monkeypatch):
+    # the relator x3^-1 x1 forces x3 = x1, so each pair (x1, x2) that passes
+    # the first two relators tries one x3 instead of 60; the letter-by-letter
+    # search made 43319 products here
+    knot = braid_presentation(parse_braid("3:s1^-1 s2 s1 s2^-1 s2^-1 s2^-1"))
+    a5 = GROUPS["a5"]
+    calls = 0
+    plain_mul = a5.mul
+
+    def counting_mul(i, j):
+        nonlocal calls
+        calls += 1
+        return plain_mul(i, j)
+
+    monkeypatch.setattr(a5, "mul", counting_mul)
+    homs = quotient_search(knot, a5, surjective_only=True, dedup_conjugacy=True)
+    assert len(homs) == 2
+    assert calls <= 10 ** 4, calls
+
+
+@st.composite
+def small_braids(draw):
+    strands = draw(st.sampled_from((2, 3)))
+    letters = draw(st.lists(st.tuples(st.integers(1, strands - 1), st.booleans()),
+                            min_size=1, max_size=6))
+    return f"{strands}:" + " ".join(f"s{i}{'^-1' if neg else ''}" for i, neg in letters)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(small_braids())
+@example("2:s1")              # x2 x1^-1 forces x2 through an x marker
+@example("3:s1^-1 s2")        # x3^-1 x2 forces x3 through an x^-1 marker
+@example("2:s1 s1 s1")        # x2 occurs three times in each relator: nothing forced
+@example("3:s1 s1 s2 s2")     # x2 and x3 never forced
+def test_quotient_search_matches_brute_force(text):
+    # every hom, image tuple by image tuple and in order, against walking all
+    # |G|^n tuples; A5 only on 2-strand braids (60^3 tuples take too long)
+    p = braid_presentation(parse_braid(text))
+    for name, g in GROUPS.items():
+        if name == "a5" and p.generator_count > 2:
+            continue
+        for surjective in (False, True):
+            expected = homs_by_brute_force(p, g, surjective)
+            found = quotient_search(p, g, surjective_only=surjective)
+            assert [h.images for h in found] == expected, (name, text, surjective)
+            reps = quotient_search(p, g, surjective_only=surjective, dedup_conjugacy=True)
+            least = least_conjugate_homs(g, [GroupHom(p, g, t) for t in expected])
+            assert [h.images for h in reps] == [h.images for h in least], \
+                (name, text, surjective)
 
 
 def test_quotient_search_onto_s7_builds_no_rows():
