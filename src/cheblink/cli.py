@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .covers import build_cover, decompose_loop, verify_artin
+from .covers import ARTIN_WORK_BUDGET, build_cover, decompose_loop, verify_artin
 from .freewords import (braid_presentation, cyclic_reduce, evaluate, format_letters,
                         load_hom_file, parse_braid, parse_word)
 from .permgroup import (FiniteGroup, Subgroup, all_subgroups, conjugacy_classes,
@@ -248,6 +248,10 @@ def _cmd_cover_verify_artin(args) -> int:
         subs = [parse_subgroup(g, args.subgroup)]
     else:
         raise ValueError("give --subgroup SPEC or --all-subgroups")
+    work = g.order * sum(h.index for h in subs)
+    if work > ARTIN_WORK_BUDGET:
+        raise ValueError(f"tracing {len(subs)} subgroup(s) of a group of order {g.order} "
+                         f"costs {work} (|G| [G:H] summed), over the budget of {ARTIN_WORK_BUDGET}")
     failures = 0
     for h in subs:
         rep = verify_artin(g, h)

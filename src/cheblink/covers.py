@@ -13,6 +13,7 @@ exactly the conjugates of the image that land in H.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .freewords import CyclicWord, GroupHom, Presentation, Word, cyclic_reduce, evaluate, format_letters
@@ -45,17 +46,12 @@ def build_cover(hom: GroupHom, h: Subgroup) -> CoveringGraph:
     if h.group is not g:
         raise ValueError("subgroup belongs to a different group than the hom's target")
     act = coset_action(g, h)
-    steps = []
-    steps_inv = []
-    for img in hom.images:
-        p = act.image(img)
-        steps.append(p.images)
-        steps_inv.append(p.inverse().images)
+    perms = [act.image(img) for img in hom.images]
     return CoveringGraph(
         generator_count=len(hom.images),
         vertex_count=act.degree,
-        steps=tuple(steps),
-        steps_inv=tuple(steps_inv),
+        steps=tuple(p.images for p in perms),
+        steps_inv=tuple(p.inverse().images for p in perms),
         hom=hom,
         subgroup=h,
         action=act,
@@ -75,6 +71,26 @@ class LiftResult:
     decomposition_type: tuple[int, ...]
 
 
+def _monodromy(cover: CoveringGraph, w: CyclicWord) -> tuple[int, ...]:
+    """The loop's permutation m of the vertices (the lift from v ends at m[v]).
+
+    The step maps compose right-to-left, like everything else in this
+    package, so each letter from the last is applied by one ``itemgetter``.
+    """
+    letters, k = w.letters, cover.generator_count
+    if not letters:
+        raise ValueError("the empty loop has no decomposition type")
+    for l in letters:
+        if abs(l) > k:
+            raise ValueError(f"letter {l} outside x1..x{k}")
+    m = None
+    for l in reversed(letters):
+        step = cover.steps[l - 1] if l > 0 else cover.steps_inv[-l - 1]
+        # on one vertex every step is (0,); a one-index itemgetter returns a bare item
+        m = step if m is None or len(m) == 1 else itemgetter(*m)(step)
+    return m
+
+
 def decompose_loop(cover: CoveringGraph, w: CyclicWord | Word) -> LiftResult:
     """Lift the loop from every vertex and collect the closed components.
 
@@ -82,38 +98,25 @@ def decompose_loop(cover: CoveringGraph, w: CyclicWord | Word) -> LiftResult:
     the canonical rotation: the decomposition type is an invariant of the
     loop's conjugacy class, while the component vertex sets are the
     monodromy orbits of the canonical rotation specifically (a different
-    rotation would permute the fiber by a conjugate).  The trace walks the
-    letters in reverse order, so that one full block of |w| steps moves a
-    vertex by the monodromy of the image element (the step maps compose
-    right-to-left, like everything else in this package).
+    rotation would permute the fiber by a conjugate).  The loop's monodromy
+    on the vertices is composed once from the step maps, and the components
+    are its cycles, each started at its least vertex.
     """
     if isinstance(w, Word):
         w = cyclic_reduce(w)
-    if not w.letters:
-        raise ValueError("the empty loop has no decomposition type")
-    for l in w.letters:
-        if abs(l) > cover.generator_count:
-            raise ValueError(f"letter {l} outside x1..x{cover.generator_count}")
-    steps, steps_inv = cover.steps, cover.steps_inv
-    walk = [steps[l - 1] if l > 0 else steps_inv[-l - 1] for l in reversed(w.letters)]
+    m = _monodromy(cover, w)
     visited = [False] * cover.vertex_count
     comps = []
     for v0 in range(cover.vertex_count):
-        if visited[v0]:
-            continue
-        visited[v0] = True
-        fiber = [v0]
+        fiber = []
         u = v0
-        while True:
-            for step in walk:
-                u = step[u]
-            if u == v0:
-                break
+        while not visited[u]:
             visited[u] = True
             fiber.append(u)
-        comps.append(Component(frozenset(fiber), len(fiber)))
-    dtype = tuple(sorted((c.degree for c in comps), reverse=True))
-    return LiftResult(tuple(comps), dtype)
+            u = m[u]
+        if fiber:
+            comps.append(Component(frozenset(fiber), len(fiber)))
+    return LiftResult(tuple(comps), cycle_type(m))
 
 
 def _loop_word_for(g: FiniteGroup, z: int) -> Optional[CyclicWord]:
@@ -161,22 +164,20 @@ class ArtinReport:
         return not self.mismatches
 
 
+ARTIN_WORK_BUDGET = 1 << 24  # bounds |G| [G:H] summed over the subgroups H checked
+
+
 def verify_artin(g: FiniteGroup, h: Subgroup) -> ArtinReport:
     """Trace every element's loop through the cover of g/h and compare its
     decomposition type against the cycle type of the coset-action image."""
-    pres = Presentation(len(g.generators), ())
-    hom = GroupHom(pres, g, g.generators)
-    cover = build_cover(hom, h)
+    cover = build_cover(GroupHom(Presentation(len(g.generators), ()), g, g.generators), h)
     act = cover.action
     mismatches = []
     for z in range(g.order):
         expected = cycle_type(act.image(z))
         w = _loop_word_for(g, z)
-        if w is None:
-            # trivial group: the constant loop closes over the single vertex
-            traced = (1,) * cover.vertex_count
-        else:
-            traced = decompose_loop(cover, w).decomposition_type
+        # trivial group: the constant loop closes over the single vertex
+        traced = (1,) * cover.vertex_count if w is None else cycle_type(_monodromy(cover, w))
         if traced != expected:
             word_str = format_letters(w.letters) if w is not None else ""
             mismatches.append(ArtinMismatch(z, word_str, expected, traced))
@@ -226,20 +227,14 @@ def verify_component_bijection(cover: CoveringGraph, w: CyclicWord | Word) -> Bi
     h = cover.subgroup
     act = cover.action
     z = evaluate(cover.hom, w)
-    lift = decompose_loop(cover, w)
+    m = _monodromy(cover, w)
     cls = conjugacy_classes(g)[class_index(g, z)].members
     checks = []
-    dir1 = True
-    for comp in lift.components:
-        if comp.degree != 1:
-            continue
-        v = min(comp.vertices)
+    # the degree-1 components are the monodromy's fixed points
+    for v in [v for v, u in enumerate(m) if u == v]:
         r = act.reps[v]
         hol = g.mul(g.mul(r, z), g.inv(r))
-        ok_h = hol in h.members
-        ok_c = hol in cls
-        dir1 = dir1 and ok_h and ok_c
-        checks.append(ComponentCheck(v, hol, ok_h, ok_c))
+        checks.append(ComponentCheck(v, hol, hol in h.members, hol in cls))
     # some conjugate of z lies in H exactly when z's class meets H, so the
     # least conjugator is searched for only then, and the search finds one
     meets = not cls.isdisjoint(h.members)
@@ -253,10 +248,10 @@ def verify_component_bijection(cover: CoveringGraph, w: CyclicWord | Word) -> Bi
     return BijectionReport(
         word=w,
         image=z,
-        decomposition_type=lift.decomposition_type,
+        decomposition_type=cycle_type(m),
         degree_one_checks=tuple(checks),
         class_meets_subgroup=meets,
         conjugator=conjugator,
-        direction1_ok=dir1,
+        direction1_ok=all(c.in_subgroup and c.in_class for c in checks),
         direction2_ok=dir2,
     )

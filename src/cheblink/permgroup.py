@@ -144,11 +144,15 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     return Permutation(ia[x] for x in b.images)
 
 
-def cycle_type(p: Permutation) -> tuple[int, ...]:
-    """Cycle lengths in decreasing order, fixed points included as 1s."""
-    seen = [False] * p.degree
+def cycle_type(p: Permutation | tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths in decreasing order, fixed points included as 1s.
+
+    ``p`` is a permutation or its tuple of images.
+    """
+    images = p.images if isinstance(p, Permutation) else p
+    seen = [False] * len(images)
     lens = []
-    for start in range(p.degree):
+    for start in range(len(images)):
         if seen[start]:
             continue
         n = 0
@@ -156,7 +160,7 @@ def cycle_type(p: Permutation) -> tuple[int, ...]:
         while not seen[x]:
             seen[x] = True
             n += 1
-            x = p.images[x]
+            x = images[x]
         lens.append(n)
     return tuple(sorted(lens, reverse=True))
 
@@ -511,10 +515,22 @@ def coset_action(g: FiniteGroup, h: Subgroup) -> CosetAction:
 
 
 def parse_group_data(data: dict) -> FiniteGroup:
-    degree = int(data["degree"])
+    """Build a group from {"degree": n, "generators": ["(1 2 3)", ...]}.
+
+    Any other shape, such as a top-level list or generators that are not
+    cycle strings, raises ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a group file holds a JSON object, not {type(data).__name__}")
+    degree = data.get("degree")
+    gens = data.get("generators")
+    if type(degree) is not int:
+        raise ValueError('group "degree" must be an integer')
+    if not isinstance(gens, list) or not all(isinstance(s, str) for s in gens):
+        raise ValueError('group "generators" must be a list of cycle strings')
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    gens = [Permutation.parse(s, degree) for s in data["generators"]]
+    gens = [Permutation.parse(s, degree) for s in gens]
     return generate_group(gens, degree=degree)
 
 

@@ -6,8 +6,9 @@ gcds of minors, subgroup closures from products of all member pairs,
 conjugacy representatives of homs by trying every conjugator on each hom,
 homs themselves by evaluating every relator on every image tuple,
 canonical rotations by comparing per-letter key tuples, conjugators by
-composing permutations for every element of the group, and a shift's
-connectivity, period and holonomy from separate passes over its base graph.
+composing permutations for every element of the group, a shift's
+connectivity, period and holonomy from separate passes over its base graph,
+and a loop's lift by walking each vertex through every letter.
 Slow is fine; these only run on small inputs.
 """
 
@@ -261,3 +262,33 @@ def realization_by_passes(s):
     gens = {g.mul(g.mul(elt[s.edge_src[ei]], s.edge_elem[ei]), g.inv(elt[s.edge_dst[ei]]))
             for ei in range(len(s.edges))}
     return connected, period, len(closure_by_products(g, gens))
+
+
+def lift_by_vertex_walk(cover, letters):
+    """The components of a loop's lift to ``cover``, and its decomposition type.
+
+    From each vertex not yet reached, walks one step map per letter, last
+    letter first (the maps compose right to left), one full word at a time
+    until the walk is back at its start; the vertices the walk stopped at
+    form one component.  Returns ((vertex frozenset, degree), ...) in order
+    of least vertex, and the degrees in decreasing order.
+    """
+    steps, steps_inv = cover.steps, cover.steps_inv
+    walk = [steps[l - 1] if l > 0 else steps_inv[-l - 1] for l in reversed(letters)]
+    visited = [False] * cover.vertex_count
+    comps = []
+    for v0 in range(cover.vertex_count):
+        if visited[v0]:
+            continue
+        visited[v0] = True
+        fiber = [v0]
+        u = v0
+        while True:
+            for step in walk:
+                u = step[u]
+            if u == v0:
+                break
+            visited[u] = True
+            fiber.append(u)
+        comps.append((frozenset(fiber), len(fiber)))
+    return tuple(comps), tuple(sorted((d for _, d in comps), reverse=True))

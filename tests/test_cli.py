@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cheblink import all_subgroups, cli, parse_group_data
 from cheblink.cli import ExperimentConfig, decimal_str, main, run_a5_experiment
 
 A5_HOM = {"degree": 5, "images": ["(1 2 3 4 5)", "(1 2 3)"]}
@@ -175,6 +176,28 @@ def test_cover_verify_artin_join_budget_is_input_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "budget" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_cover_verify_artin_work_budget_is_input_error(tmp_path, capsys, monkeypatch):
+    # S4's 30 subgroups trace 24 * 234 vertex loops; one under that is refused
+    # before the first subgroup is traced
+    monkeypatch.setattr(cli, "ARTIN_WORK_BUDGET", 24 * 234 - 1)
+    grp = write(tmp_path, "s4.json", {"degree": 4, "generators": ["(1 2 3 4)", "(1 2)"]})
+    assert main(["cover", "verify-artin", "--group", grp, "--all-subgroups"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "budget" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name,degree,generators,work", [
+    ("a5", 5, ["(1 2 3 4 5)", "(1 2 3)"], 60 * 1019),
+    ("s4", 4, ["(1 2 3 4)", "(1 2)"], 24 * 234),
+], ids=["a5", "s4"])
+def test_cover_verify_artin_work_within_default_budget(name, degree, generators, work):
+    g = parse_group_data({"degree": degree, "generators": generators})
+    assert g.order * sum(h.index for h in all_subgroups(g)) == work
+    assert work <= cli.ARTIN_WORK_BUDGET
 
 
 def test_cover_verify_artin_needs_spec(tmp_path, capsys):
@@ -441,6 +464,24 @@ def test_missing_file_is_input_error(capsys):
 def test_malformed_json_is_input_error(tmp_path, capsys):
     path = write(tmp_path, "bad.json", "{not json")
     assert main(["group", "classes", path]) == 2
+
+
+@pytest.mark.parametrize("data", [
+    {"degree": 3, "generators": [[1, 2, 3]]},
+    {"degree": 3, "generators": [123]},
+    [{"degree": 3, "generators": ["(1 2 3)"]}],
+], ids=["generators-as-lists", "generators-as-numbers", "top-level-list"])
+@pytest.mark.parametrize("command", [
+    ["group", "classes"],
+    ["quotient", "search", "--braid", "2:s1 s1 s1", "--target"],
+], ids=["group-classes", "quotient-search"])
+def test_malformed_group_file_is_input_error(tmp_path, capsys, data, command):
+    path = write(tmp_path, "bad.json", json.dumps(data))
+    assert main(command + [path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_unknown_subcommand_exits_2():

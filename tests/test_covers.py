@@ -1,16 +1,20 @@
+import functools
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cheblink import (GroupHom, Permutation, Presentation, Subgroup,
                       all_subgroups, build_cover, class_index, coset_action,
-                      cycle_type, decompose_loop, evaluate, generate_group,
-                      parse_word, reduce, verify_artin,
-                      verify_component_bijection)
-from cheblink.covers import BijectionReport, ComponentCheck, _loop_word_for
+                      covers, cycle_type, cyclic_reduce, decompose_loop,
+                      evaluate, generate_group, parse_word, reduce,
+                      verify_artin, verify_component_bijection)
+from cheblink.covers import (BijectionReport, Component, ComponentCheck,
+                             LiftResult, _loop_word_for)
 
 from corpus import corpus
-from oracles import conjugator_by_full_scan
+from oracles import conjugator_by_full_scan, lift_by_vertex_walk
 
 GROUPS = corpus()
 
@@ -256,3 +260,53 @@ def test_component_bijection_work_bounded(monkeypatch):
     reports = [verify_component_bijection(c, w) for c in covers for w in words]
     assert len(reports) == 59 * 60 and all(r.passed for r in reports)
     assert calls <= 60_000
+
+
+@functools.cache
+def subgroups_of(name):
+    return all_subgroups(GROUPS[name])
+
+
+@given(name=st.sampled_from(sorted(n for n, g in GROUPS.items() if g.generators)),
+       sub=st.integers(0, 10 ** 6),
+       words=st.lists(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1,
+                               max_size=10), min_size=1, max_size=4))
+@example(name="s3", sub=-1, words=[[1, 2, 1], [1]])   # one vertex (H = G)
+@example(name="s4", sub=0, words=[[-2]])   # 24 vertices, a one-letter loop
+@settings(max_examples=100, deadline=None)
+def test_lift_matches_vertex_walk_oracle(name, sub, words):
+    # random reduced words with inverse letters: the loop words that
+    # verify_artin traces are positive, so steps_inv gets covered only here
+    g = GROUPS[name]
+    subs = subgroups_of(name)
+    h = subs[sub % len(subs)]
+    k = len(g.generators)
+
+    def fold(l):  # onto x1..xk, keeping the sign
+        x = (abs(l) - 1) % k + 1
+        return x if l > 0 else -x
+
+    loops = [cyclic_reduce(reduce(map(fold, w))) for w in words]
+    loops = [w for w in loops if w.letters]
+    assume(loops)
+    cover = build_cover(free_hom(g), h)
+    walked = [lift_by_vertex_walk(cover, w.letters) for w in loops]
+    for w, (comps, dtype) in zip(loops, walked):
+        assert decompose_loop(cover, w) == LiftResult(tuple(Component(*c) for c in comps), dtype)
+        rep = verify_component_bijection(cover, w)
+        assert rep.decomposition_type == dtype
+        assert [c.vertex for c in rep.degree_one_checks] == \
+            [min(vs) for vs, d in comps if d == 1]
+    # verify_artin traces whatever loop word it is handed for each element,
+    # so hand it these loops: a mismatch reports the traced type, and a
+    # match means it equals the expected one
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covers, "_loop_word_for", lambda _g, z: loops[z % len(loops)])
+        report = verify_artin(g, h)
+    assert report.checked == g.order
+    expected = [cycle_type(cover.action.image(z)) for z in range(g.order)]
+    traced = list(expected)
+    for m in report.mismatches:
+        assert m.expected == expected[m.element]
+        traced[m.element] = m.traced
+    assert traced == [walked[z % len(loops)][1] for z in range(g.order)]

@@ -317,17 +317,30 @@ def test_quotient_search_onto_s7_builds_no_rows():
 def test_quotient_search_onto_s7_keeps_row_cache_bounded(monkeypatch):
     # without a cap the search keeps a product for every pair it forms;
     # a lowered cap keeps the test quick and still lets the cache fill.
-    # x1^9 makes every candidate a right factor nine times, enough for a row
+    # x1^10 compiles to nine x markers, so every candidate is a right factor
+    # nine times in the search itself, one more than a row needs
     cap = 64 * 5040
     monkeypatch.setattr(permgroup, "ROW_CACHE_CAP", cap)
     s7 = perm_group(7, "(1 2 3 4 5 6 7)", "(1 2)")
-    homs = quotient_search(Presentation(1, (parse_word(" ".join(["x1"] * 9)),)), s7)
-    # the identity, 70 3-cycles and 280 products of two disjoint 3-cycles
-    assert len(homs) == 351
-    assert all(cycle_type(s7.elements[h.images[0]]) in ((1,) * 7, (3, 1, 1, 1, 1), (3, 3, 1))
-               for h in homs)
+    leaf_entries = 0
+    plain_hom = quotients.GroupHom
+
+    def counting_hom(*args):
+        # rows the leaves' relator checks keep are not the search's own
+        nonlocal leaf_entries
+        before = s7._row_entries
+        hom = plain_hom(*args)
+        leaf_entries += s7._row_entries - before
+        return hom
+
+    monkeypatch.setattr(quotients, "GroupHom", counting_hom)
+    homs = quotient_search(Presentation(1, (parse_word(" ".join(["x1"] * 10)),)), s7)
+    # the elements of order 1, 2, 5 and 10
+    assert len(homs) == 1 + 21 + 105 + 105 + 504 + 504
+    assert {cycle_type(s7.elements[h.images[0]]) for h in homs} == {
+        (1,) * 7, (2, 1, 1, 1, 1, 1), (2, 2, 1, 1, 1), (2, 2, 2, 1), (5, 1, 1), (5, 2)}
     assert s7._row_entries <= cap
-    assert s7._row_entries + s7.order > cap  # the cache did fill
+    assert s7._row_entries - leaf_entries + s7.order > cap  # the search filled the cache
 
 
 def test_least_prime_factor_small_values():
