@@ -11,7 +11,6 @@ from .permgroup import (
     class_index,
     compose,
     conjugacy_classes,
-    coset_action,
     cycle_type,
     generate_group,
     generated_set,

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 from .covers import ARTIN_WORK_BUDGET, build_cover, decompose_loop, verify_artin
 from .freewords import (braid_presentation, cyclic_reduce, evaluate, format_letters,
                         load_hom_file, parse_braid, parse_word)
-from .permgroup import (FiniteGroup, Subgroup, all_subgroups, conjugacy_classes,
-                        coset_action, cycle_type, load_group_file, Permutation)
+from .permgroup import (CosetAction, FiniteGroup, Subgroup, all_subgroups,
+                        conjugacy_classes, cycle_type, load_group_file, Permutation)
 from .quotients import (generic_check, load_matrix_file, quotient_search,
                         smith_normal_form)
 from .sft import (DensityRow, bundled_a5, chebotarev_report, enumerate_orbits,
@@ -145,7 +145,7 @@ def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
             f"strongly_connected={real.strongly_connected}, period={real.period}, "
             f"holonomy order {real.holonomy_order} of {g.order}, "
             f"classes without an orbit of length <= {real.bound}: [{missing}]")
-    report = chebotarev_report(s, cfg.max_len, skip=cfg.skip, action=coset_action(g, h))
+    report = chebotarev_report(s, cfg.max_len, skip=cfg.skip, action=CosetAction(g, h))
     rows = tuple(A5TableRow(t, int(r.target * g.order), r.count, r.density, r.target,
                             r.deviation)
                  for t, r in zip(report.types, report.final_type_rows))
@@ -204,7 +204,7 @@ def _cmd_group_classes(args) -> int:
     print(f"group of order {g.order} on {g.degree} points; {len(classes)} classes")
     for i, c in enumerate(classes):
         rep = g.elements[c.representative]
-        t = "(" + ",".join(map(str, cycle_type(rep))) + ")"
+        t = "(" + ",".join(map(str, cycle_type(rep.images))) + ")"
         print(f"class {i}: size {len(c.members):>4}  type {t:<12} rep {rep.cycle_string()}")
     return 0
 

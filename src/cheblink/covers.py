@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from .freewords import CyclicWord, GroupHom, Presentation, Word, cyclic_reduce, evaluate, format_letters
 from .permgroup import (CosetAction, FiniteGroup, Subgroup, class_index,
-                        conjugacy_classes, coset_action, cycle_type)
+                        conjugacy_classes, cycle_type)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,13 +45,12 @@ def build_cover(hom: GroupHom, h: Subgroup) -> CoveringGraph:
     g = hom.target
     if h.group is not g:
         raise ValueError("subgroup belongs to a different group than the hom's target")
-    act = coset_action(g, h)
-    perms = [act.image(img) for img in hom.images]
+    act = CosetAction(g, h)
     return CoveringGraph(
         generator_count=len(hom.images),
         vertex_count=act.degree,
-        steps=tuple(p.images for p in perms),
-        steps_inv=tuple(p.inverse().images for p in perms),
+        steps=tuple(act.image(x) for x in hom.images),
+        steps_inv=tuple(act.image(g.inv(x)) for x in hom.images),
         hom=hom,
         subgroup=h,
         action=act,

@@ -14,10 +14,17 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .permgroup import FiniteGroup, Permutation, generate_group, generated_set
+from .permgroup import FiniteGroup, generate_group, generated_set, parse_cycle_strings
 
 _WORD_TOKEN = re.compile(r"^x([1-9][0-9]*)(\^-1)?$")
 _BRAID_TOKEN = re.compile(r"^s([1-9][0-9]*)(\^-1)?$")
+
+# strands a braid may have; a presentation on 800 strands takes 1.5 s
+BRAID_STRAND_CAP = 1 << 10
+# letters in all of a braid closure's relators; relators of pseudo-Anosov
+# braids grow exponentially, and the 24-letter figure-eight braid
+# 3:(s1 s2^-1)^12 reaches 300100
+RELATOR_LETTER_CAP = 1 << 20
 
 
 def _check_letters(letters: tuple[int, ...]) -> None:
@@ -159,6 +166,9 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise ValueError("a braid needs at least one strand")
+        if self.strands > BRAID_STRAND_CAP:
+            raise ValueError(f"a braid on {self.strands} strands exceeds the strand cap "
+                             f"of {BRAID_STRAND_CAP}")
         for l in self.letters:
             if not isinstance(l, int) or not 1 <= abs(l) < self.strands:
                 raise ValueError(f"bad braid letter {l}: need 1 <= |letter| < {self.strands}")
@@ -206,10 +216,12 @@ def braid_presentation(b: BraidWord) -> Presentation:
     letter acts by the usual automorphism (s_i sends x_i to x_i x_{i+1}
     x_i^-1 and x_{i+1} to x_i, fixing the rest); letters act left to right,
     and the relators are x_j^-1 * (image of x_j under the whole braid).
+    Raises ValueError once the images hold more than ``RELATOR_LETTER_CAP``
+    letters in all.
     """
     n = b.strands
     cur = [Word((j + 1,)) for j in range(n)]
-    for letter in b.letters:
+    for done, letter in enumerate(b.letters, 1):
         i = abs(letter)
         base = [Word((j + 1,)) for j in range(n)]
         if letter > 0:
@@ -219,6 +231,9 @@ def braid_presentation(b: BraidWord) -> Presentation:
             base[i - 1] = Word((i + 1,))
             base[i] = Word((-(i + 1), i, i + 1))
         cur = [_substitute(w, base) for w in cur]
+        if sum(map(len, cur)) > RELATOR_LETTER_CAP:
+            raise ValueError(f"braid relators exceed the cap of {RELATOR_LETTER_CAP} letters "
+                             f"after {done} of {len(b.letters)} braid letters")
     relators = tuple(reduce((-(j + 1),) + cur[j].letters) for j in range(n))
     return Presentation(n, relators)
 
@@ -277,9 +292,9 @@ def parse_hom_data(data: dict) -> GroupHom:
 
     x_k maps to the k-th listed permutation; the target group is the one
     those permutations generate, so the hom is surjective by construction.
+    Any other shape raises ValueError.
     """
-    degree = int(data["degree"])
-    imgs = [Permutation.parse(s, degree) for s in data["images"]]
+    degree, imgs = parse_cycle_strings(data, "hom", "images")
     target = generate_group(imgs, degree=degree)
     pres = Presentation(len(imgs), ())
     return GroupHom(pres, target, tuple(target.index[p] for p in imgs))

@@ -8,7 +8,12 @@ Conventions, fixed once and used everywhere downstream:
 * the action on right cosets of a subgroup H sends Hx to H x z^{-1} (the
   inversion is what makes a *right* coset space carry a left action), and
   cosets are labeled breadth-first from H along the edges v -> v.g^{-1},
-  generators taken in input order.
+  generators taken in input order;
+* a map the library computes on points or cosets (a coset-action image, a
+  cover step, a loop's monodromy) is a 0-based tuple of images, and
+  ``cycle_type`` takes one.  ``Permutation`` objects, which validate their
+  images, are built only where cycle text is parsed or printed and for
+  ``FiniteGroup.elements``.
 """
 
 from __future__ import annotations
@@ -144,12 +149,9 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     return Permutation(ia[x] for x in b.images)
 
 
-def cycle_type(p: Permutation | tuple[int, ...]) -> tuple[int, ...]:
-    """Cycle lengths in decreasing order, fixed points included as 1s.
-
-    ``p`` is a permutation or its tuple of images.
-    """
-    images = p.images if isinstance(p, Permutation) else p
+def cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths of an image tuple in decreasing order, fixed points
+    included as 1s."""
     seen = [False] * len(images)
     lens = []
     for start in range(len(images)):
@@ -232,7 +234,9 @@ class FiniteGroup:
 
     def inv(self, i: int) -> int:
         if self._inv is None:
-            self._inv = tuple(self.index[p.inverse()] for p in self.elements)
+            # the inverse image tuple lists the points in the order of their images
+            pos, points = self._position, range(self.degree)
+            self._inv = tuple(pos[tuple(sorted(points, key=t.__getitem__))] for t in self._images)
         return self._inv[i]
 
     def word_for(self, i: int) -> tuple[int, ...]:
@@ -461,7 +465,7 @@ class CosetAction:
 
     Coset 0 is H itself; ``reps[j]`` is the first element found in coset j by
     the breadth-first labeling walk, and ``coset_of[i]`` locates element i's
-    coset.  ``image(z)`` is the permutation Hx -> H x z^{-1} of coset labels.
+    coset.  ``image(z)`` is the image tuple of Hx -> H x z^{-1} on coset labels.
     """
 
     def __init__(self, group: FiniteGroup, subgroup: Subgroup):
@@ -495,42 +499,35 @@ class CosetAction:
     def degree(self) -> int:
         return len(self.reps)
 
-    def image(self, z: int) -> Permutation:
+    def image(self, z: int) -> tuple[int, ...]:
         zi = self.group.inv(z)
         co = self.coset_of
         mul = self.group.mul
-        return Permutation(co[mul(r, zi)] for r in self.reps)
-
-    def kernel(self) -> frozenset:
-        """Elements acting trivially on every coset."""
-        return frozenset(z for z in range(self.group.order) if self.image(z).is_identity())
-
-    def image_group(self) -> FiniteGroup:
-        gens = [self.image(k) for k in self.group.generators]
-        return generate_group(gens, degree=self.degree)
+        return tuple(co[mul(r, zi)] for r in self.reps)
 
 
-def coset_action(g: FiniteGroup, h: Subgroup) -> CosetAction:
-    return CosetAction(g, h)
+def parse_cycle_strings(data, kind: str, key: str) -> tuple[int, list[Permutation]]:
+    """Read {"degree": n, key: ["(1 2 3)", ...]} as n and its permutations.
+
+    Any other shape, such as a top-level list or entries that are not cycle
+    strings, raises ValueError naming the ``kind`` of file.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a {kind} file holds a JSON object, not {type(data).__name__}")
+    degree = data.get("degree")
+    cycles = data.get(key)
+    if type(degree) is not int:
+        raise ValueError(f'{kind} "degree" must be an integer')
+    if not isinstance(cycles, list) or not all(isinstance(s, str) for s in cycles):
+        raise ValueError(f'{kind} "{key}" must be a list of cycle strings')
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    return degree, [Permutation.parse(s, degree) for s in cycles]
 
 
 def parse_group_data(data: dict) -> FiniteGroup:
-    """Build a group from {"degree": n, "generators": ["(1 2 3)", ...]}.
-
-    Any other shape, such as a top-level list or generators that are not
-    cycle strings, raises ValueError.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"a group file holds a JSON object, not {type(data).__name__}")
-    degree = data.get("degree")
-    gens = data.get("generators")
-    if type(degree) is not int:
-        raise ValueError('group "degree" must be an integer')
-    if not isinstance(gens, list) or not all(isinstance(s, str) for s in gens):
-        raise ValueError('group "generators" must be a list of cycle strings')
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    gens = [Permutation.parse(s, degree) for s in gens]
+    """Build a group from {"degree": n, "generators": ["(1 2 3)", ...]}."""
+    degree, gens = parse_cycle_strings(data, "group", "generators")
     return generate_group(gens, degree=degree)
 
 

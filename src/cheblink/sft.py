@@ -333,7 +333,7 @@ def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
     classes = conjugacy_classes(g)
     class_target = [Fraction(len(c.members), g.order) for c in classes]
     class_key = [f"class:{g.elements[c.representative].cycle_string()}" for c in classes]
-    image = g.elements.__getitem__ if action is None else action.image
+    image = (lambda z: g.elements[z].images) if action is None else action.image
     type_of_class = [cycle_type(image(c.representative)) for c in classes]
     type_list = sorted(set(type_of_class))
     type_target = {t: sum(class_target[i] for i, tc in enumerate(type_of_class) if tc == t)
@@ -471,9 +471,23 @@ def realization_check(s: LabeledSFT, bound: int) -> RealizationReport:
 
 
 def parse_sft_data(data: dict, hom: GroupHom) -> LabeledSFT:
-    states = int(data["states"])
-    edges = [SftEdge(int(e["from"]), int(e["to"]), parse_word(e["label"]))
-             for e in data["edges"]]
+    """Build a shift from {"states": n, "edges": [{"from": 0, "to": 1, "label": "x1"}, ...]}.
+
+    Any other shape, such as a top-level list or edges that are not objects
+    with integer ends and a word label, raises ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a shift file holds a JSON object, not {type(data).__name__}")
+    states = data.get("states")
+    edges = data.get("edges")
+    if type(states) is not int:
+        raise ValueError('shift "states" must be an integer')
+    if not isinstance(edges, list) or not all(
+            isinstance(e, dict) and type(e.get("from")) is int and type(e.get("to")) is int
+            and isinstance(e.get("label"), str) for e in edges):
+        raise ValueError('shift "edges" must be a list of objects with integer "from" '
+                         'and "to" and a word "label"')
+    edges = [SftEdge(e["from"], e["to"], parse_word(e["label"])) for e in edges]
     return LabeledSFT(states, edges, hom)
 
 

@@ -8,7 +8,8 @@ homs themselves by evaluating every relator on every image tuple,
 canonical rotations by comparing per-letter key tuples, conjugators by
 composing permutations for every element of the group, a shift's
 connectivity, period and holonomy from separate passes over its base graph,
-and a loop's lift by walking each vertex through every letter.
+a loop's lift by walking each vertex through every letter, and a coset
+action's images from cosets held as sets of permutations.
 Slow is fine; these only run on small inputs.
 """
 
@@ -16,7 +17,7 @@ import math
 from typing import Optional
 from itertools import combinations, product
 
-from cheblink import IntMatrix
+from cheblink import IntMatrix, Permutation
 
 
 def brute_force_orbits(s, max_len):
@@ -292,3 +293,31 @@ def lift_by_vertex_walk(cover, letters):
             fiber.append(u)
         comps.append((frozenset(fiber), len(fiber)))
     return tuple(comps), tuple(sorted((d for _, d in comps), reverse=True))
+
+
+def coset_image_by_sets(g, h, z):
+    """The image tuple of z acting on the right cosets of h, Hx -> H x z^-1.
+
+    Labels the cosets as the library does, breadth-first from H along
+    x -> x k^-1 with the generators k in input order, but holds each coset
+    as the set of its permutations and forms every product by composing
+    permutations, never through the group's products.  Coset j goes to the
+    coset that contains reps[j] z^-1.
+    """
+    members = [g.elements[m] for m in h.members]
+    gens = [g.elements[k] for k in g.generators]
+    reps = [Permutation.identity(g.degree)]
+    cosets = [set(members)]
+    frontier = list(reps)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for k in gens:
+                t = r * k.inverse()
+                if not any(t in c for c in cosets):
+                    reps.append(t)
+                    cosets.append({m * t for m in members})
+                    nxt.append(t)
+        frontier = nxt
+    zi = g.elements[z].inverse()
+    return tuple(next(j for j, c in enumerate(cosets) if r * zi in c) for r in reps)

@@ -8,10 +8,9 @@ established by an independent oracle before being frozen here.  Run with
 import random
 from fractions import Fraction
 
-from cheblink import (GroupHom, LabeledSFT, Presentation, SftEdge, Subgroup,
-                      all_subgroups, braid_presentation, build_cover,
-                      bundled_a5, conjugacy_classes, coset_action,
-                      cycle_type, decompose_loop, enumerate_orbits,
+from cheblink import (CosetAction, GroupHom, LabeledSFT, Presentation, SftEdge,
+                      Subgroup, all_subgroups, braid_presentation, build_cover,
+                      bundled_a5, conjugacy_classes, cycle_type, decompose_loop, enumerate_orbits,
                       exact_counts, generated_set, generic_check,
                       parse_braid, parse_hom_data, parse_word,
                       primitive_counts, quotient_search, realization_check,
@@ -49,7 +48,7 @@ def test_criterion_1_a5_density_table():
     # which shares none of their counting code
     s, hom = bundled_a5()
     g = hom.target
-    act = coset_action(g, Subgroup.point_stabilizer(g, 4))
+    act = CosetAction(g, Subgroup.point_stabilizer(g, 4))
     classes = conjugacy_classes(g)
     by_type = {}
     for o in enumerate_orbits(s, 11):

@@ -484,6 +484,43 @@ def test_malformed_group_file_is_input_error(tmp_path, capsys, data, command):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("kind, data", [
+    ("hom", {"degree": 3, "images": [[1, 2, 3]]}),
+    ("hom", [{"degree": 3, "images": ["(1 2 3)"]}]),
+    ("hom", {"degree": "3", "images": ["(1 2 3)"]}),
+    ("sft", {"states": 2, "edges": [[0, 1]]}),
+    ("sft", [GOLDEN_MEAN]),
+    ("sft", {"states": 2, "edges": [{"from": 0, "to": 1, "label": 1}]}),
+], ids=["hom-images-as-lists", "hom-top-level-list", "hom-degree-as-string",
+        "sft-edges-as-lists", "sft-top-level-list", "sft-label-as-number"])
+def test_malformed_hom_or_shift_file_is_input_error(tmp_path, capsys, kind, data):
+    bad = write(tmp_path, "bad.json", json.dumps(data))
+    if kind == "hom":
+        command = ["cover", "decompose", "--hom", bad, "--subgroup", "whole", "--word", "x1"]
+    else:
+        hom = write(tmp_path, "hom.json", TRIVIAL_HOM)
+        command = ["sft", "orbits", "--sft", bad, "--hom", hom, "--max-len", "3"]
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["braid", "presentation", "20000:s1"],
+    ["generic", "check", "--braid", "20000:s1"],
+    # the figure-eight braid 3:(s1 s2^-1)^20: relators pass 2^20 letters at letter 27
+    ["braid", "presentation", "3:" + " ".join(["s1 s2^-1"] * 20)],
+], ids=["strands-presentation", "strands-generic-check", "relator-letters"])
+def test_braid_over_cap_is_input_error(capsys, command):
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "cap" in captured.err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cheblink import (GroupHom, Permutation, Presentation, Subgroup,
-                      all_subgroups, build_cover, class_index, coset_action,
+from cheblink import (CosetAction, GroupHom, Permutation, Presentation, Subgroup,
+                      all_subgroups, build_cover, class_index,
                       covers, cycle_type, cyclic_reduce, decompose_loop,
                       evaluate, generate_group, parse_word, reduce,
                       verify_artin, verify_component_bijection)
@@ -35,6 +35,23 @@ def test_build_cover_shape():
     assert cover.generator_count == 2
     for step in cover.steps + cover.steps_inv:
         assert sorted(step) == list(range(5))
+
+
+def test_cover_checks_build_no_permutation(monkeypatch):
+    # coset images, steps and monodromies are image tuples; a fresh group
+    # has not yet cached its inverses
+    g = generate_group([Permutation.parse("(1 2 3 4 5)", 5), Permutation.parse("(1 2 3)", 5)])
+    h = Subgroup.point_stabilizer(g, 4)
+
+    def refuse(self, images):
+        raise AssertionError("a Permutation was built")
+
+    monkeypatch.setattr(Permutation, "__init__", refuse)
+    cover = build_cover(free_hom(g), h)
+    assert all(type(step) is tuple for step in cover.steps + cover.steps_inv)
+    assert all(type(cover.action.image(z)) is tuple for z in range(g.order))
+    assert verify_artin(g, h).passed
+    assert verify_component_bijection(cover, parse_word("x1 x2")).passed
 
 
 def test_decompose_loop_pinned():
@@ -83,7 +100,7 @@ def test_decomposition_matches_coset_cycles_on_random_words():
         h = (Subgroup.point_stabilizer(g, 0) if name != "q8"
              else all_subgroups(g)[1])
         cover = build_cover(hom, h)
-        act = coset_action(g, h)
+        act = CosetAction(g, h)
         alphabet = [1, -1, 2, -2]
         for _ in range(60):
             w = reduce(rng.choices(alphabet, k=rng.randrange(1, 12)))
@@ -100,18 +117,18 @@ def test_decomposition_matches_coset_cycles_on_random_words():
 
 
 def _orbits(p):
-    seen = [False] * p.degree
+    seen = [False] * len(p)
     out = []
-    for v in range(p.degree):
+    for v in range(len(p)):
         if seen[v]:
             continue
         cyc = [v]
         seen[v] = True
-        u = p(v)
+        u = p[v]
         while u != v:
             seen[u] = True
             cyc.append(u)
-            u = p(u)
+            u = p[u]
         out.append(cyc)
     return out
 
@@ -221,7 +238,7 @@ def test_bijection_report_matches_full_scan_oracle():
                 perm = act.image(y)
                 checks = []
                 for v in range(act.degree):
-                    if perm(v) == v:
+                    if perm[v] == v:
                         r = g.elements[act.reps[v]]
                         hol = g.index[r * image * r.inverse()]
                         in_class = conjugator_by_full_scan(g, y, {hol}) is not None

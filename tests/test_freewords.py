@@ -6,7 +6,9 @@ from cheblink import (GroupHom, Permutation, Presentation, Word,
                       abelianized_matrix, braid_presentation, compose,
                       cyclic_reduce, evaluate, generate_group, parse_braid,
                       parse_hom_data, parse_word, reduce)
-from cheblink.freewords import BraidWord, CyclicWord, _canonical_rotation, format_letters
+from cheblink import freewords
+from cheblink.freewords import (BRAID_STRAND_CAP, BraidWord, CyclicWord, _canonical_rotation,
+                                format_letters)
 
 from corpus import corpus
 from oracles import rotation_by_tuple_keys
@@ -123,6 +125,19 @@ def test_braid_word_validates():
         BraidWord(2, (2,))
     with pytest.raises(ValueError):
         BraidWord(0, ())
+    assert BraidWord(BRAID_STRAND_CAP, (1,)).strands == BRAID_STRAND_CAP
+    with pytest.raises(ValueError, match="strand cap"):
+        BraidWord(BRAID_STRAND_CAP + 1, (1,))
+
+
+def test_braid_relator_letter_cap(monkeypatch):
+    # the images of the figure-eight braid 3:(s1 s2^-1)^k hold 931 letters
+    # at 12 braid letters and 1509 at 13
+    monkeypatch.setattr(freewords, "RELATOR_LETTER_CAP", 931)
+    p = braid_presentation(parse_braid("3:" + " ".join(["s1 s2^-1"] * 6)))
+    assert sum(map(len, p.relators)) == 932
+    with pytest.raises(ValueError, match="after 13 of 14 braid letters"):
+        braid_presentation(parse_braid("3:" + " ".join(["s1 s2^-1"] * 7)))
 
 
 def test_trefoil_presentation_frozen():

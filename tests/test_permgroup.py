@@ -1,17 +1,20 @@
+import functools
 import json
 import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cheblink import (ConjugacyClass, Permutation, Subgroup, all_subgroups,
-                      class_index, compose, conjugacy_classes, coset_action,
+from cheblink import (ConjugacyClass, CosetAction, Permutation, Subgroup, all_subgroups,
+                      class_index, compose, conjugacy_classes,
                       cycle_type, generate_group, generated_set, group_file_data,
                       load_group_file, parse_group_data, permgroup)
-from cheblink.cli import main
+from cheblink.cli import main, parse_subgroup
 
 from corpus import corpus, perm_group, EXPECTED_ORDERS
-from oracles import closure_by_products
+from oracles import closure_by_products, coset_image_by_sets
 
 GROUPS = corpus()
 
@@ -40,8 +43,8 @@ def test_compose_applies_right_factor_first():
 
 
 def test_cycle_type_sorted_with_fixed_points():
-    assert cycle_type(Permutation.parse("(1 2)(3 4 5)", 6)) == (3, 2, 1)
-    assert cycle_type(Permutation.identity(4)) == (1, 1, 1, 1)
+    assert cycle_type(Permutation.parse("(1 2)(3 4 5)", 6).images) == (3, 2, 1)
+    assert cycle_type(Permutation.identity(4).images) == (1, 1, 1, 1)
 
 
 def test_inverse_and_call():
@@ -250,14 +253,12 @@ def test_point_stabilizer():
 def test_coset_action_pinned_images():
     g = GROUPS["a5"]
     h = Subgroup.point_stabilizer(g, 4)
-    act = coset_action(g, h)
+    act = CosetAction(g, h)
     assert act.degree == 5
     five = g.index[Permutation.parse("(1 2 3 4 5)", 5)]
     assert cycle_type(act.image(five)) == (5,)
     double = g.index[Permutation.parse("(1 2)(3 4)", 5)]
     assert cycle_type(act.image(double)) == (2, 2, 1)
-    assert act.kernel() == frozenset([g.identity])
-    assert act.image_group().order == 60
 
 
 def test_coset_action_is_homomorphism():
@@ -265,33 +266,46 @@ def test_coset_action_is_homomorphism():
     for name in ("s3", "d4", "a4", "s4"):
         g = GROUPS[name]
         for h in all_subgroups(g):
-            act = coset_action(g, h)
+            act = CosetAction(g, h)
             for _ in range(20):
                 i, j = rng.randrange(g.order), rng.randrange(g.order)
-                assert act.image(g.mul(i, j)) == compose(act.image(i),
-                                                         act.image(j))
+                a, b = act.image(i), act.image(j)
+                assert act.image(g.mul(i, j)) == tuple(a[x] for x in b)
+
+
+@functools.cache
+def subgroups_of(name):
+    return all_subgroups(GROUPS[name])
+
+
+@given(name=st.sampled_from(sorted(GROUPS)), sub=st.integers(0, 10 ** 6),
+       z=st.integers(0, 10 ** 6))
+@example(name="a5", sub="stab:5", z=7)
+@example(name="a5", sub="whole", z=7)
+@example(name="a5", sub="trivial", z=7)
+@settings(max_examples=150, deadline=None)
+def test_coset_action_matches_coset_set_oracle(name, sub, z):
+    # sub is a subgroup spec, or else an index into every subgroup of g
+    g = GROUPS[name]
+    subs = subgroups_of(name)
+    h = parse_subgroup(g, sub) if isinstance(sub, str) else subs[sub % len(subs)]
+    z %= g.order
+    act = CosetAction(g, h)
+    img = act.image(z)
+    assert type(img) is tuple
+    assert sorted(img) == list(range(act.degree))
+    assert img == coset_image_by_sets(g, h, z)
 
 
 def test_coset_action_degenerate_subgroups():
     g = GROUPS["s4"]
-    whole = coset_action(g, Subgroup.whole(g))
+    whole = CosetAction(g, Subgroup.whole(g))
     assert whole.degree == 1
-    trivial = coset_action(g, Subgroup.trivial(g))
+    trivial = CosetAction(g, Subgroup.trivial(g))
     assert trivial.degree == g.order
     for i in range(1, g.order):
         img = trivial.image(i)
-        assert all(img(v) != v for v in range(g.order))
-
-
-def test_coset_action_kernel_is_core():
-    # the kernel is the largest normal subgroup inside h
-    g = GROUPS["s4"]
-    for h in all_subgroups(g):
-        ker = coset_action(g, h).kernel()
-        assert ker <= h.members
-        for k in ker:
-            for x in range(g.order):
-                assert g.mul(g.mul(x, k), g.inv(x)) in ker
+        assert all(img[v] != v for v in range(g.order))
 
 
 def test_group_file_roundtrip(tmp_path):

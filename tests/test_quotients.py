@@ -337,7 +337,7 @@ def test_quotient_search_onto_s7_keeps_row_cache_bounded(monkeypatch):
     homs = quotient_search(Presentation(1, (parse_word(" ".join(["x1"] * 10)),)), s7)
     # the elements of order 1, 2, 5 and 10
     assert len(homs) == 1 + 21 + 105 + 105 + 504 + 504
-    assert {cycle_type(s7.elements[h.images[0]]) for h in homs} == {
+    assert {cycle_type(s7.elements[h.images[0]].images) for h in homs} == {
         (1,) * 7, (2, 1, 1, 1, 1, 1), (2, 2, 1, 1, 1), (2, 2, 2, 1), (5, 1, 1), (5, 2)}
     assert s7._row_entries <= cap
     assert s7._row_entries - leaf_entries + s7.order > cap  # the search filled the cache

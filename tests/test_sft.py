@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cheblink import (GroupHom, LabeledSFT, Presentation, SftEdge, Subgroup,
-                      bundled_a5, chebotarev_report, class_index,
-                      conjugacy_classes, coset_action, enumerate_orbits,
+from cheblink import (CosetAction, GroupHom, LabeledSFT, Presentation, SftEdge,
+                      Subgroup, bundled_a5, chebotarev_report, class_index,
+                      conjugacy_classes, enumerate_orbits,
                       exact_counts, parse_hom_data, parse_sft_data, parse_word,
                       primitive_counts, realization_check, reduce)
 
@@ -177,7 +177,7 @@ def test_chebotarev_report_densities_are_consistent():
     # the coset action on the trivial subgroup is the regular action, whose
     # cycle types differ from the natural ones on 3 points
     for action, types in ((None, ((1, 1, 1), (2, 1), (3,))),
-                          (coset_action(g, Subgroup.trivial(g)),
+                          (CosetAction(g, Subgroup.trivial(g)),
                            ((1,) * 6, (2, 2, 2), (3, 3)))):
         rep = chebotarev_report(s, 7, action=action)
         assert rep.types == types
@@ -203,7 +203,7 @@ def test_chebotarev_rejects_action_on_another_group():
     s = two_state_s3()
     other = parse_hom_data({"degree": 3, "images": ["(1 2 3)", "(1 2)"]}).target
     with pytest.raises(ValueError, match="coset action"):
-        chebotarev_report(s, 4, action=coset_action(other, Subgroup.trivial(other)))
+        chebotarev_report(s, 4, action=CosetAction(other, Subgroup.trivial(other)))
 
 
 def test_chebotarev_skip_drops_shortest():
