@@ -9,17 +9,17 @@ the letter order x1 < x1^-1 < x2 < x2^-1 < ...
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .permgroup import FiniteGroup, generate_group, generated_set, parse_cycle_strings
+from .permgroup import (FiniteGroup, generate_group, generated_set, load_json,
+                        parse_cycle_strings)
 
 _WORD_TOKEN = re.compile(r"^x([1-9][0-9]*)(\^-1)?$")
 _BRAID_TOKEN = re.compile(r"^s([1-9][0-9]*)(\^-1)?$")
 
-# strands a braid may have; a presentation on 800 strands takes 1.5 s
+# strands a braid may have; 1024:s1 s2 ... s1023 takes 0.26 s to present
 BRAID_STRAND_CAP = 1 << 10
 # letters in all of a braid closure's relators; relators of pseudo-Anosov
 # braids grow exponentially, and the 24-letter figure-eight braid
@@ -197,18 +197,6 @@ def parse_braid(text: str) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def _substitute(w: Word, images: list[Word]) -> Word:
-    out: list[int] = []
-    for l in w.letters:
-        piece = images[l - 1].letters if l > 0 else images[-l - 1].inverse().letters
-        for x in piece:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return Word(tuple(out))
-
-
 def braid_presentation(b: BraidWord) -> Presentation:
     """Presentation of the closure of a braid, one relator per strand.
 
@@ -216,25 +204,34 @@ def braid_presentation(b: BraidWord) -> Presentation:
     letter acts by the usual automorphism (s_i sends x_i to x_i x_{i+1}
     x_i^-1 and x_{i+1} to x_i, fixing the rest); letters act left to right,
     and the relators are x_j^-1 * (image of x_j under the whole braid).
+
+    The letters are walked from last to first, composing on the right: if
+    ``cur`` holds the images of the automorphism t of the letters after s_i,
+    then t∘s_i sends x_i to t(x_i) t(x_{i+1}) t(x_i)^-1 and x_{i+1} to
+    t(x_i), so a letter rewrites only the two images it moves.  That is the
+    same automorphism as substituting letter by letter from the first, and
+    free reduction is unique, so the relators are the same words.
     Raises ValueError once the images hold more than ``RELATOR_LETTER_CAP``
-    letters in all.
+    letters in all; "after k of l" counts the letters walked from the end.
     """
     n = b.strands
-    cur = [Word((j + 1,)) for j in range(n)]
-    for done, letter in enumerate(b.letters, 1):
+    cur = [(j + 1,) for j in range(n)]
+    total = n
+    for done, letter in enumerate(reversed(b.letters), 1):
         i = abs(letter)
-        base = [Word((j + 1,)) for j in range(n)]
+        a, c = cur[i - 1], cur[i]
         if letter > 0:
-            base[i - 1] = Word((i, i + 1, -i))
-            base[i] = Word((i,))
+            w = reduce(a + c + tuple(-l for l in reversed(a))).letters
+            cur[i - 1], cur[i] = w, a
+            total += len(w) - len(c)
         else:
-            base[i - 1] = Word((i + 1,))
-            base[i] = Word((-(i + 1), i, i + 1))
-        cur = [_substitute(w, base) for w in cur]
-        if sum(map(len, cur)) > RELATOR_LETTER_CAP:
+            w = reduce(tuple(-l for l in reversed(c)) + a + c).letters
+            cur[i - 1], cur[i] = c, w
+            total += len(w) - len(a)
+        if total > RELATOR_LETTER_CAP:
             raise ValueError(f"braid relators exceed the cap of {RELATOR_LETTER_CAP} letters "
                              f"after {done} of {len(b.letters)} braid letters")
-    relators = tuple(reduce((-(j + 1),) + cur[j].letters) for j in range(n))
+    relators = tuple(reduce((-(j + 1),) + cur[j]) for j in range(n))
     return Presentation(n, relators)
 
 
@@ -301,5 +298,4 @@ def parse_hom_data(data: dict) -> GroupHom:
 
 
 def load_hom_file(path) -> GroupHom:
-    with open(path) as fh:
-        return parse_hom_data(json.load(fh))
+    return parse_hom_data(load_json(path))

@@ -24,6 +24,10 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 GENERATION_CAP = 10080
+# image slots one group holds, order times degree; `group classes` on a
+# trivial group of degree 2^22 peaks at 530 MB, and one of degree 2^24 fails
+# with MemoryError under a 1 GB address-space limit
+IMAGE_SLOT_CAP = 1 << 22
 # entries in all the right-multiplication rows one group keeps (about 16 MB
 # of tuple slots); products on rows past it are formed one at a time
 ROW_CACHE_CAP = 1 << 21
@@ -246,6 +250,12 @@ class FiniteGroup:
         return f"<FiniteGroup of order {self.order} on {self.degree} points>"
 
 
+def _check_slots(degree: int, elements: int = 1) -> None:
+    if elements * degree > IMAGE_SLOT_CAP:
+        raise ValueError(f"{elements} x {degree} image slots (order times degree) exceed "
+                         f"the cap of {IMAGE_SLOT_CAP}")
+
+
 def generate_group(generators: Sequence[Permutation], *, degree: int | None = None,
                    cap: int = GENERATION_CAP) -> FiniteGroup:
     """Close a generator list under composition (breadth-first).
@@ -261,6 +271,7 @@ def generate_group(generators: Sequence[Permutation], *, degree: int | None = No
     for g in gens:
         if g.degree != degree:
             raise ValueError("generators act on different numbers of points")
+    _check_slots(degree)
     ident = Permutation.identity(degree)
     words: dict[Permutation, tuple[int, ...]] = {ident: ()}
     frontier = [ident]
@@ -273,6 +284,7 @@ def generate_group(generators: Sequence[Permutation], *, degree: int | None = No
                 if q not in words:
                     if len(words) >= cap:
                         raise ValueError(f"group closure exceeded cap of {cap} elements")
+                    _check_slots(degree, len(words) + 1)
                     words[q] = w + (k + 1,)
                     nxt.append(q)
         frontier = nxt
@@ -522,6 +534,7 @@ def parse_cycle_strings(data, kind: str, key: str) -> tuple[int, list[Permutatio
         raise ValueError(f'{kind} "{key}" must be a list of cycle strings')
     if degree < 1:
         raise ValueError("degree must be at least 1")
+    _check_slots(degree)
     return degree, [Permutation.parse(s, degree) for s in cycles]
 
 
@@ -531,10 +544,18 @@ def parse_group_data(data: dict) -> FiniteGroup:
     return generate_group(gens, degree=degree)
 
 
+def load_json(path):
+    """The JSON value in a file; nesting too deep to parse raises ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
 def load_group_file(path) -> FiniteGroup:
     """Read a group file: {"degree": n, "generators": ["(1 2 3)", ...]}."""
-    with open(path) as fh:
-        return parse_group_data(json.load(fh))
+    return parse_group_data(load_json(path))
 
 
 def group_file_data(g: FiniteGroup) -> dict:

@@ -384,13 +384,15 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
                 return False
         return True
 
-    def assign(k: int, cent: list[int]) -> None:
-        # cent: the nontrivial elements centralizing images[:k] (dedup only)
-        if k == n:
-            if surjective_only and len(generated_set(g, images)) != g.order:
-                return
-            results.append(GroupHom(p, g, tuple(images)))
+    def finish() -> None:
+        if surjective_only and len(generated_set(g, images)) != g.order:
             return
+        results.append(GroupHom(p, g, tuple(images)))
+
+    def level(k: int, cent: list[int]):
+        # the frame choosing images[k]: its candidates, the relator checks
+        # they must pass, whether those need the inverse, and cent, the
+        # nontrivial elements centralizing images[:k] (dedup only)
         if dedup_conjugacy and k == 0:
             cands = [c.representative for c in conjugacy_classes(g)]
         else:
@@ -407,18 +409,33 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
         if forced is not None:
             cands = [forced] if forced in cands else []
         need_inv = any(neg or X_INV in factors for neg, factors in checks)
+        return iter(cands), checks, need_inv, cent
+
+    if n == 0:
+        finish()
+        return results
+    # depth-first on an explicit stack, one frame per chosen image, so a
+    # braid on any number of strands is searched without recursion
+    stack = [level(0, [x for x in range(g.order) if x != g.identity])]
+    while stack:
+        k = len(stack) - 1
+        cands, checks, need_inv, cent = stack[-1]
         for cand in cands:
             images[k] = cand
             if not holds(checks, cand, inv(cand) if need_inv else cand):
                 continue
+            if dedup_conjugacy and k and any(mul(mul(c, cand), inv(c)) < cand for c in cent):
+                continue
+            if k + 1 == n:
+                finish()
+                continue
             if dedup_conjugacy:
-                if k and any(mul(mul(c, cand), inv(c)) < cand for c in cent):
-                    continue
-                assign(k + 1, [c for c in cent if mul(c, cand) == mul(cand, c)])
+                stack.append(level(k + 1, [c for c in cent if mul(c, cand) == mul(cand, c)]))
             else:
-                assign(k + 1, cent)
-
-    assign(0, [x for x in range(g.order) if x != g.identity])
+                stack.append(level(k + 1, cent))
+            break
+        else:
+            stack.pop()
     return results
 
 

@@ -20,7 +20,8 @@ from math import gcd
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .freewords import GroupHom, Word, evaluate, parse_hom_data, parse_word
-from .permgroup import CosetAction, FiniteGroup, class_index, conjugacy_classes, cycle_type
+from .permgroup import (CosetAction, FiniteGroup, class_index, conjugacy_classes, cycle_type,
+                        load_json)
 
 DP_STATE_CAP = 65536  # the transfer DP and realization_check refuse above state_count * |G|
 SKIP_CAP = 10 ** 6    # chebotarev_report refuses to enumerate more skipped orbits
@@ -53,6 +54,9 @@ class LabeledSFT:
     def __init__(self, state_count: int, edges: Sequence[SftEdge], hom: GroupHom):
         if state_count < 1:
             raise ValueError("need at least one state")
+        if state_count > DP_STATE_CAP:
+            # every count and check works on states x G, so nothing could run
+            raise ValueError(f"{state_count} states exceed the cap of {DP_STATE_CAP}")
         if not edges:
             raise ValueError("need at least one edge")
         for e in edges:
@@ -493,8 +497,7 @@ def parse_sft_data(data: dict, hom: GroupHom) -> LabeledSFT:
 
 def load_sft_file(path, hom: GroupHom) -> LabeledSFT:
     """Read {"states": n, "edges": [{"from": 0, "to": 1, "label": "x1"}, ...]}."""
-    with open(path) as fh:
-        return parse_sft_data(json.load(fh), hom)
+    return parse_sft_data(load_json(path), hom)
 
 
 def bundled_a5(hom: Optional[GroupHom] = None) -> tuple[LabeledSFT, GroupHom]:

@@ -521,6 +521,36 @@ def test_braid_over_cap_is_input_error(capsys, command):
     assert "cap" in captured.err
 
 
+@pytest.mark.parametrize("command, data", [
+    (["group", "classes"], {"degree": 200000000, "generators": []}),
+    # S7 on 65536 points would hold 3.3e8 image slots: refused during closure
+    (["group", "classes"], {"degree": 65536, "generators": ["(1 2 3 4 5 6 7)", "(1 2)"]}),
+    (["cover", "decompose", "--subgroup", "whole", "--word", "x1", "--hom"],
+     {"degree": 200000000, "images": ["(1 2)"]}),
+    (["sft", "orbits", "--max-len", "2", "--hom", str(DATA / "a5_hom.json"), "--sft"],
+     {"states": 200000000, "edges": [{"from": 0, "to": 0, "label": "x1"}]}),
+    (["group", "classes"], "[" * 100000 + "]" * 100000),
+    (["cover", "decompose", "--subgroup", "whole", "--word", "x1", "--hom"], "[" * 100000),
+    (["sft", "orbits", "--max-len", "2", "--hom", str(DATA / "a5_hom.json"), "--sft"],
+     '{"edges": ' + "[" * 100000),
+], ids=["group-degree", "group-slots-in-closure", "hom-degree", "sft-states",
+        "group-nested", "hom-nested", "sft-nested"])
+def test_oversized_input_is_input_error(tmp_path, capsys, command, data):
+    assert main(command + [write(tmp_path, "big.json", data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "cap" in captured.err or "nested" in captured.err
+
+
+def test_quotient_search_on_a_thousand_strands(tmp_path, capsys):
+    # one search level per strand: deeper than the interpreter's recursion limit
+    target = write(tmp_path, "trivial.json", {"degree": 1, "generators": []})
+    braid = "1000:" + " ".join(f"s{i}" for i in range(1, 1000))
+    assert main(["quotient", "search", "--braid", braid, "--target", target]) == 0
+    assert "1 homomorphism(s)" in capsys.readouterr().out
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

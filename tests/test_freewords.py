@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cheblink import (GroupHom, Permutation, Presentation, Word,
                       abelianized_matrix, braid_presentation, compose,
@@ -11,7 +13,7 @@ from cheblink.freewords import (BRAID_STRAND_CAP, BraidWord, CyclicWord, _canoni
                                 format_letters)
 
 from corpus import corpus
-from oracles import rotation_by_tuple_keys
+from oracles import braid_presentation_by_substitution, rotation_by_tuple_keys
 
 GROUPS = corpus()
 
@@ -138,6 +140,45 @@ def test_braid_relator_letter_cap(monkeypatch):
     assert sum(map(len, p.relators)) == 932
     with pytest.raises(ValueError, match="after 13 of 14 braid letters"):
         braid_presentation(parse_braid("3:" + " ".join(["s1 s2^-1"] * 7)))
+
+
+@st.composite
+def braids(draw):
+    strands = draw(st.integers(1, 6))
+    if strands == 1:
+        return "1:"
+    letters = draw(st.lists(st.tuples(st.integers(1, strands - 1), st.booleans()),
+                            max_size=14))
+    return f"{strands}:" + " ".join(f"s{i}{'^-1' if neg else ''}" for i, neg in letters)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(braids())
+@example("2:s1 s1 s1")
+@example("3:")
+@example("1:")
+@example("3:" + " ".join(["s1 s2^-1"] * 6))   # the 12-letter figure-eight braid
+def test_braid_presentation_matches_substitution_oracle(text):
+    b = parse_braid(text)
+    assert braid_presentation(b) == braid_presentation_by_substitution(b)
+
+
+def test_braid_presentation_touches_two_images_per_letter(monkeypatch):
+    # substituting into every image builds over 2 * strands words per letter,
+    # 451058 here
+    b = parse_braid("1024:" + " ".join(["s1 s3 s5 s7"] * 50))
+    built = 0
+    check = Word.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        check(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    p = braid_presentation(b)
+    assert sum(map(len, p.relators)) == 800
+    assert built <= 2 * (len(b.letters) + b.strands), built
 
 
 def test_trefoil_presentation_frozen():

@@ -89,6 +89,29 @@ def test_generation_cap():
                         Permutation.parse("(1 2)", 8)], cap=100)
 
 
+def test_image_slot_cap(monkeypatch):
+    # A5 on 5 points holds 60 * 5 = 300 image slots
+    gens = [Permutation.parse("(1 2 3 4 5)", 5), Permutation.parse("(1 2 3)", 5)]
+    monkeypatch.setattr(permgroup, "IMAGE_SLOT_CAP", 300)
+    assert generate_group(gens).order == 60
+    monkeypatch.setattr(permgroup, "IMAGE_SLOT_CAP", 299)
+    with pytest.raises(ValueError, match="60 x 5 image slots"):
+        generate_group(gens)
+    with pytest.raises(ValueError, match="image slots"):
+        generate_group([], degree=300)
+
+
+def test_huge_degree_refused_before_any_permutation(monkeypatch):
+    def no_permutation(self, images):
+        raise AssertionError("built a Permutation")
+
+    monkeypatch.setattr(Permutation, "__init__", no_permutation)
+    for data in ({"degree": 200000000, "generators": []},
+                 {"degree": permgroup.IMAGE_SLOT_CAP + 1, "generators": ["(1 2)"]}):
+        with pytest.raises(ValueError, match="image slots"):
+            parse_group_data(data)
+
+
 FROZEN_CLASS_SIZES = {
     "s3": (1, 3, 2),
     "d4": (1, 2, 2, 2, 1),

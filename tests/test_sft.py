@@ -12,6 +12,7 @@ from cheblink import (CosetAction, GroupHom, LabeledSFT, Presentation, SftEdge,
                       conjugacy_classes, enumerate_orbits,
                       exact_counts, parse_hom_data, parse_sft_data, parse_word,
                       primitive_counts, realization_check, reduce)
+from cheblink.sft import DP_STATE_CAP
 
 from corpus import corpus
 from oracles import brute_force_orbits, realization_by_passes
@@ -151,6 +152,13 @@ def test_exact_counts_cap():
     s = golden_mean()
     with pytest.raises(ValueError):
         exact_counts(s, 3, cap=1)
+
+
+def test_state_cap():
+    loop = [SftEdge(0, 0, parse_word("x1"))]
+    assert LabeledSFT(DP_STATE_CAP, loop, trivial_hom()).state_count == DP_STATE_CAP
+    with pytest.raises(ValueError, match="states exceed the cap"):
+        LabeledSFT(DP_STATE_CAP + 1, loop, trivial_hom())
 
 
 def test_primitive_counts_rejects_inconsistent_totals():
