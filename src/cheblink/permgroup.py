@@ -381,12 +381,10 @@ class Subgroup:
         members = frozenset(members)
         if group.identity not in members:
             raise ValueError("subgroup must contain the identity")
-        for i in members:
-            if group.inv(i) not in members:
-                raise ValueError("member set not closed under inversion")
-            for j in members:
-                if group.mul(i, j) not in members:
-                    raise ValueError("member set not closed under composition")
+        # a finite set holding the identity is a subgroup exactly when it is
+        # what it generates: at most |H| log2 |H| products, not |H|^2
+        if generated_set(group, members) != members:
+            raise ValueError("member set not closed under composition")
         self.group = group
         self.members = members
 

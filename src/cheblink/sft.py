@@ -25,6 +25,8 @@ from .permgroup import (CosetAction, FiniteGroup, class_index, conjugacy_classes
 
 DP_STATE_CAP = 65536  # the transfer DP and realization_check refuse above state_count * |G|
 SKIP_CAP = 10 ** 6    # chebotarev_report refuses to enumerate more skipped orbits
+LENGTH_CAP = 4096     # exact_counts and chebotarev_report refuse longer paths: a count's
+                      # bits grow with the length, so the DP's memory grows as length^2
 
 
 class SftEdge(NamedTuple):
@@ -69,9 +71,12 @@ class LabeledSFT:
         self.edge_dst = tuple(e.dst for e in self.edges)
         self.edge_elem = tuple(evaluate(hom, e.label) for e in self.edges)
         out: list[list[int]] = [[] for _ in range(state_count)]
+        into: list[list[int]] = [[] for _ in range(state_count)]
         for i, e in enumerate(self.edges):
             out[e.src].append(i)
+            into[e.dst].append(e.src)
         self.out_edges = tuple(tuple(o) for o in out)
+        self.predecessors = tuple(tuple(p) for p in into)  # sources of the edges into each state
         self._reach_cache: dict[int, list[list[bool]]] = {}
 
     def _reach(self, target: int, upto: int) -> list[list[bool]]:
@@ -180,9 +185,13 @@ def _closed_path_totals(s: LabeledSFT, max_n: int,
                         cap: int = DP_STATE_CAP) -> list[list[int]]:
     """totals[n][class]: closed paths of length n, for every n <= max_n.
 
-    One pass of max_n steps per start state over sparse per-state counts
+    One pass of max_n steps per start state s0 over sparse per-state counts
     keyed by the holonomy so far, stepping along the lift's edges
-    (``_lift_moves``).
+    (``_lift_moves``).  A step n skips every edge into a state that cannot
+    get back to s0 in the max_n - n steps left; ``back``, the fewest steps
+    to s0, comes from one breadth-first search over reversed edges.  The
+    skip is exact: a count at (state, n) only reaches totals[j] along a path
+    of j - n steps from that state to s0, so a skipped count reaches none.
     """
     g = s.hom.target
     moves = _lift_moves(s, cap)
@@ -190,15 +199,29 @@ def _closed_path_totals(s: LabeledSFT, max_n: int,
     class_of = g._class_of  # filled by conjugacy_classes
     totals = [[0] * len(classes) for _ in range(max_n + 1)]
     for s0 in range(s.state_count):
+        back = [max_n + 1] * s.state_count  # above max_n: not within max_n steps
+        back[s0] = 0
+        queue = [s0]
+        for v in queue:  # the loop visits what it appends: breadth first
+            d = back[v] + 1
+            if d > max_n:
+                break
+            for u in s.predecessors[v]:
+                if back[u] > max_n:
+                    back[u] = d
+                    queue.append(u)
         cur: list[dict[int, int]] = [{} for _ in range(s.state_count)]
         cur[s0][g.identity] = 1
         for n, tot in enumerate(totals):
             if n:
+                left = max_n - n
                 nxt: list[dict[int, int]] = [{} for _ in range(s.state_count)]
                 for st, dist in enumerate(cur):
                     if not dist:
                         continue
                     for dst, row in moves[st]:
+                        if back[dst] > left:
+                            continue
                         out = nxt[dst]
                         get = out.get
                         for el, c in dist.items():
@@ -215,10 +238,13 @@ def exact_counts(s: LabeledSFT, n: int, *, cap: int = DP_STATE_CAP) -> tuple[int
 
     Based paths: every start state counts, and rotations of a cycle are
     distinct paths.  Dynamic programming over (state, group element), so the
-    cost is linear in n and no orbit is enumerated.
+    cost is linear in n and no orbit is enumerated.  Raises ValueError for n
+    below 0 or above LENGTH_CAP.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > LENGTH_CAP:
+        raise ValueError(f"length {n} exceeds the length cap {LENGTH_CAP}")
     return tuple(_closed_path_totals(s, n, cap)[n])
 
 
@@ -310,14 +336,14 @@ def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
     """Empirical class/type densities over orbits of length <= max_len.
 
     The hom must be surjective so the class-size targets |C|/|G| mean what
-    they should.  ``skip`` (at most SKIP_CAP) drops that many of the
-    shortest orbits before anything is counted, at every cutoff; it must
-    leave at least one orbit.  Counts come from the transfer DP and divisor
-    peeling, so the cost is linear in max_len; only the skipped orbits are
-    enumerated, to learn their classes.  Types are the cycle types of class
-    representatives under ``action``, a coset action of the target on G/H
-    (decomposition types in that cover), or under the target's own
-    permutations when it is None.
+    they should.  ``max_len`` is at most LENGTH_CAP.  ``skip`` (at most
+    SKIP_CAP) drops that many of the shortest orbits before anything is
+    counted, at every cutoff; it must leave at least one orbit.  Counts come
+    from the transfer DP and divisor peeling, so the cost is linear in
+    max_len; only the skipped orbits are enumerated, to learn their classes.
+    Types are the cycle types of class representatives under ``action``, a
+    coset action of the target on G/H (decomposition types in that cover),
+    or under the target's own permutations when it is None.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -326,6 +352,8 @@ def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
     if skip > SKIP_CAP:
         raise ValueError(f"skip {skip} exceeds the skip cap {SKIP_CAP}: "
                          "skipped orbits are enumerated one by one")
+    if max_len > LENGTH_CAP:
+        raise ValueError(f"max_len {max_len} exceeds the length cap {LENGTH_CAP}")
     g = s.hom.target
     if action is not None and action.group is not g:
         raise ValueError("the coset action is not on the hom's target group")
@@ -442,13 +470,10 @@ def realization_check(s: LabeledSFT, bound: int) -> RealizationReport:
                 period = gcd(period, step - level[w])
     holonomy_order = order - level[:order].count(-1)
 
-    into: list[list[int]] = [[] for _ in range(n)]
-    for a, b in zip(s.edge_src, s.edge_dst):
-        into[b].append(a)
     bwd = {0}
     stack = [0]
     while stack:
-        for a in into[stack.pop()]:
+        for a in s.predecessors[stack.pop()]:
             if a not in bwd:
                 bwd.add(a)
                 stack.append(a)

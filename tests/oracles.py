@@ -9,9 +9,10 @@ canonical rotations by comparing per-letter key tuples, conjugators by
 composing permutations for every element of the group, a shift's
 connectivity, period and holonomy from separate passes over its base graph,
 a loop's lift by walking each vertex through every letter, a coset
-action's images from cosets held as sets of permutations, and a braid
+action's images from cosets held as sets of permutations, a braid
 closure's relators by substituting each letter's automorphism into every
-image, first letter first.
+image, first letter first, and closed-path totals by pushing every count
+along every edge at every step.
 Slow is fine; these only run on small inputs.
 """
 
@@ -19,7 +20,7 @@ import math
 from typing import Optional
 from itertools import combinations, product
 
-from cheblink import IntMatrix, Permutation, Presentation, Word
+from cheblink import IntMatrix, Permutation, Presentation, Word, conjugacy_classes, sft
 
 
 def brute_force_orbits(s, max_len):
@@ -357,3 +358,34 @@ def braid_presentation_by_substitution(b):
             nxt.append(Word(tuple(out)))
         cur = nxt
     return Presentation(n, tuple(Word((-(j + 1),)) * cur[j] for j in range(n)))
+
+
+def closed_path_totals_unpruned(s, max_n):
+    """totals[n][class]: closed paths of length n, for every n <= max_n.
+
+    The transfer DP with no skip: each of max_n steps per start state pushes
+    every count along every lift edge, whether or not it can still close up.
+    It reads the lift through ``sft._lift_moves`` when called, so a test that
+    patches that function counts the lookups of both kernels.
+    """
+    g = s.hom.target
+    moves = sft._lift_moves(s)
+    classes = conjugacy_classes(g)
+    class_of = g._class_of
+    totals = [[0] * len(classes) for _ in range(max_n + 1)]
+    for s0 in range(s.state_count):
+        cur = [{} for _ in range(s.state_count)]
+        cur[s0][g.identity] = 1
+        for n, tot in enumerate(totals):
+            if n:
+                nxt = [{} for _ in range(s.state_count)]
+                for st, dist in enumerate(cur):
+                    for dst, row in moves[st]:
+                        out = nxt[dst]
+                        for el, c in dist.items():
+                            y = row[el]
+                            out[y] = out.get(y, 0) + c
+                cur = nxt
+            for el, c in cur[s0].items():
+                tot[class_of[el]] += c
+    return totals

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -541,6 +542,26 @@ def test_oversized_input_is_input_error(tmp_path, capsys, command, data):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "cap" in captured.err or "nested" in captured.err
+
+
+def test_length_over_cap_is_input_error(tmp_path):
+    # refused before the DP allocates a row per length, so a 1 GB
+    # address-space limit is never approached
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
+
+    sft = write(tmp_path, "cycle.json", THREE_CYCLE)
+    hom = write(tmp_path, "hom.json", TRIVIAL_HOM)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for argv in (["a5", "--max-len", "100000000"],
+                 ["sft", "chebotarev", "--sft", sft, "--hom", hom, "--max-len", "100000000"]):
+        proc = subprocess.run([sys.executable, "-m", "cheblink", *argv], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              preexec_fn=limit_memory)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "length cap" in proc.stderr
 
 
 def test_quotient_search_on_a_thousand_strands(tmp_path, capsys):

@@ -290,7 +290,7 @@ def subgroups_of(name):
                                max_size=10), min_size=1, max_size=4))
 @example(name="s3", sub=-1, words=[[1, 2, 1], [1]])   # one vertex (H = G)
 @example(name="s4", sub=0, words=[[-2]])   # 24 vertices, a one-letter loop
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_lift_matches_vertex_walk_oracle(name, sub, words):
     # random reduced words with inverse letters: the loop words that
     # verify_artin traces are positive, so steps_inv gets covered only here

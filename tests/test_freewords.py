@@ -152,7 +152,7 @@ def braids(draw):
     return f"{strands}:" + " ".join(f"s{i}{'^-1' if neg else ''}" for i, neg in letters)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(braids())
 @example("2:s1 s1 s1")
 @example("3:")

@@ -83,7 +83,7 @@ def run(argv):
     return code, err.getvalue()
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(st.one_of(values, near_misses()).map(json.dumps))
 @example('{"degree": 200000000, "generators": [], "images": []}')
 @example('{"degree": 65536, "generators": ["(1 2 3 4 5 6 7)", "(1 2)"]}')

@@ -306,7 +306,7 @@ def subgroups_of(name):
 @example(name="a5", sub="stab:5", z=7)
 @example(name="a5", sub="whole", z=7)
 @example(name="a5", sub="trivial", z=7)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_coset_action_matches_coset_set_oracle(name, sub, z):
     # sub is a subgroup spec, or else an index into every subgroup of g
     g = GROUPS[name]

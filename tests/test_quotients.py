@@ -279,7 +279,7 @@ def small_braids(draw):
     return f"{strands}:" + " ".join(f"s{i}{'^-1' if neg else ''}" for i, neg in letters)
 
 
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@settings(max_examples=10)
 @given(small_braids())
 @example("2:s1")              # x2 x1^-1 forces x2 through an x marker
 @example("3:s1^-1 s2")        # x3^-1 x2 forces x3 through an x^-1 marker

@@ -12,10 +12,11 @@ from cheblink import (CosetAction, GroupHom, LabeledSFT, Presentation, SftEdge,
                       conjugacy_classes, enumerate_orbits,
                       exact_counts, parse_hom_data, parse_sft_data, parse_word,
                       primitive_counts, realization_check, reduce)
-from cheblink.sft import DP_STATE_CAP
+from cheblink import sft
+from cheblink.sft import DP_STATE_CAP, LENGTH_CAP
 
 from corpus import corpus
-from oracles import brute_force_orbits, realization_by_passes
+from oracles import brute_force_orbits, closed_path_totals_unpruned, realization_by_passes
 
 GROUPS = corpus()
 
@@ -152,6 +153,18 @@ def test_exact_counts_cap():
     s = golden_mean()
     with pytest.raises(ValueError):
         exact_counts(s, 3, cap=1)
+
+
+def test_length_cap():
+    s = golden_mean()
+    lucas = [2, 1]
+    while len(lucas) <= LENGTH_CAP:
+        lucas.append(lucas[-1] + lucas[-2])
+    assert exact_counts(s, LENGTH_CAP) == (lucas[LENGTH_CAP],)
+    with pytest.raises(ValueError, match="length cap"):
+        exact_counts(s, LENGTH_CAP + 1)
+    with pytest.raises(ValueError, match="length cap"):
+        chebotarev_report(s, LENGTH_CAP + 1)
 
 
 def test_state_cap():
@@ -337,7 +350,7 @@ def shift_from_spec(spec):
     return LabeledSFT(states, [SftEdge(a, b, reduce(list(w))) for a, b, w in edges], hom)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(small_shift_specs())
 @example(("s3", 1, [(0, 0, [2]), (0, 0, [2, 1])]))         # lift period 2
 @example(("c2", 2, [(0, 1, []), (1, 0, [])]))              # base period 2
@@ -367,6 +380,68 @@ def test_realization_lift_search_matches_oracles(spec):
               if exact_counts(s, n)[ident]]
     assert rep.period == gcd(*closed)
     assert rep.period % base_period == 0
+
+
+def one_way_shift():
+    """0 -> 0, 0 -> 1, 1 -> 1, labeled into s3: no path from 1 gets back to 0."""
+    hom = parse_hom_data({"degree": 3, "images": ["(1 2 3)", "(1 2)"]})
+    edges = [SftEdge(0, 0, parse_word("x1")), SftEdge(0, 1, parse_word("x2")),
+             SftEdge(1, 1, parse_word("x1 x2"))]
+    return LabeledSFT(2, edges, hom)
+
+
+@st.composite
+def dp_shifts(draw):
+    """Shifts of 1-5 states and 1-8 edges labeled into a corpus group.  Few
+    edges on many states leave states with no out-edges, transient states
+    and sink components."""
+    name = draw(st.sampled_from(sorted(n for n, g in GROUPS.items() if g.generators)))
+    states = draw(st.integers(1, 5))
+    node = st.integers(0, states - 1)
+    letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3)
+    edges = draw(st.lists(st.tuples(node, node, letters), min_size=1, max_size=8))
+    return shift_from_spec((name, states, edges))
+
+
+@settings(max_examples=150)
+@given(dp_shifts())
+@example(bundled_a5()[0])
+@example(golden_mean())
+@example(one_way_shift())
+def test_pruned_transfer_matches_unpruned_oracle(s):
+    # the skip depends on max_n, so every max_n is its own run
+    for max_n in range(11):
+        assert sft._closed_path_totals(s, max_n) == closed_path_totals_unpruned(s, max_n), max_n
+
+
+def chain_into_sink():
+    """State 0 loops and feeds the one-way chain 1 -> 2 -> 3 -> 4 into the
+    looping sink 4; labels in s3."""
+    hom = parse_hom_data({"degree": 3, "images": ["(1 2 3)", "(1 2)"]})
+    x1, x2 = parse_word("x1"), parse_word("x2")
+    edges = [SftEdge(0, 0, x1), SftEdge(0, 1, x2), SftEdge(1, 2, x1), SftEdge(2, 3, x2),
+             SftEdge(3, 4, x1), SftEdge(4, 4, x2), SftEdge(4, 4, x1)]
+    return LabeledSFT(5, edges, hom)
+
+
+def test_transfer_skips_counts_that_cannot_close(monkeypatch):
+    # count the lift's row lookups: counts that flow down the chain never
+    # return to a start state, so the DP should not push them
+    lookups = [0]
+
+    class CountingRow(tuple):
+        def __getitem__(self, i):
+            lookups[0] += 1
+            return tuple.__getitem__(self, i)
+
+    lift_moves = sft._lift_moves
+    monkeypatch.setattr(sft, "_lift_moves", lambda s, cap=DP_STATE_CAP: [
+        [(dst, CountingRow(row)) for dst, row in m] for m in lift_moves(s, cap)])
+    s = chain_into_sink()
+    got = exact_counts(s, 12)
+    pruned, lookups[0] = lookups[0], 0
+    assert got == tuple(closed_path_totals_unpruned(s, 12)[12])
+    assert 0 < 2 * pruned <= lookups[0]
 
 
 def test_random_sfts_conservation_property():
