@@ -168,12 +168,18 @@ ARTIN_WORK_BUDGET = 1 << 24  # bounds |G| [G:H] summed over the subgroups H chec
 
 def verify_artin(g: FiniteGroup, h: Subgroup) -> ArtinReport:
     """Trace every element's loop through the cover of g/h and compare its
-    decomposition type against the cycle type of the coset-action image."""
+    decomposition type against the cycle type of the coset-action image.
+
+    A cycle type is a class function, so the expected side is the cycle
+    type of one image per conjugacy class, taken at the class
+    representative; every element's loop is still traced and compared.
+    """
     cover = build_cover(GroupHom(Presentation(len(g.generators), ()), g, g.generators), h)
     act = cover.action
+    class_types = [cycle_type(act.image(c.representative)) for c in conjugacy_classes(g)]
     mismatches = []
     for z in range(g.order):
-        expected = cycle_type(act.image(z))
+        expected = class_types[class_index(g, z)]
         w = _loop_word_for(g, z)
         # trivial group: the constant loop closes over the single vertex
         traced = (1,) * cover.vertex_count if w is None else cycle_type(_monodromy(cover, w))
@@ -189,8 +195,7 @@ def verify_artin(g: FiniteGroup, h: Subgroup) -> ArtinReport:
     )
 
 
-@dataclass(frozen=True)
-class ComponentCheck:
+class ComponentCheck(NamedTuple):
     """Holonomy data for one degree-1 component of a lifted loop."""
 
     vertex: int
@@ -199,8 +204,7 @@ class ComponentCheck:
     in_class: bool
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(NamedTuple):
     """Both directions of the degree-1 component criterion for one loop."""
 
     word: CyclicWord

@@ -202,6 +202,7 @@ class FiniteGroup:
         self._row_entries = 0
         self._single_products = [0] * len(self.elements)
         self._inv = None
+        self._conjugations = None
         self._classes = None
         self._class_of = None
         self._loop_words = None
@@ -292,6 +293,21 @@ def generate_group(generators: Sequence[Permutation], *, degree: int | None = No
     return FiniteGroup(degree, elements, gens, [words[p] for p in elements])
 
 
+def _conjugations(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """One index tuple per generator k, sending each element y to k^-1 y k.
+
+    Built on the generators' rows only, and kept on the group.
+    """
+    if g._conjugations is None:
+        maps = []
+        for k in g.generators:
+            row, inv = g.right_row(k), g.inv
+            # (y^-1 k)^-1 k == k^-1 y k
+            maps.append(tuple(row[inv(row[inv(y)])] for y in range(g.order)))
+        g._conjugations = tuple(maps)
+    return g._conjugations
+
+
 class ConjugacyClass(NamedTuple):
     representative: int  # least member under the canonical element order
     members: frozenset
@@ -303,15 +319,15 @@ def conjugacy_classes(g: FiniteGroup) -> tuple[ConjugacyClass, ...]:
         unassigned = set(range(g.order))
         classes = []
         class_of = [0] * g.order
+        conjugations = _conjugations(g)
         while unassigned:
             start = min(unassigned)
             orbit = {start}
             stack = [start]
             while stack:
                 x = stack.pop()
-                for k in g.generators:
-                    # k^-1 x k, on the generators' rows only
-                    y = g.mul(g.inv(g.mul(g.inv(x), k)), k)
+                for conj in conjugations:
+                    y = conj[x]
                     if y not in orbit:
                         orbit.add(y)
                         stack.append(y)
@@ -431,14 +447,20 @@ class Subgroup:
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of g, by closing the cyclic subgroups under join.
 
-    Sorted by (order, sorted member indices).  The search closes at most
-    one join per (subgroup, cyclic subgroup) pair, each by ``generated_set``
-    in at most |G| log2 |G| products.  It runs in levels, joining the
-    subgroups the last level found with every cyclic subgroup; before each
-    level it adds that level's pairs to the joins planned and raises
-    ValueError once joins * |G| exceeds ``SUBGROUP_JOIN_BUDGET``.  S6, whose
-    362 cyclic subgroups plan 9.4e7 for the first level alone, is refused
-    before any join.
+    Sorted by (order, sorted member indices).  The search runs in levels:
+    each level joins the subgroups the last level found with every cyclic
+    subgroup, closing each join by ``generated_set`` in at most |G| log2 |G|
+    products.  Both sets are closed under conjugation, and <s^x, c> =
+    <s, c^(x^-1)>^x, so only one representative per conjugacy class of the
+    last level's subgroups is joined, and each new join brings in its whole
+    conjugacy class (its orbit under conjugation by the generators).
+
+    Before each level the search adds the joins a full level plans, the
+    last level's subgroups times the cyclic subgroups, to the joins planned
+    and raises ValueError once joins * |G| exceeds ``SUBGROUP_JOIN_BUDGET``;
+    the representatives make fewer joins than that count.  S6, whose 362
+    cyclic subgroups plan 9.4e7 for the first level alone, is refused before
+    any join.
     """
     cyclics = set()
     for i in range(g.order):
@@ -448,25 +470,42 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
             powers.add(x)
             x = g.mul(x, i)
         cyclics.add(frozenset(powers))
-    subs = set(cyclics)
-    frontier = set(cyclics)
+    conjugations = _conjugations(g)
+    subs: set[frozenset] = set()
+
+    def add_class(t: frozenset, found: list[set]) -> None:
+        """Add t's conjugacy class to subs and to found, unless t is known."""
+        if t in subs:
+            return
+        orbit = {t}
+        stack = [t]
+        while stack:
+            s = stack.pop()
+            for conj in conjugations:
+                y = frozenset(map(conj.__getitem__, s))
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        subs.update(orbit)
+        found.append(orbit)
+
+    frontier: list[set] = []
+    for c in cyclics:
+        add_class(c, frontier)
     pairs = 0
     while frontier:
-        pairs += len(frontier) * len(cyclics)
+        pairs += sum(map(len, frontier)) * len(cyclics)
         if pairs * g.order > SUBGROUP_JOIN_BUDGET:
             raise ValueError(
                 f"subgroup search in a group of order {g.order} plans {pairs} joins; "
                 f"joins x order exceeds the budget of {SUBGROUP_JOIN_BUDGET}")
-        new = set()
-        for s in frontier:
+        found: list[set] = []
+        for cls in frontier:
+            s = next(iter(cls))
             for c in cyclics:
-                if c <= s:
-                    continue
-                t = generated_set(g, s | c)
-                if t not in subs:
-                    subs.add(t)
-                    new.add(t)
-        frontier = new
+                if not c <= s:
+                    add_class(generated_set(g, s | c), found)
+        frontier = found
     return [Subgroup(g, ms) for ms in sorted(subs, key=lambda ms: (len(ms), sorted(ms)))]
 
 

@@ -3,6 +3,7 @@
 Everything here deliberately uses a different algorithm from the library:
 orbit sets come from filtering raw edge tuples, invariant factors from
 gcds of minors, subgroup closures from products of all member pairs,
+subgroup lattices from joining every pair of subgroup and cyclic subgroup,
 conjugacy representatives of homs by trying every conjugator on each hom,
 homs themselves by evaluating every relator on every image tuple,
 canonical rotations by comparing per-letter key tuples, conjugators by
@@ -20,7 +21,8 @@ import math
 from typing import Optional
 from itertools import combinations, product
 
-from cheblink import IntMatrix, Permutation, Presentation, Word, conjugacy_classes, sft
+from cheblink import (IntMatrix, Permutation, Presentation, Word, conjugacy_classes,
+                      generated_set, sft)
 
 
 def brute_force_orbits(s, max_len):
@@ -95,6 +97,22 @@ def closure_by_products(g, seed):
                         nxt.append(z)
         frontier = nxt
     return frozenset(members)
+
+
+def subgroups_by_all_joins(g):
+    """Every subgroup's member set, sorted by (order, sorted members).
+
+    Closes the cyclic subgroups under join in levels, joining every
+    subgroup the last level found with every cyclic subgroup: no
+    conjugation, so every pair is closed by ``generated_set``.
+    """
+    cyclics = {generated_set(g, [i]) for i in range(g.order)}
+    subs = set(cyclics)
+    frontier = set(cyclics)
+    while frontier:
+        frontier = {generated_set(g, s | c) for s in frontier for c in cyclics} - subs
+        subs |= frontier
+    return sorted(subs, key=lambda ms: (len(ms), sorted(ms)))
 
 
 def least_conjugate_homs(g, homs):

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cheblink import (CosetAction, GroupHom, Permutation, Presentation, Subgroup,
-                      all_subgroups, build_cover, class_index,
+                      all_subgroups, build_cover, class_index, conjugacy_classes,
                       covers, cycle_type, cyclic_reduce, decompose_loop,
                       evaluate, generate_group, parse_word, reduce,
                       verify_artin, verify_component_bijection)
@@ -181,6 +181,47 @@ def test_verify_artin_a5_stabilizer():
     assert report.passed
     assert report.index == 5
     assert report.checked == 60
+
+
+@given(name=st.sampled_from(sorted(n for n, g in GROUPS.items() if g.order > 1)),
+       sub=st.integers(0, 10 ** 6), z=st.integers(0, 10 ** 6))
+@example(name="a5", sub=0, z=59)
+@settings(max_examples=60)
+def test_verify_artin_reports_one_wrong_trace(name, sub, z):
+    # the expected types are taken once per conjugacy class: a trace made
+    # wrong for one element's loop is reported for that element alone, with
+    # the cycle type of the element's own coset-action image as expected
+    g = GROUPS[name]
+    subs = [h for h in subgroups_of(name) if h.index > 1]
+    h = subs[sub % len(subs)]
+    z %= g.order
+    target = _loop_word_for(g, z)
+    plain_monodromy = covers._monodromy
+    plain_image = CosetAction.image
+    images = 0
+
+    def swap_first_two(m):
+        return (m[1], m[0]) + m[2:]
+
+    def one_wrong_monodromy(cover, w):
+        m = plain_monodromy(cover, w)
+        return swap_first_two(m) if w is target else m
+
+    def counting_image(self, y):
+        nonlocal images
+        images += 1
+        return plain_image(self, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covers, "_monodromy", one_wrong_monodromy)
+        mp.setattr(CosetAction, "image", counting_image)
+        report = verify_artin(g, h)
+    assert images <= len(conjugacy_classes(g)) + 2 * len(g.generators)
+    assert report.checked == g.order
+    expected = cycle_type(CosetAction(g, h).image(z))
+    traced = cycle_type(swap_first_two(plain_monodromy(build_cover(free_hom(g), h), target)))
+    assert [(m.element, m.expected, m.traced) for m in report.mismatches] == \
+        [(z, expected, traced)]
 
 
 def test_component_bijection_pinned():

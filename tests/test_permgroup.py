@@ -14,7 +14,7 @@ from cheblink import (ConjugacyClass, CosetAction, Permutation, Subgroup, all_su
 from cheblink.cli import main, parse_subgroup
 
 from corpus import corpus, perm_group, EXPECTED_ORDERS
-from oracles import closure_by_products, coset_image_by_sets
+from oracles import closure_by_products, coset_image_by_sets, subgroups_by_all_joins
 
 GROUPS = corpus()
 
@@ -249,6 +249,35 @@ def test_all_subgroups_join_budget():
     with pytest.raises(ValueError, match="budget"):
         all_subgroups(s6)
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("group", [GROUPS["s4"], GROUPS["a5"],
+                                   perm_group(5, "(1 2 3 4 5)", "(1 2)")],
+                         ids=["s4", "a5", "s5"])
+def test_all_subgroups_match_all_joins_oracle(group):
+    assert [h.members for h in all_subgroups(group)] == subgroups_by_all_joins(group)
+
+
+def test_all_subgroups_of_a6():
+    assert len(all_subgroups(perm_group(6, "(1 2 3 4 5)", "(4 5 6)"))) == 501
+
+
+def test_all_subgroups_joins_one_representative_per_class(monkeypatch):
+    # A5 has 9 conjugacy classes of subgroups and 32 cyclic subgroups, so
+    # the joins are at most 9 x 32, next to the 59 closure checks of
+    # Subgroup.__init__; joining every subgroup of each level made 1641
+    g = perm_group(5, "(1 2 3 4 5)", "(1 2 3)")
+    calls = 0
+    plain_generated_set = permgroup.generated_set
+
+    def counting_generated_set(group, seed):
+        nonlocal calls
+        calls += 1
+        return plain_generated_set(group, seed)
+
+    monkeypatch.setattr(permgroup, "generated_set", counting_generated_set)
+    assert len(all_subgroups(g)) == 59
+    assert calls <= 9 * 32 + 59
 
 
 def test_subgroups_satisfy_lagrange():
