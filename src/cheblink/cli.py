@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -162,6 +163,8 @@ def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
 
 
 def _cmd_a5(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValueError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     cfg = ExperimentConfig(
         sft_path=args.sft,
         hom_path=args.hom,
@@ -373,8 +376,16 @@ def _cmd_generic_check(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line on stderr, exit 2, like any other
+    input error; ``-h`` still prints the usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cheblink",
         description="decomposition types in finite covers and orbit density "
                     "statistics for labeled shifts of finite type")

@@ -8,11 +8,12 @@ checkable certificate (a mod-p functional killing the whole row lattice).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .freewords import GroupHom, Presentation, Word
-from .permgroup import FiniteGroup, conjugacy_classes, generated_set
+from .permgroup import FiniteGroup, _conjugations, conjugacy_classes, generated_set
 
 TRIAL_DIVISION_CAP = 2 ** 24  # _least_prime_factor trial-divides no further
 # Miller–Rabin with the primes up to 41 as bases decides primality below this
@@ -308,17 +309,86 @@ def generic_check(p: Presentation, classes: Sequence[Word]) -> GenericityResult:
     return GenericityResult(False, factors, prime, witness, sf, stacked)
 
 
+def _search_plan(p: Presentation) -> list[tuple[int, list[Word]]]:
+    """The order in which quotient_search picks generator images.
+
+    One (generator, relators) pair per search position: the 1-based
+    generator whose image that position chooses, and the relators checked
+    there, those whose last generator in the order it is.  A generator is
+    pinned at its position when it occurs exactly once in one of them.
+
+    The order is built from the back.  Each position takes the
+    highest-numbered generator left that occurs exactly once in a relator
+    on the generators left; when none qualifies, the highest-numbered
+    generator left.  Placing a generator assigns every relator on it not yet
+    assigned to its position, and those relators stop counting.  So a
+    generator that stops qualifying never qualifies again, the
+    highest-numbered qualifying generator and the highest-numbered one left
+    only fall, and one pass over the relator letters plus a falling pointer
+    for each build the whole order.  It is used only when it pins more
+    generators than the order x1, x2, ... does; otherwise the plan keeps
+    that order, whose results need no relabelling.
+    """
+    n = p.generator_count
+    counts = [Counter(map(abs, r.letters)) for r in p.relators]
+    holders: list[list[int]] = [[] for _ in range(n + 1)]
+    once = [0] * (n + 1)   # relators not yet assigned that meet the generator once
+    numbered = [(x, []) for x in range(1, n + 1)]
+    pinned_numbered = set()
+    for i, c in enumerate(counts):
+        for x, m in c.items():
+            holders[x].append(i)
+            once[x] += m == 1
+        if c:
+            last = max(c)
+            numbered[last - 1][1].append(p.relators[i])
+            if c[last] == 1:
+                pinned_numbered.add(last)
+    assigned = [False] * len(counts)
+    left = [True] * (n + 1)
+    plan = []
+    pinned = 0
+    forced = plain = n
+    for _ in range(n):
+        while forced and (not left[forced] or not once[forced]):
+            forced -= 1
+        while not left[plain]:
+            plain -= 1
+        x = forced or plain
+        pinned += x == forced
+        left[x] = False
+        checks = []
+        for i in holders[x]:
+            if not assigned[i]:
+                assigned[i] = True
+                checks.append(p.relators[i])
+                for y, m in counts[i].items():
+                    once[y] -= m == 1
+        plan.append((x, checks))
+    if pinned <= len(pinned_numbered):
+        return numbered
+    plan.reverse()
+    return plan
+
+
 def quotient_search(p: Presentation, target: FiniteGroup, *,
                     surjective_only: bool = False,
                     dedup_conjugacy: bool = False,
                     budget: int = 10 ** 8) -> list[GroupHom]:
     """All homomorphisms from the presented group to ``target``.
 
-    Backtracks over generator images in canonical element order, checking
-    each relator as soon as every generator it mentions has an image, so the
-    full |target|^generators space is rarely walked.  ``budget`` bounds that
-    worst case and the search refuses to start beyond it.  Results come in
-    lexicographic order of their image tuples.
+    Backtracks over generator images, each in canonical element order,
+    checking each relator as soon as every generator it mentions has an
+    image, so the full |target|^generators space is rarely walked.
+    ``budget`` bounds that worst case and the search refuses to start
+    beyond it.  Results come in lexicographic order of their image tuples.
+
+    The generators are chosen in the order of ``_search_plan``: from the
+    back, a generator goes last when it occurs exactly once in a relator on
+    the generators before it, and otherwise the numbering decides.  That
+    order is used only when it pins more generators than x1, x2, ... does,
+    so a presentation whose last generator is already pinned keeps the
+    order x1, x2, ...
 
     Each node compiles its relators once: the letters on the images already
     chosen are multiplied out, leaving a few fixed elements between the
@@ -335,16 +405,22 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
     representatives, a later candidate is skipped as soon as an element of
     the running centralizer conjugates it lower, and the centralizer is
     narrowed to the elements commuting with each chosen image.
+
+    The order changes only the walk, never the answer.  Every hom is found
+    whatever the order, and is reported as its images of x1, x2, ...  Under
+    ``dedup_conjugacy`` the walk keeps one hom per orbit, least in the
+    search order; when the search order is not x1, x2, ..., the kept hom
+    is replaced by the least conjugate of its images in the order x1, x2,
+    ..., found by walking its orbit with the conjugation maps the class
+    computation built.  The results are sorted at the end.
     """
     g = target
     n = p.generator_count
     if g.order ** n > budget:
         raise ValueError(
             f"{g.order}^{n} candidate image tuples exceed the budget of {budget}")
-    by_max: list[list[Word]] = [[] for _ in range(n + 1)]
-    for r in p.relators:
-        mx = max((abs(l) for l in r.letters), default=0)
-        by_max[mx].append(r)
+    plan = _search_plan(p)
+    relabelled = [x for x, _ in plan] != list(range(1, n + 1))
 
     images = [g.identity] * n
     results: list[GroupHom] = []
@@ -352,18 +428,19 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
     mul, inv = g.mul, g.inv
     X, X_INV = -1, -2  # markers for the new image and its inverse
 
-    def compile_relator(w: Word, k: int) -> tuple[bool, tuple[int, ...]]:
-        # w with images[:k] multiplied out, rotated to start at its first
-        # letter on x_{k+1} (a conjugate, so it holds exactly when w does):
-        # (neg, factors) holds for x when x^(-1 if neg else 1) times the
-        # factors is the identity, a factor being an element or a marker
+    def compile_relator(w: Word, new: int) -> tuple[bool, tuple[int, ...]]:
+        # w with the images chosen so far multiplied out, rotated to start
+        # at its first letter on the generator numbered new (a conjugate, so
+        # it holds exactly when w does): (neg, factors) holds for x when
+        # x^(-1 if neg else 1) times the factors is the identity, a factor
+        # being an element or a marker
         letters = w.letters
-        start = next(i for i, l in enumerate(letters) if abs(l) == k + 1)
+        start = next(i for i, l in enumerate(letters) if abs(l) == new)
         letters = letters[start:] + letters[:start]
         factors: list[int] = []
         run = ident
         for l in letters[1:]:
-            if abs(l) == k + 1:
+            if abs(l) == new:
                 if run != ident:
                     factors.append(run)
                     run = ident
@@ -384,22 +461,42 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
                 return False
         return True
 
+    def least_conjugate(t: tuple[int, ...]) -> tuple[int, ...]:
+        # the orbit of t under conjugation, closed under the generators'
+        # conjugation maps: index lookups, no products
+        conjugations = _conjugations(g)
+        seen = {t}
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            for conj in conjugations:
+                v = tuple(map(conj.__getitem__, u))
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return min(seen)
+
     def finish() -> None:
         if surjective_only and len(generated_set(g, images)) != g.order:
             return
-        results.append(GroupHom(p, g, tuple(images)))
+        t = tuple(images)
+        if dedup_conjugacy and relabelled:
+            t = least_conjugate(t)
+        results.append(GroupHom(p, g, t))
 
     def level(k: int, cent: list[int]):
-        # the frame choosing images[k]: its candidates, the relator checks
-        # they must pass, whether those need the inverse, and cent, the
-        # nontrivial elements centralizing images[:k] (dedup only)
+        # the frame choosing the image of generator plan[k][0]: its
+        # candidates, the relator checks they must pass, whether those need
+        # the inverse, and cent, the nontrivial elements centralizing the
+        # images chosen so far (dedup only)
         if dedup_conjugacy and k == 0:
             cands = [c.representative for c in conjugacy_classes(g)]
         else:
             cands = range(g.order)
         checks = []
         forced = None
-        for neg, factors in (compile_relator(r, k) for r in by_max[k + 1]):
+        new, relators = plan[k]
+        for neg, factors in (compile_relator(r, new) for r in relators):
             if forced is None and all(f >= 0 for f in factors):
                 # x^(±1) b = 1 has the one solution x = b^(∓1)
                 b = factors[0] if factors else ident
@@ -420,8 +517,9 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
     while stack:
         k = len(stack) - 1
         cands, checks, need_inv, cent = stack[-1]
+        x = plan[k][0] - 1
         for cand in cands:
-            images[k] = cand
+            images[x] = cand
             if not holds(checks, cand, inv(cand) if need_inv else cand):
                 continue
             if dedup_conjugacy and k and any(mul(mul(c, cand), inv(c)) < cand for c in cent):
@@ -436,6 +534,8 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
             break
         else:
             stack.pop()
+    if relabelled:
+        results.sort(key=lambda h: h.images)
     return results
 
 

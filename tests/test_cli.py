@@ -318,6 +318,18 @@ def test_quotient_search_a5_golden(tmp_path, capsys):
         (GOLDEN / "quotient_a5_knot.txt").read_text()
 
 
+def test_quotient_search_a5_forced_golden(tmp_path, capsys):
+    # here no relator meets x3 once but the first one meets x1 once, so the
+    # search picks x1's image last; the output is the one from the order
+    # x1, x2, x3, byte for byte
+    grp = write(tmp_path, "a5.json",
+                {"degree": 5, "generators": A5_HOM["images"]})
+    assert main(["quotient", "search", "--braid", "3:s2 s1 s2^-1 s1^-1 s2 s2",
+                 "--target", grp, "--surjective-only", "--dedup-conjugacy"]) == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / "quotient_a5_forced.txt").read_text()
+
+
 def test_a5_defaults(capsys):
     assert main(["a5"]) == 0
     out = capsys.readouterr().out
@@ -415,6 +427,17 @@ def test_a5_strict_tolerance_fails(capsys):
     assert main(["a5", "--max-len", "6", "--tolerance", "0.0001"]) == 1
     err = capsys.readouterr().err
     assert "exceeds" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-0.5"])
+def test_a5_tolerance_must_be_finite_and_nonnegative(capsys, value):
+    # refused before anything is counted: inf once overflowed into a
+    # traceback, nan leaked a conversion message, a negative one ran the table
+    assert main(["a5", "--max-len", "6", f"--tolerance={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --tolerance must be a finite number >= 0, "
+                            f"got {float(value)}\n")
 
 
 def test_a5_realization_bound_gate(capsys):

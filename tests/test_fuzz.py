@@ -1,15 +1,17 @@
-"""The CLI on arbitrary and near-miss input files.
+"""The CLI on arbitrary and near-miss input files and numeric flags.
 
 Arbitrary JSON values, and small mutations of the bundled hom and shift and
 of a corpus group, are each written as a group, hom and shift file and read by the
-commands that load each.  Whatever the file holds, a command ends in exit
-0, 1 or 2, with at most one line on stderr and no traceback.
+commands that load each.  Numeric flags get finite, negative, huge, infinite
+and not-a-number values.  Whatever the input, a command ends in exit 0, 1 or
+2, with at most one line on stderr and no traceback.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 from importlib.resources import files
 from pathlib import Path
@@ -25,9 +27,10 @@ from corpus import corpus
 DATA = files("cheblink") / "data"
 A5_HOM = str(DATA / "a5_hom.json")
 A5_SHIFT = str(DATA / "a5_full_shift.json")
+GROUPS = corpus()
 BASES = [json.loads((DATA / "a5_hom.json").read_text()),
          json.loads((DATA / "a5_full_shift.json").read_text()),
-         group_file_data(corpus()["s4"])]
+         group_file_data(GROUPS["s4"])]
 KEYS = ["degree", "generators", "images", "states", "edges", "from", "to", "label"]
 
 # integers are small or refused outright: a degree a little under the
@@ -79,7 +82,10 @@ def near_misses(draw):
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refusing a flag's value
+            code = e.code
     return code, err.getvalue()
 
 
@@ -108,3 +114,47 @@ def test_cli_ends_cleanly_on_any_file(text):
             assert code in (0, 1, 2), (argv, code)
             assert err.count("\n") <= 1, (argv, err)
             assert "Traceback" not in err, (argv, err)
+
+
+def numbers(top):
+    """Flag values: finite up to ``top``, negative, huge, infinite or nan."""
+    return st.one_of(st.integers(0, top), st.floats(0, top),
+                     st.integers(-10 ** 6, -1), st.floats(-1e6, -1e-9),
+                     st.sampled_from([10 ** 30, 2 ** 64, 1e300]),
+                     st.sampled_from([math.inf, -math.inf, math.nan])).map(str)
+
+
+# the flag, the largest finite value drawn, and the command it goes to;
+# a5 runs on orbits up to length 6 (196 of them) unless --max-len says more
+NUMERIC_FLAGS = [("--tolerance", 1, ["a5", "--max-len", "6"]),
+                 ("--max-len", 8, ["a5"]),
+                 ("--bound", 8, ["a5", "--max-len", "6"]),
+                 ("--skip", 300, ["a5", "--max-len", "6"]),
+                 ("--budget", 100, ["quotient", "search", "--braid", "2:s1 s1 s1",
+                                    "--surjective-only", "--target"])]
+
+
+@st.composite
+def numeric_flags(draw):
+    flag, top, command = draw(st.sampled_from(NUMERIC_FLAGS))
+    return flag, draw(numbers(top)), command
+
+
+@settings(max_examples=60)
+@given(numeric_flags())
+@example(("--tolerance", "inf", ["a5", "--max-len", "6"]))
+@example(("--tolerance", "nan", ["a5", "--max-len", "6"]))
+@example(("--tolerance", "-0.5", ["a5", "--max-len", "6"]))
+@example(("--max-len", "inf", ["a5"]))
+@example(("--budget", "-1", NUMERIC_FLAGS[-1][2]))
+def test_cli_ends_cleanly_on_any_number(case):
+    flag, value, command = case
+    with tempfile.TemporaryDirectory() as tmp:
+        # the target of quotient search: the symmetric group on 3 points
+        target = Path(tmp) / "s3.json"
+        target.write_text(json.dumps(group_file_data(GROUPS["s3"])))
+        argv = command + ([str(target)] if command[0] == "quotient" else [])
+        code, err = run(argv + [f"{flag}={value}"])
+    assert code in (0, 1, 2), (flag, value, code)
+    assert err.count("\n") == (code != 0), (flag, value, err)
+    assert "Traceback" not in err, (flag, value, err)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cheblink import (GroupHom, IntMatrix, Presentation, braid_presentation, cycle_type,
-                      generic_check, parse_braid, parse_word, permgroup,
+from cheblink import (GroupHom, IntMatrix, Presentation, Word, braid_presentation,
+                      cycle_type, generic_check, parse_braid, parse_word, permgroup,
                       quotient_search, quotients, smith_normal_form)
 from cheblink.quotients import (MILLER_RABIN_LIMIT, TRIAL_DIVISION_CAP,
-                                _least_prime_factor, load_matrix_file)
+                                _least_prime_factor, _search_plan, load_matrix_file)
 
 from corpus import corpus, perm_group
 from oracles import (homs_by_brute_force, laplace_det, least_conjugate_homs,
@@ -231,24 +231,29 @@ def test_quotient_search_dedup_matches_least_conjugate_oracle():
     assert pruned  # some orbits had more than one member
 
 
+def counted_products(monkeypatch, g):
+    """Count g.mul calls from here on; the count is in the returned list."""
+    calls = [0]
+    plain_mul = g.mul
+
+    def counting_mul(i, j):
+        calls[0] += 1
+        return plain_mul(i, j)
+
+    monkeypatch.setattr(g, "mul", counting_mul)
+    return calls
+
+
 def test_quotient_search_dedup_work_bounded(monkeypatch):
     # pruning during the search: the full search followed by a post-hoc
     # conjugator filter makes 45938 products here
     trefoil = braid_presentation(parse_braid("2:s1 s1 s1"))
     a5 = GROUPS["a5"]
-    calls = 0
-    plain_mul = a5.mul
-
-    def counting_mul(i, j):
-        nonlocal calls
-        calls += 1
-        return plain_mul(i, j)
-
-    monkeypatch.setattr(a5, "mul", counting_mul)
+    calls = counted_products(monkeypatch, a5)
     homs = quotient_search(trefoil, a5, surjective_only=True,
                            dedup_conjugacy=True)
     assert len(homs) == 2
-    assert calls <= 10 ** 4, calls
+    assert calls[0] <= 10 ** 4, calls
 
 
 def test_quotient_search_forced_image_work_bounded(monkeypatch):
@@ -257,18 +262,40 @@ def test_quotient_search_forced_image_work_bounded(monkeypatch):
     # search made 43319 products here
     knot = braid_presentation(parse_braid("3:s1^-1 s2 s1 s2^-1 s2^-1 s2^-1"))
     a5 = GROUPS["a5"]
-    calls = 0
-    plain_mul = a5.mul
-
-    def counting_mul(i, j):
-        nonlocal calls
-        calls += 1
-        return plain_mul(i, j)
-
-    monkeypatch.setattr(a5, "mul", counting_mul)
+    calls = counted_products(monkeypatch, a5)
     homs = quotient_search(knot, a5, surjective_only=True, dedup_conjugacy=True)
     assert len(homs) == 2
-    assert calls <= 10 ** 4, calls
+    assert calls[0] <= 10 ** 4, calls
+
+
+def test_search_plan_puts_a_pinned_generator_last():
+    # r1 = x1^-1 x2 x3 x2 x3 x2^-1 x3^-1 x2^-1 meets x1 once; no relator
+    # meets x2 or x3 once, so x1 goes last and x3 before it, and r3, on x2
+    # and x3 only, is checked there
+    p = braid_presentation(parse_braid("3:s2 s1 s2^-1 s1^-1 s2 s2"))
+    r1, r2, r3 = p.relators
+    assert _search_plan(p) == [(2, []), (3, [r3]), (1, [r1, r2])]
+    # the relator x3^-1 x1 pins x3: the order stays x1, x2, x3
+    knot = braid_presentation(parse_braid("3:s1^-1 s2 s1 s2^-1 s2^-1 s2^-1"))
+    assert [x for x, _ in _search_plan(knot)] == [1, 2, 3]
+    # a split link: from the back x2 is pinned and x3 is not, but x2 is
+    # pinned in the order x1, x2, x3 as well, so that order stays
+    split = braid_presentation(parse_braid("3:s1"))
+    assert _search_plan(split) == [(1, []), (2, list(split.relators[:2])), (3, [])]
+    # no relator at all: the numbering decides
+    assert _search_plan(Presentation(3, ())) == [(1, []), (2, []), (3, [])]
+
+
+def test_quotient_search_forcing_order_work_bounded(monkeypatch):
+    # with x1 picked last and pinned by r1 (above), a pair (x2, x3) that
+    # passes r3 tries one x1 instead of 60; in the order x1, x2, x3 nothing
+    # is pinned and the search made 27459 products here
+    p = braid_presentation(parse_braid("3:s2 s1 s2^-1 s1^-1 s2 s2"))
+    a5 = GROUPS["a5"]
+    calls = counted_products(monkeypatch, a5)
+    homs = quotient_search(p, a5, surjective_only=True, dedup_conjugacy=True)
+    assert len(homs) == 2
+    assert calls[0] <= 27459 // 4, calls
 
 
 @st.composite
@@ -300,6 +327,53 @@ def test_quotient_search_matches_brute_force(text):
             least = least_conjugate_homs(g, [GroupHom(p, g, t) for t in expected])
             assert [h.images for h in reps] == [h.images for h in least], \
                 (name, text, surjective)
+
+
+SMALL_TARGETS = {name: g for name, g in GROUPS.items() if g.order <= 12}
+
+
+@st.composite
+def relabelled_braids(draw):
+    """A braid of up to 8 letters on 2 or 3 strands, a small corpus
+    target, and a relabelling of the closure's generators."""
+    strands = draw(st.sampled_from((2, 3)))
+    letters = draw(st.lists(st.tuples(st.integers(1, strands - 1), st.booleans()),
+                            min_size=1, max_size=8))
+    text = f"{strands}:" + " ".join(f"s{i}{'^-1' if neg else ''}" for i, neg in letters)
+    target = draw(st.sampled_from(sorted(SMALL_TARGETS)))
+    return text, target, draw(st.permutations(range(strands)))
+
+
+def least_conjugate(g, t):
+    return min(tuple(g.mul(g.mul(c, x), g.inv(c)) for x in t) for c in range(g.order))
+
+
+@settings(max_examples=40)
+@given(relabelled_braids())
+# here x1, then x2, is searched last: the least conjugate in the search order
+# is not the least in the order x1, x2, x3, and the walk finds the homs unsorted
+@example(("3:s2^-1 s1^-1 s2 s1 s1 s2 s2", "a4", [0, 1, 2]))
+@example(("3:s2 s1^-1 s2 s1 s2^-1", "s3", [0, 1, 2]))
+@example(("3:s1^-1 s2 s1 s2^-1 s2^-1 s2^-1", "s3", [2, 1, 0]))  # pins x3, renamed x1
+def test_quotient_search_ignores_generator_labels(case):
+    # x_k is renamed x_(perm[k-1]+1); the search on the renamed presentation,
+    # read back through the renaming, gives the same list, and under
+    # dedup_conjugacy the same orbits, each as its least member
+    text, name, perm = case
+    g = SMALL_TARGETS[name]
+    p = braid_presentation(parse_braid(text))
+    renamed = Presentation(p.generator_count, tuple(
+        Word(tuple((perm[abs(l) - 1] + 1) * (1 if l > 0 else -1) for l in r.letters))
+        for r in p.relators))
+    for surjective in (False, True):
+        for dedup in (False, True):
+            found = quotient_search(p, g, surjective_only=surjective, dedup_conjugacy=dedup)
+            back = [tuple(h.images[k] for k in perm) for h in
+                    quotient_search(renamed, g, surjective_only=surjective,
+                                    dedup_conjugacy=dedup)]
+            if dedup:
+                back = [least_conjugate(g, t) for t in back]
+            assert [h.images for h in found] == sorted(back), (text, name, perm)
 
 
 def test_quotient_search_onto_s7_builds_no_rows():
