@@ -11,12 +11,14 @@ from .permgroup import (
     class_index,
     compose,
     conjugacy_classes,
+    conjugates,
     cycle_type,
     generate_group,
     generated_set,
     group_file_data,
     load_group_file,
     parse_group_data,
+    powers,
 )
 from .freewords import (
     BraidWord,

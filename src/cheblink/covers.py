@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from .freewords import CyclicWord, GroupHom, Presentation, Word, cyclic_reduce, evaluate, format_letters
 from .permgroup import (CosetAction, FiniteGroup, Subgroup, class_index,
-                        conjugacy_classes, cycle_type)
+                        conjugacy_classes, cycle_type, powers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,12 +130,7 @@ def _loop_word_for(g: FiniteGroup, z: int) -> Optional[CyclicWord]:
     if g._loop_words is None:
         identity_word = None
         if g.generators:
-            k = g.generators[0]
-            m = 1
-            x = k
-            while x != g.identity:
-                x = g.mul(x, k)
-                m += 1
+            m = len(powers(g, g.generators[0]))
             identity_word = cyclic_reduce(Word((1,) * m))
         words = map(g.word_for, range(g.order))
         g._loop_words = tuple(cyclic_reduce(Word(w)) if w else identity_word for w in words)

@@ -19,7 +19,9 @@ from .permgroup import (FiniteGroup, generate_group, generated_set, load_json,
 _WORD_TOKEN = re.compile(r"^x([1-9][0-9]*)(\^-1)?$")
 _BRAID_TOKEN = re.compile(r"^s([1-9][0-9]*)(\^-1)?$")
 
-# strands a braid may have; 1024:s1 s2 ... s1023 takes 0.26 s to present
+# strands a braid may have; 1024:s1 s2 ... s1023 takes 0.26 s to present, and
+# `braid presentation` on it 2.5-3.5 s (2 vCPUs, Python 3.11), most of that
+# in the Smith form of its 1024 x 1024 abelianized matrix
 BRAID_STRAND_CAP = 1 << 10
 # letters in all of a braid closure's relators; relators of pseudo-Anosov
 # braids grow exponentially, and the 24-letter figure-eight braid

@@ -257,12 +257,12 @@ def _check_slots(degree: int, elements: int = 1) -> None:
                          f"the cap of {IMAGE_SLOT_CAP}")
 
 
-def generate_group(generators: Sequence[Permutation], *, degree: int | None = None,
-                   cap: int = GENERATION_CAP) -> FiniteGroup:
+def generate_group(generators: Sequence[Permutation], *,
+                   degree: int | None = None) -> FiniteGroup:
     """Close a generator list under composition (breadth-first).
 
     ``degree`` is required when the generator list is empty.  Raises
-    ValueError if the closure grows past ``cap``.
+    ValueError if the closure grows past ``GENERATION_CAP``.
     """
     gens = list(generators)
     if degree is None:
@@ -283,8 +283,8 @@ def generate_group(generators: Sequence[Permutation], *, degree: int | None = No
             for k, g in enumerate(gens):
                 q = compose(p, g)
                 if q not in words:
-                    if len(words) >= cap:
-                        raise ValueError(f"group closure exceeded cap of {cap} elements")
+                    if len(words) >= GENERATION_CAP:
+                        raise ValueError(f"group closure exceeded cap of {GENERATION_CAP} elements")
                     _check_slots(degree, len(words) + 1)
                     words[q] = w + (k + 1,)
                     nxt.append(q)
@@ -306,6 +306,34 @@ def _conjugations(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
             maps.append(tuple(row[inv(row[inv(y)])] for y in range(g.order)))
         g._conjugations = tuple(maps)
     return g._conjugations
+
+
+def conjugates(g: FiniteGroup, t: tuple | frozenset) -> set:
+    """The orbit of t, a tuple or frozenset of element indices, under
+    entrywise conjugation by g, walked with the generators' conjugation
+    maps: index lookups, no products."""
+    make = type(t)
+    conjugations = _conjugations(g)
+    orbit = {t}
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        for conj in conjugations:
+            v = make(map(conj.__getitem__, u))
+            if v not in orbit:
+                orbit.add(v)
+                stack.append(v)
+    return orbit
+
+
+def powers(g: FiniteGroup, i: int) -> list[int]:
+    """i^0, i^1, ..., i^(ord - 1): the powers of element i up to its order."""
+    out = [g.identity]
+    x = i
+    while x != g.identity:
+        out.append(x)
+        x = g.mul(x, i)
+    return out
 
 
 class ConjugacyClass(NamedTuple):
@@ -462,32 +490,15 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     cyclic subgroups plan 9.4e7 for the first level alone, is refused before
     any join.
     """
-    cyclics = set()
-    for i in range(g.order):
-        powers = {g.identity}
-        x = i
-        while x != g.identity:
-            powers.add(x)
-            x = g.mul(x, i)
-        cyclics.add(frozenset(powers))
-    conjugations = _conjugations(g)
+    cyclics = {frozenset(powers(g, i)) for i in range(g.order)}
     subs: set[frozenset] = set()
 
     def add_class(t: frozenset, found: list[set]) -> None:
         """Add t's conjugacy class to subs and to found, unless t is known."""
-        if t in subs:
-            return
-        orbit = {t}
-        stack = [t]
-        while stack:
-            s = stack.pop()
-            for conj in conjugations:
-                y = frozenset(map(conj.__getitem__, s))
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-        subs.update(orbit)
-        found.append(orbit)
+        if t not in subs:
+            orbit = conjugates(g, t)
+            subs.update(orbit)
+            found.append(orbit)
 
     frontier: list[set] = []
     for c in cyclics:

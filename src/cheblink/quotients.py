@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .freewords import GroupHom, Presentation, Word
-from .permgroup import FiniteGroup, _conjugations, conjugacy_classes, generated_set
+from .permgroup import FiniteGroup, conjugacy_classes, conjugates, generated_set
 
 TRIAL_DIVISION_CAP = 2 ** 24  # _least_prime_factor trial-divides no further
 # Miller–Rabin with the primes up to 41 as bases decides primality below this
@@ -172,6 +172,8 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                 x = b[i][j]
                 if x and (piv is None or abs(x) < piv[0]):
                     piv = (abs(x), i, j)
+            if piv and piv[0] == 1:  # nothing beats |1|, and later ones lose the tie
+                break
         if piv is None:
             break
         if piv[1] != t:
@@ -205,6 +207,8 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
             if changed:
                 continue
             p = b[t][t]
+            if abs(p) == 1:  # a unit divides every entry
+                break
             bad = None
             for i in range(t + 1, m):
                 if any(b[i][j] % p for j in range(t + 1, n)):
@@ -411,8 +415,8 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
     ``dedup_conjugacy`` the walk keeps one hom per orbit, least in the
     search order; when the search order is not x1, x2, ..., the kept hom
     is replaced by the least conjugate of its images in the order x1, x2,
-    ..., found by walking its orbit with the conjugation maps the class
-    computation built.  The results are sorted at the end.
+    ..., the least tuple in its ``conjugates`` orbit.  The results are
+    sorted at the end.
     """
     g = target
     n = p.generator_count
@@ -461,27 +465,12 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
                 return False
         return True
 
-    def least_conjugate(t: tuple[int, ...]) -> tuple[int, ...]:
-        # the orbit of t under conjugation, closed under the generators'
-        # conjugation maps: index lookups, no products
-        conjugations = _conjugations(g)
-        seen = {t}
-        stack = [t]
-        while stack:
-            u = stack.pop()
-            for conj in conjugations:
-                v = tuple(map(conj.__getitem__, u))
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return min(seen)
-
     def finish() -> None:
         if surjective_only and len(generated_set(g, images)) != g.order:
             return
         t = tuple(images)
         if dedup_conjugacy and relabelled:
-            t = least_conjugate(t)
+            t = min(conjugates(g, t))
         results.append(GroupHom(p, g, t))
 
     def level(k: int, cent: list[int]):
@@ -543,11 +532,16 @@ def load_matrix_file(path) -> IntMatrix:
     """Read a matrix as lines of space-separated integers ('#' comments ok)."""
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([int(tok) for tok in line.split()])
+            rows.append([])
+            for tok in line.split():
+                try:
+                    rows[-1].append(int(tok))
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: {tok!r} is not an integer") from None
     if not rows:
         raise ValueError("matrix file has no rows")
     return IntMatrix(rows)

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .freewords import GroupHom, Word, evaluate, parse_hom_data, parse_word
 from .permgroup import (CosetAction, FiniteGroup, class_index, conjugacy_classes, cycle_type,
-                        load_json)
+                        load_json, powers)
 
 DP_STATE_CAP = 65536  # the transfer DP and realization_check refuse above state_count * |G|
 SKIP_CAP = 10 ** 6    # chebotarev_report refuses to enumerate more skipped orbits
@@ -164,25 +164,23 @@ def orbit_list(s: LabeledSFT, max_len: int) -> list[Orbit]:
     return list(enumerate_orbits(s, max_len))
 
 
-def _lift_moves(s: LabeledSFT,
-                cap: int = DP_STATE_CAP) -> list[list[tuple[int, tuple[int, ...]]]]:
+def _lift_moves(s: LabeledSFT) -> list[list[tuple[int, tuple[int, ...]]]]:
     """moves[state]: (destination, label's right-multiplication row) per out-edge.
 
     These are the edges of the lift on states x G: an edge steps (state, x)
     to (destination, row[x]), by tuple lookup and no group multiplication.
-    Raises ValueError when the lift has more than ``cap`` vertices.
+    Raises ValueError when the lift has more than ``DP_STATE_CAP`` vertices.
     """
     g = s.hom.target
-    if s.state_count * g.order > cap:
-        raise ValueError(
-            f"{s.state_count} states x group order {g.order} exceeds the DP cap {cap}")
+    if s.state_count * g.order > DP_STATE_CAP:
+        raise ValueError(f"{s.state_count} states x group order {g.order} exceeds the "
+                         f"DP cap {DP_STATE_CAP}")
     rows = {lab: g.right_row(lab) for lab in set(s.edge_elem)}
     return [[(s.edge_dst[ei], rows[s.edge_elem[ei]]) for ei in s.out_edges[st]]
             for st in range(s.state_count)]
 
 
-def _closed_path_totals(s: LabeledSFT, max_n: int,
-                        cap: int = DP_STATE_CAP) -> list[list[int]]:
+def _closed_path_totals(s: LabeledSFT, max_n: int) -> list[list[int]]:
     """totals[n][class]: closed paths of length n, for every n <= max_n.
 
     One pass of max_n steps per start state s0 over sparse per-state counts
@@ -194,7 +192,7 @@ def _closed_path_totals(s: LabeledSFT, max_n: int,
     of j - n steps from that state to s0, so a skipped count reaches none.
     """
     g = s.hom.target
-    moves = _lift_moves(s, cap)
+    moves = _lift_moves(s)
     classes = conjugacy_classes(g)
     class_of = g._class_of  # filled by conjugacy_classes
     totals = [[0] * len(classes) for _ in range(max_n + 1)]
@@ -233,7 +231,7 @@ def _closed_path_totals(s: LabeledSFT, max_n: int,
     return totals
 
 
-def exact_counts(s: LabeledSFT, n: int, *, cap: int = DP_STATE_CAP) -> tuple[int, ...]:
+def exact_counts(s: LabeledSFT, n: int) -> tuple[int, ...]:
     """Count closed paths of length n per holonomy conjugacy class.
 
     Based paths: every start state counts, and rotations of a cycle are
@@ -245,7 +243,7 @@ def exact_counts(s: LabeledSFT, n: int, *, cap: int = DP_STATE_CAP) -> tuple[int
         raise ValueError("n must be nonnegative")
     if n > LENGTH_CAP:
         raise ValueError(f"length {n} exceeds the length cap {LENGTH_CAP}")
-    return tuple(_closed_path_totals(s, n, cap)[n])
+    return tuple(_closed_path_totals(s, n)[n])
 
 
 def primitive_counts(g: FiniteGroup,
@@ -261,13 +259,8 @@ def primitive_counts(g: FiniteGroup,
     """
     classes = conjugacy_classes(g)
     max_n = len(totals)
-    power_class = []    # power_class[ci][m]: class of the m-th power of class ci
-    for c in classes:
-        acc, pcs = g.identity, [class_index(g, g.identity)]
-        for _ in range(max_n):
-            acc = g.mul(acc, c.representative)
-            pcs.append(class_index(g, acc))
-        power_class.append(pcs)
+    # power_class[ci][m % ord]: class of the m-th power of class ci
+    power_class = [[class_index(g, x) for x in powers(g, c.representative)] for c in classes]
     rest = [list(t) for t in totals]
     out = []
     for n in range(1, max_n + 1):
@@ -282,7 +275,7 @@ def primitive_counts(g: FiniteGroup,
             multiple = rest[m * n - 1]
             for ci, c in enumerate(row):
                 if c:
-                    multiple[power_class[ci][m]] -= n * c
+                    multiple[power_class[ci][m % len(power_class[ci])]] -= n * c
     return tuple(out)
 
 

@@ -12,8 +12,10 @@ connectivity, period and holonomy from separate passes over its base graph,
 a loop's lift by walking each vertex through every letter, a coset
 action's images from cosets held as sets of permutations, a braid
 closure's relators by substituting each letter's automorphism into every
-image, first letter first, and closed-path totals by pushing every count
-along every edge at every step.
+image, first letter first, closed-path totals by pushing every count
+along every edge at every step, an element's powers by composing its
+permutation with itself, and conjugation orbits by conjugating with the
+permutation of every element.
 Slow is fine; these only run on small inputs.
 """
 
@@ -97,6 +99,30 @@ def closure_by_products(g, seed):
                         nxt.append(z)
         frontier = nxt
     return frozenset(members)
+
+
+def powers_by_composition(g, i):
+    """Indices of i^0, i^1, ... up to i's order, composing elements[i] with
+    itself as permutations until the identity comes back."""
+    p = g.elements[i]
+    ident = Permutation.identity(g.degree)
+    out = [ident]
+    x = p
+    while x != ident:
+        out.append(x)
+        x = x * p
+    return [g.index[q] for q in out]
+
+
+def conjugates_by_every_element(g, t):
+    """{c t c^-1 : c in G} for a tuple or frozenset t of element indices,
+    conjugating by the permutation of every element c."""
+    make = type(t)
+    orbit = set()
+    for c in g.elements:
+        ci = c.inverse()
+        orbit.add(make(g.index[c * g.elements[x] * ci] for x in t))
+    return orbit
 
 
 def subgroups_by_all_joins(g):

@@ -75,6 +75,12 @@ def test_snf(tmp_path, capsys):
     assert "u @ s @ v == input: True" in out
 
 
+def test_snf_non_integer_token_names_file_line_and_token(tmp_path, capsys):
+    path = write(tmp_path, "m.txt", "# a comment\n2 4\n6 x\n")
+    assert main(["snf", path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 3: 'x' is not an integer\n"
+
+
 def test_generic_check(capsys):
     assert main(["generic", "check", "--braid", "2:s1 s1 s1",
                  "--classes", "x1"]) == 0

@@ -8,13 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cheblink import (ConjugacyClass, CosetAction, Permutation, Subgroup, all_subgroups,
-                      class_index, compose, conjugacy_classes,
+                      class_index, compose, conjugacy_classes, conjugates,
                       cycle_type, generate_group, generated_set, group_file_data,
-                      load_group_file, parse_group_data, permgroup)
+                      load_group_file, parse_group_data, permgroup, powers)
 from cheblink.cli import main, parse_subgroup
 
 from corpus import corpus, perm_group, EXPECTED_ORDERS
-from oracles import closure_by_products, coset_image_by_sets, subgroups_by_all_joins
+from oracles import (closure_by_products, conjugates_by_every_element, coset_image_by_sets,
+                     powers_by_composition, subgroups_by_all_joins)
 
 GROUPS = corpus()
 
@@ -83,10 +84,31 @@ def test_word_for_reconstructs_elements():
             assert acc == i
 
 
-def test_generation_cap():
+@pytest.mark.parametrize("name", EXPECTED_ORDERS)
+def test_powers_match_composition(name):
+    g = GROUPS[name]
+    for i in range(g.order):
+        assert powers(g, i) == powers_by_composition(g, i), i
+
+
+@pytest.mark.parametrize("name", EXPECTED_ORDERS)
+def test_conjugates_match_conjugation_by_every_element(name):
+    # tuples keep their order and may repeat an element; sets do neither
+    g = GROUPS[name]
+    rng = random.Random(name)
+    samples = [tuple(rng.randrange(g.order) for _ in range(rng.randint(0, 3)))
+               for _ in range(20)]
+    samples += [frozenset(t) for t in samples]
+    samples += [h.members for h in all_subgroups(g)]
+    for t in samples:
+        assert conjugates(g, t) == conjugates_by_every_element(g, t), t
+
+
+def test_generation_cap(monkeypatch):
+    monkeypatch.setattr(permgroup, "GENERATION_CAP", 100)
     with pytest.raises(ValueError):
         generate_group([Permutation.parse("(1 2 3 4 5 6 7)", 8),
-                        Permutation.parse("(1 2)", 8)], cap=100)
+                        Permutation.parse("(1 2)", 8)])
 
 
 def test_image_slot_cap(monkeypatch):

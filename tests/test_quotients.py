@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cheblink import (GroupHom, IntMatrix, Presentation, Word, braid_presentation,
-                      cycle_type, generic_check, parse_braid, parse_word, permgroup,
-                      quotient_search, quotients, smith_normal_form)
+from cheblink import (GroupHom, IntMatrix, Presentation, Word, abelianized_matrix,
+                      braid_presentation, cycle_type, generic_check, parse_braid, parse_word,
+                      permgroup, quotient_search, quotients, smith_normal_form)
 from cheblink.quotients import (MILLER_RABIN_LIMIT, TRIAL_DIVISION_CAP,
                                 _least_prime_factor, _search_plan, load_matrix_file)
 
@@ -74,6 +74,30 @@ def test_smith_normal_form_empty_shapes():
         sf = smith_normal_form(a)
         assert sf.diagonal == ()
         assert sf.u @ sf.s @ sf.v == a
+
+
+def _sparse_product(a, b):
+    # a @ b with the zero entries of a skipped: u and v of a braid closure
+    # hold about two nonzeros a row, where ``@`` would form n^3 terms
+    out = []
+    for row in a.entries:
+        acc = [0] * b.cols
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b.entries[k]):
+                    acc[j] += x * y
+        out.append(acc)
+    return IntMatrix(out, b.cols)
+
+
+def test_smith_normal_form_on_a_wide_braid_closure():
+    # the closure of s1 ... s299 is a knot, so its 300 x 300 abelianized
+    # matrix reduces to 299 unit pivots and one 0
+    a = abelianized_matrix(braid_presentation(
+        parse_braid("300:" + " ".join(f"s{i}" for i in range(1, 300)))))
+    sf = smith_normal_form(a)
+    assert sf.diagonal == (1,) * 299 + (0,)
+    assert _sparse_product(_sparse_product(sf.u, sf.s), sf.v) == a
 
 
 def _random_matrix(rng, max_dim=6, span=9):

@@ -149,10 +149,11 @@ def test_conservation_identity():
         assert dp_counts(s, 8) == enumerated_counts(s, 8)
 
 
-def test_exact_counts_cap():
+def test_exact_counts_cap(monkeypatch):
     s = golden_mean()
+    monkeypatch.setattr(sft, "DP_STATE_CAP", 1)
     with pytest.raises(ValueError):
-        exact_counts(s, 3, cap=1)
+        exact_counts(s, 3)
 
 
 def test_length_cap():
@@ -435,8 +436,8 @@ def test_transfer_skips_counts_that_cannot_close(monkeypatch):
             return tuple.__getitem__(self, i)
 
     lift_moves = sft._lift_moves
-    monkeypatch.setattr(sft, "_lift_moves", lambda s, cap=DP_STATE_CAP: [
-        [(dst, CountingRow(row)) for dst, row in m] for m in lift_moves(s, cap)])
+    monkeypatch.setattr(sft, "_lift_moves", lambda s: [
+        [(dst, CountingRow(row)) for dst, row in m] for m in lift_moves(s)])
     s = chain_into_sink()
     got = exact_counts(s, 12)
     pruned, lookups[0] = lookups[0], 0
