@@ -18,6 +18,7 @@ from .permgroup import (
     group_file_data,
     load_group_file,
     parse_group_data,
+    permutation_character,
     powers,
 )
 from .freewords import (

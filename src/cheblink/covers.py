@@ -4,8 +4,9 @@ A homomorphism from a presented group onto a finite permutation group, plus
 a subgroup H of the target, determines a cover whose vertices are the right
 cosets of H.  A loop (cyclic word) lifts to a disjoint union of closed
 paths; the multiset of their lengths, divided by the loop length, is the
-loop's decomposition type.  ``verify_artin`` checks by explicit trace that
-this always equals the cycle type of the loop's image in the coset action,
+loop's decomposition type.  ``verify_artin`` traces every element's loop
+and checks that this always equals the cycle type of the loop's image in the
+coset action, as Artin's formula gives it from the permutation character,
 and ``verify_component_bijection`` checks that degree-1 components are
 exactly the conjugates of the image that land in H.
 """
@@ -14,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .freewords import CyclicWord, GroupHom, Presentation, Word, cyclic_reduce, evaluate, format_letters
 from .permgroup import (CosetAction, FiniteGroup, Subgroup, class_index,
-                        conjugacy_classes, cycle_type, powers)
+                        conjugacy_classes, cycle_type, permutation_character, powers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,17 +125,92 @@ def _loop_word_for(g: FiniteGroup, z: int) -> Optional[CyclicWord]:
     Uses the shortest word recorded during group generation (positive letters
     only, hence already cyclically reduced); the identity falls back to the
     first generator raised to its order.  None only for the trivial group.
-    The first call builds every element's word and keeps them on the group,
-    as ``conjugacy_classes`` keeps the classes.
     """
-    if g._loop_words is None:
-        identity_word = None
-        if g.generators:
-            m = len(powers(g, g.generators[0]))
-            identity_word = cyclic_reduce(Word((1,) * m))
-        words = map(g.word_for, range(g.order))
-        g._loop_words = tuple(cyclic_reduce(Word(w)) if w else identity_word for w in words)
-    return g._loop_words[z]
+    letters = g.word_for(z)
+    if not letters:
+        if not g.generators:
+            return None
+        letters = (1,) * len(powers(g, g.generators[0]))
+    return cyclic_reduce(Word(letters))
+
+
+class _TracePlan(NamedTuple):
+    """What verify_artin reuses across the subgroups of one group; built
+    once and kept on the group, as ``conjugacy_classes`` keeps the classes."""
+
+    # (z, len(word_for(z)), last letter - 1) for every z but the identity, in
+    # lexicographic order of the words: recorded words are prefix-closed, so
+    # this is a depth-first walk of their tree and each parent comes first
+    walk: tuple[tuple[int, int, int], ...]
+    height: int
+    class_of: tuple[int, ...]
+    # per class, the class of rep^e for e = 0, 1, ..., ord(rep) - 1
+    power_classes: tuple[tuple[int, ...], ...]
+    # the class types of each permutation character met so far; conjugate
+    # subgroups share one, so A5's 59 subgroups need 9
+    class_types: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
+def _trace_plan(g: FiniteGroup) -> _TracePlan:
+    if g._trace_plan is None:
+        # the identity's empty word sorts first and is left out
+        tree = sorted((g.word_for(z), z) for z in range(g.order))[1:]
+        class_of = tuple(class_index(g, z) for z in range(g.order))
+        g._trace_plan = _TracePlan(
+            walk=tuple((z, len(w), w[-1] - 1) for w, z in tree),
+            height=max((len(w) for w, _ in tree), default=0),
+            class_of=class_of,
+            power_classes=tuple(tuple(class_of[y] for y in powers(g, c.representative))
+                                for c in conjugacy_classes(g)),
+            class_types={})
+    return g._trace_plan
+
+
+def _class_types(g: FiniteGroup, h: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """The cycle type of each class in the action on g/h, in the order of
+    conjugacy_classes(g), by Artin's formula: no coset is touched.
+
+    A class's type is read off the permutation character at its powers: a
+    point is fixed by y^d exactly when its cycle length divides d, so the
+    points on cycles of length exactly d follow by Möbius inversion of
+    fix(y^d) over the divisors of d, for d dividing ord(y).
+    """
+    fix = permutation_character(g, h)
+    plan = _trace_plan(g)
+    if fix not in plan.class_types:
+        types = []
+        for power_class in plan.power_classes:
+            o = len(power_class)
+            on = {}  # cycle length d -> points on cycles of that length
+            for d in range(1, o + 1):
+                if o % d == 0:
+                    on[d] = fix[power_class[d % o]] - sum(n for e, n in on.items() if d % e == 0)
+            types.append(tuple(d for d in reversed(on) for _ in range(on[d] // d)))
+        plan.class_types[fix] = tuple(types)
+    return plan.class_types[fix]
+
+
+def _loop_monodromies(cover: CoveringGraph) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(z, monodromy of z's loop) for every element z of the cover's group.
+
+    The identity's loop is composed by ``_monodromy``.  Every other loop is
+    word_for(z), its parent's word with one more letter, so its monodromy is
+    its parent's composed with one step map; the walk keeps one monodromy
+    per depth on the current path.  The cover must be of the tautological
+    hom, whose images are the group's generators.
+    """
+    g = cover.hom.target
+    w = _loop_word_for(g, g.identity)
+    # trivial group: the constant loop closes over the single vertex
+    yield g.identity, tuple(range(cover.vertex_count)) if w is None else _monodromy(cover, w)
+    plan = _trace_plan(g)
+    # m composed with step k is m[step[v]] at each v; a one-index itemgetter
+    # returns a bare item, but on one vertex every map is (0,)
+    picks = [itemgetter(*s) if len(s) > 1 else tuple for s in cover.steps]
+    path = [tuple(range(cover.vertex_count))] * (plan.height + 1)
+    for z, depth, k in plan.walk:
+        m = path[depth] = picks[k](path[depth - 1])
+        yield z, m
 
 
 @dataclass(frozen=True)
@@ -163,24 +239,27 @@ ARTIN_WORK_BUDGET = 1 << 24  # bounds |G| [G:H] summed over the subgroups H chec
 
 def verify_artin(g: FiniteGroup, h: Subgroup) -> ArtinReport:
     """Trace every element's loop through the cover of g/h and compare its
-    decomposition type against the cycle type of the coset-action image.
+    decomposition type against the cycle type Artin's formula gives.
 
-    A cycle type is a class function, so the expected side is the cycle
-    type of one image per conjugacy class, taken at the class
-    representative; every element's loop is still traced and compared.
+    The expected side is one cycle type per conjugacy class, derived from
+    the permutation character of g/h (``_class_types``).  The trace side
+    walks the tree of recorded words once, so each element's monodromy is
+    its parent's composed with one step map; only the identity's loop
+    x1^ord is composed letter by letter.  ``CosetAction.image`` is called
+    only for the step maps.
     """
     cover = build_cover(GroupHom(Presentation(len(g.generators), ()), g, g.generators), h)
-    act = cover.action
-    class_types = [cycle_type(act.image(c.representative)) for c in conjugacy_classes(g)]
+    class_types = _class_types(g, h)
+    class_of = _trace_plan(g).class_of
     mismatches = []
-    for z in range(g.order):
-        expected = class_types[class_index(g, z)]
-        w = _loop_word_for(g, z)
-        # trivial group: the constant loop closes over the single vertex
-        traced = (1,) * cover.vertex_count if w is None else cycle_type(_monodromy(cover, w))
+    for z, m in _loop_monodromies(cover):
+        expected = class_types[class_of[z]]
+        traced = cycle_type(m)
         if traced != expected:
+            w = _loop_word_for(g, z)
             word_str = format_letters(w.letters) if w is not None else ""
             mismatches.append(ArtinMismatch(z, word_str, expected, traced))
+    mismatches.sort(key=lambda m: m.element)
     return ArtinReport(
         group_order=g.order,
         subgroup_order=len(h),

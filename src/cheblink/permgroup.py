@@ -205,7 +205,7 @@ class FiniteGroup:
         self._conjugations = None
         self._classes = None
         self._class_of = None
-        self._loop_words = None
+        self._trace_plan = None
 
     @property
     def order(self) -> int:
@@ -372,6 +372,24 @@ def class_index(g: FiniteGroup, i: int) -> int:
     """Position of element i's conjugacy class in conjugacy_classes(g)."""
     conjugacy_classes(g)
     return g._class_of[i]
+
+
+def permutation_character(g: FiniteGroup, h: "Subgroup") -> tuple[int, ...]:
+    """Cosets of h fixed by each class in the action on g/h, in the order of
+    conjugacy_classes(g).
+
+    Read from how each class meets h, with no coset touched:
+    fix(y) = |G| |y^G ∩ H| / (|y^G| |H|) (Serre, Linear representations of
+    finite groups, §7.2).  The division is exact.
+    """
+    if h.group is not g:
+        raise ValueError("subgroup belongs to a different group")
+    classes = conjugacy_classes(g)
+    meets = [0] * len(classes)
+    for m in h.members:
+        meets[g._class_of[m]] += 1
+    return tuple(g.order * k // (len(c.members) * len(h))
+                 for c, k in zip(classes, meets))
 
 
 def generated_set(g: FiniteGroup, seed: Iterable[int]) -> frozenset:

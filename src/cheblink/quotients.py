@@ -53,9 +53,16 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        a, b = self.entries, other.entries
-        out = [tuple(sum(a[i][k] * b[k][j] for k in range(self.cols))
-                     for j in range(other.cols)) for i in range(self.rows)]
+        # each row of the product adds up the rows of other that the row of
+        # self weighs by a nonzero entry; a transform of a braid closure's
+        # matrix holds about two of those a row
+        out = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for x, b_row in zip(row, other.entries):
+                if x:
+                    acc = [s + x * y for s, y in zip(acc, b_row)]
+            out.append(acc)
         return IntMatrix(out, other.cols)
 
     def det(self) -> int:
@@ -126,9 +133,11 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     """
     m, n = a.rows, a.cols
     b = [list(row) for row in a.entries]
-    u = [list(row) for row in IntMatrix.identity(m).entries]
-    v = [list(row) for row in IntMatrix.identity(n).entries]
-    vinv = [list(row) for row in IntMatrix.identity(n).entries]
+
+    def identity_rows(k):
+        return [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
+
+    u, v, vinv = identity_rows(m), identity_rows(n), identity_rows(n)
 
     def row_addmul(i, src, c):  # b_i += c*b_src; u gets the inverse column op
         bi, bs = b[i], b[src]

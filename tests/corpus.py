@@ -88,6 +88,12 @@ def corpus() -> dict[str, FiniteGroup]:
     }
 
 
+def psl27() -> FiniteGroup:
+    """PSL(2,7), order 168, as the automorphisms of the Fano plane; kept out
+    of ``corpus()`` so that the per-element checks there stay small."""
+    return perm_group(7, "(1 2 3 4 5 6 7)", "(3 5)(6 7)")
+
+
 EXPECTED_ORDERS = {
     "trivial": 1, "c2": 2, "c3": 3, "c4": 4, "v4": 4, "c5": 5, "c6": 6,
     "s3": 6, "d4": 8, "q8": 8, "a4": 12, "d6": 12, "dic12": 12, "s4": 24,

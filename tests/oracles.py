@@ -2,8 +2,9 @@
 
 Everything here deliberately uses a different algorithm from the library:
 orbit sets come from filtering raw edge tuples, invariant factors from
-gcds of minors, subgroup closures from products of all member pairs,
-subgroup lattices from joining every pair of subgroup and cyclic subgroup,
+gcds of minors, matrix products from every term of every entry, subgroup
+closures from products of all member pairs, subgroup lattices from joining
+every pair of subgroup and cyclic subgroup,
 conjugacy representatives of homs by trying every conjugator on each hom,
 homs themselves by evaluating every relator on every image tuple,
 canonical rotations by comparing per-letter key tuples, conjugators by
@@ -43,6 +44,12 @@ def brute_force_orbits(s, max_len):
                 continue
             out.add((n, min(seq[i:] + seq[:i] for i in range(n))))
     return out
+
+
+def product_by_every_term(a: IntMatrix, b: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """The entries of a @ b, each the sum of all its terms, zeros included."""
+    return tuple(tuple(sum(a.entries[i][k] * b.entries[k][j] for k in range(a.cols))
+                       for j in range(b.cols)) for i in range(a.rows))
 
 
 def laplace_det(rows):

@@ -165,6 +165,7 @@ def test_cover_verify_artin(tmp_path, capsys):
 @pytest.mark.parametrize("name,degree,generators", [
     ("a5", 5, ["(1 2 3 4 5)", "(1 2 3)"]),
     ("s4", 4, ["(1 2 3 4)", "(1 2)"]),
+    ("psl27", 7, ["(1 2 3 4 5 6 7)", "(3 5)(6 7)"]),
 ])
 def test_cover_verify_artin_all_subgroups_golden(tmp_path, capsys, name, degree, generators):
     # the whole output, byte for byte, as captured before the cover checks

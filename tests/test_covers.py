@@ -11,9 +11,10 @@ from cheblink import (CosetAction, GroupHom, Permutation, Presentation, Subgroup
                       evaluate, generate_group, parse_word, reduce,
                       verify_artin, verify_component_bijection)
 from cheblink.covers import (BijectionReport, Component, ComponentCheck,
-                             LiftResult, _loop_word_for)
+                             LiftResult, _class_types, _loop_monodromies,
+                             _loop_word_for, _monodromy)
 
-from corpus import corpus
+from corpus import corpus, psl27
 from oracles import conjugator_by_full_scan, lift_by_vertex_walk
 
 GROUPS = corpus()
@@ -186,6 +187,7 @@ def test_verify_artin_a5_stabilizer():
 @given(name=st.sampled_from(sorted(n for n, g in GROUPS.items() if g.order > 1)),
        sub=st.integers(0, 10 ** 6), z=st.integers(0, 10 ** 6))
 @example(name="a5", sub=0, z=59)
+@example(name="a5", sub=0, z=0)   # the identity's loop, composed on its own
 @settings(max_examples=60)
 def test_verify_artin_reports_one_wrong_trace(name, sub, z):
     # the expected types are taken once per conjugacy class: a trace made
@@ -195,17 +197,16 @@ def test_verify_artin_reports_one_wrong_trace(name, sub, z):
     subs = [h for h in subgroups_of(name) if h.index > 1]
     h = subs[sub % len(subs)]
     z %= g.order
-    target = _loop_word_for(g, z)
-    plain_monodromy = covers._monodromy
+    plain_monodromies = covers._loop_monodromies
     plain_image = CosetAction.image
     images = 0
 
     def swap_first_two(m):
         return (m[1], m[0]) + m[2:]
 
-    def one_wrong_monodromy(cover, w):
-        m = plain_monodromy(cover, w)
-        return swap_first_two(m) if w is target else m
+    def one_wrong_monodromy(cover):
+        for y, m in plain_monodromies(cover):
+            yield y, swap_first_two(m) if y == z else m
 
     def counting_image(self, y):
         nonlocal images
@@ -213,15 +214,77 @@ def test_verify_artin_reports_one_wrong_trace(name, sub, z):
         return plain_image(self, y)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(covers, "_monodromy", one_wrong_monodromy)
+        mp.setattr(covers, "_loop_monodromies", one_wrong_monodromy)
         mp.setattr(CosetAction, "image", counting_image)
         report = verify_artin(g, h)
-    assert images <= len(conjugacy_classes(g)) + 2 * len(g.generators)
+    # the step maps and their inverses, and nothing for the expected side
+    assert images <= 2 * len(g.generators)
     assert report.checked == g.order
-    expected = cycle_type(CosetAction(g, h).image(z))
-    traced = cycle_type(swap_first_two(plain_monodromy(build_cover(free_hom(g), h), target)))
+    image = CosetAction(g, h).image(z)
     assert [(m.element, m.expected, m.traced) for m in report.mismatches] == \
-        [(z, expected, traced)]
+        [(z, cycle_type(image), cycle_type(swap_first_two(image)))]
+    assert report.mismatches[0].word == str(_loop_word_for(g, z))
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS) + ["psl27"])
+def test_class_types_match_coset_cycle_types(name):
+    # Artin's formula against the coset action, class by class
+    g = psl27() if name == "psl27" else GROUPS[name]
+    for h in all_subgroups(g):
+        act = CosetAction(g, h)
+        assert _class_types(g, h) == \
+            tuple(cycle_type(act.image(c.representative)) for c in conjugacy_classes(g)), len(h)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS) + ["psl27"])
+def test_loop_monodromies_are_coset_images(name):
+    # the coset action is a homomorphism and each loop's word evaluates to
+    # its element, so the one-pass trace gives every element's image itself
+    g = psl27() if name == "psl27" else GROUPS[name]
+    hom = free_hom(g)
+    for h in all_subgroups(g):
+        cover = build_cover(hom, h)
+        traced = dict(_loop_monodromies(cover))
+        assert len(traced) == g.order
+        assert traced == {z: cover.action.image(z) for z in range(g.order)}, len(h)
+
+
+@pytest.mark.parametrize("name", ["s4", "a5", "psl27"])
+def test_verify_artin_work_bounded(name, monkeypatch):
+    # one loop, the identity's, is composed letter by letter; every other
+    # one costs a single step map composed onto its parent's monodromy
+    g = psl27() if name == "psl27" else GROUPS[name]
+    plain_monodromy, plain_itemgetter = covers._monodromy, covers.itemgetter
+    monodromies = compositions = 0
+    inside = False
+
+    def counting_monodromy(cover, w):
+        nonlocal monodromies, inside
+        monodromies += 1
+        inside = True
+        try:
+            return plain_monodromy(cover, w)
+        finally:
+            inside = False
+
+    def counting_itemgetter(*items):
+        get = plain_itemgetter(*items)
+
+        def counted(m):
+            nonlocal compositions
+            compositions += not inside
+            return get(m)
+        return counted
+
+    monkeypatch.setattr(covers, "_monodromy", counting_monodromy)
+    monkeypatch.setattr(covers, "itemgetter", counting_itemgetter)
+    for h in all_subgroups(g):
+        monodromies = compositions = 0
+        assert verify_artin(g, h).passed
+        assert monodromies <= 1
+        assert compositions <= g.order
+        if h.index > 1:  # on one vertex the maps are not itemgetters
+            assert compositions == g.order - 1
 
 
 def test_component_bijection_pinned():
@@ -355,11 +418,14 @@ def test_lift_matches_vertex_walk_oracle(name, sub, words):
         assert rep.decomposition_type == dtype
         assert [c.vertex for c in rep.degree_one_checks] == \
             [min(vs) for vs, d in comps if d == 1]
-    # verify_artin traces whatever loop word it is handed for each element,
-    # so hand it these loops: a mismatch reports the traced type, and a
-    # match means it equals the expected one
+    # verify_artin compares whatever monodromy it is handed for each
+    # element, so hand it these loops' monodromies: a mismatch reports the
+    # traced type, and a match means it equals the expected one
+    def these_loops(cover):
+        return ((z, _monodromy(cover, loops[z % len(loops)])) for z in range(g.order))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(covers, "_loop_word_for", lambda _g, z: loops[z % len(loops)])
+        mp.setattr(covers, "_loop_monodromies", these_loops)
         report = verify_artin(g, h)
     assert report.checked == g.order
     expected = [cycle_type(cover.action.image(z)) for z in range(g.order)]

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from cheblink import (ConjugacyClass, CosetAction, Permutation, Subgroup, all_subgroups,
                       class_index, compose, conjugacy_classes, conjugates,
                       cycle_type, generate_group, generated_set, group_file_data,
-                      load_group_file, parse_group_data, permgroup, powers)
+                      load_group_file, parse_group_data, permgroup, permutation_character,
+                      powers)
 from cheblink.cli import main, parse_subgroup
 
-from corpus import corpus, perm_group, EXPECTED_ORDERS
+from corpus import corpus, perm_group, psl27, EXPECTED_ORDERS
 from oracles import (closure_by_products, conjugates_by_every_element, coset_image_by_sets,
                      powers_by_composition, subgroups_by_all_joins)
 
@@ -369,6 +370,27 @@ def test_coset_action_matches_coset_set_oracle(name, sub, z):
     assert type(img) is tuple
     assert sorted(img) == list(range(act.degree))
     assert img == coset_image_by_sets(g, h, z)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS) + ["psl27"])
+def test_permutation_character_counts_fixed_cosets(name):
+    # fix(y) from how y's class meets H against the fixed points of y's
+    # coset-action image; the action is transitive, so by Burnside the
+    # classes' fixed points, weighted by class size, add up to |G|
+    g = psl27() if name == "psl27" else GROUPS[name]
+    classes = conjugacy_classes(g)
+    for h in all_subgroups(g):
+        act = CosetAction(g, h)
+        fix = permutation_character(g, h)
+        assert fix == tuple(sum(v == x for v, x in enumerate(act.image(c.representative)))
+                            for c in classes)
+        assert fix[class_index(g, g.identity)] == h.index
+        assert sum(len(c.members) * f for c, f in zip(classes, fix)) == g.order
+
+
+def test_permutation_character_rejects_a_foreign_subgroup():
+    with pytest.raises(ValueError):
+        permutation_character(GROUPS["s4"], Subgroup.trivial(GROUPS["a4"]))
 
 
 def test_coset_action_degenerate_subgroups():

@@ -13,7 +13,7 @@ from cheblink.quotients import (MILLER_RABIN_LIMIT, TRIAL_DIVISION_CAP,
 
 from corpus import corpus, perm_group
 from oracles import (homs_by_brute_force, laplace_det, least_conjugate_homs,
-                     minor_gcd_factors)
+                     minor_gcd_factors, product_by_every_term)
 
 GROUPS = corpus()
 
@@ -29,6 +29,19 @@ def test_intmatrix_basics():
         IntMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         a @ IntMatrix.identity(3)
+
+
+def test_matmul_matches_every_term_product():
+    # the product skips zero entries of the left factor; half the entries
+    # of these are zero, and some shapes are empty
+    rng = random.Random(7)
+    for _ in range(300):
+        r, k, c = (rng.randrange(0, 7) for _ in range(3))
+        a = IntMatrix([[rng.choice((0, 0, 0, rng.randrange(-9, 10))) for _ in range(k)]
+                       for _ in range(r)], k)
+        b = IntMatrix([[rng.choice((0, rng.randrange(-9, 10))) for _ in range(c)]
+                       for _ in range(k)], c)
+        assert (a @ b).entries == product_by_every_term(a, b), (a, b)
 
 
 def test_det():
@@ -76,20 +89,6 @@ def test_smith_normal_form_empty_shapes():
         assert sf.u @ sf.s @ sf.v == a
 
 
-def _sparse_product(a, b):
-    # a @ b with the zero entries of a skipped: u and v of a braid closure
-    # hold about two nonzeros a row, where ``@`` would form n^3 terms
-    out = []
-    for row in a.entries:
-        acc = [0] * b.cols
-        for k, x in enumerate(row):
-            if x:
-                for j, y in enumerate(b.entries[k]):
-                    acc[j] += x * y
-        out.append(acc)
-    return IntMatrix(out, b.cols)
-
-
 def test_smith_normal_form_on_a_wide_braid_closure():
     # the closure of s1 ... s299 is a knot, so its 300 x 300 abelianized
     # matrix reduces to 299 unit pivots and one 0
@@ -97,7 +96,7 @@ def test_smith_normal_form_on_a_wide_braid_closure():
         parse_braid("300:" + " ".join(f"s{i}" for i in range(1, 300)))))
     sf = smith_normal_form(a)
     assert sf.diagonal == (1,) * 299 + (0,)
-    assert _sparse_product(_sparse_product(sf.u, sf.s), sf.v) == a
+    assert sf.u @ sf.s @ sf.v == a
 
 
 def _random_matrix(rng, max_dim=6, span=9):
