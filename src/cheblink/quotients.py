@@ -43,12 +43,22 @@ class IntMatrix:
         self.cols = cols
 
     @classmethod
+    def _of_rows(cls, rows: Iterable[Sequence[int]], cols: int) -> "IntMatrix":
+        """A matrix from rows of ints of width ``cols`` that this module built
+        itself, taken without the checks and the int() pass of __init__."""
+        m = object.__new__(cls)
+        m.entries = tuple(map(tuple, rows))
+        m.rows = len(m.entries)
+        m.cols = cols
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+        return cls._of_rows(((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)), cols)
+        return cls._of_rows(((0,) * cols for _ in range(rows)), cols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -63,7 +73,7 @@ class IntMatrix:
                 if x:
                     acc = [s + x * y for s, y in zip(acc, b_row)]
             out.append(acc)
-        return IntMatrix(out, other.cols)
+        return IntMatrix._of_rows(out, other.cols)
 
     def det(self) -> int:
         """Exact determinant (fraction-free Bareiss elimination)."""
@@ -230,7 +240,8 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     for i in range(limit):
         if b[i][i] < 0:
             row_negate(i)
-    return SmithForm(IntMatrix(u, m), IntMatrix(b, n), IntMatrix(v, n), IntMatrix(vinv, n))
+    return SmithForm(IntMatrix._of_rows(u, m), IntMatrix._of_rows(b, n),
+                     IntMatrix._of_rows(v, n), IntMatrix._of_rows(vinv, n))
 
 
 def _is_prime(n: int) -> bool:

@@ -17,7 +17,8 @@ from fractions import Fraction
 from importlib.resources import files
 from itertools import islice
 from math import gcd
-from typing import Iterator, NamedTuple, Optional, Sequence
+from operator import add, itemgetter
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .freewords import GroupHom, Word, evaluate, parse_hom_data, parse_word
 from .permgroup import (CosetAction, FiniteGroup, class_index, conjugacy_classes, cycle_type,
@@ -180,22 +181,52 @@ def _lift_moves(s: LabeledSFT) -> list[list[tuple[int, tuple[int, ...]]]]:
             for st in range(s.state_count)]
 
 
-def _closed_path_totals(s: LabeledSFT, max_n: int) -> list[list[int]]:
+def _dense_moves(s: LabeledSFT) -> list[list[tuple[int, Callable[[list], Sequence[int]]]]]:
+    """moves[state]: (destination, translation) per out-edge, for dense counts.
+
+    A translation takes a state's counts as one vector indexed by element and
+    returns the vector the edge's label moves them to, moved[y] =
+    vec[y·label⁻¹], in one ``itemgetter`` call over the label inverse's row.
+    """
+    g = s.hom.target
+    picks = {}
+    for lab in set(s.edge_elem):
+        row = g.right_row(g.inv(lab))
+        # a one-index itemgetter returns a bare item; order 1 has only the
+        # identity, which moves nothing
+        picks[lab] = itemgetter(*row) if len(row) > 1 else tuple
+    return [[(s.edge_dst[ei], picks[s.edge_elem[ei]]) for ei in s.out_edges[st]]
+            for st in range(s.state_count)]
+
+
+def _closed_path_totals(s: LabeledSFT, max_n: int, *,
+                        every_length: bool = True) -> list[list[int]]:
     """totals[n][class]: closed paths of length n, for every n <= max_n.
 
-    One pass of max_n steps per start state s0 over sparse per-state counts
-    keyed by the holonomy so far, stepping along the lift's edges
-    (``_lift_moves``).  A step n skips every edge into a state that cannot
-    get back to s0 in the max_n - n steps left; ``back``, the fewest steps
-    to s0, comes from one breadth-first search over reversed edges.  The
-    skip is exact: a count at (state, n) only reaches totals[j] along a path
-    of j - n steps from that state to s0, so a skipped count reaches none.
+    With ``every_length`` false only totals[max_n] is read out, and every
+    other row stays zero.
+
+    One pass of max_n steps per start state s0 over per-state counts keyed
+    by the holonomy so far, stepping along the lift's edges.  The counts
+    start sparse, one dict per state (``_lift_moves``).  Once they fill a
+    quarter of states x G, they turn into one list of |G| counts per state,
+    None where a state holds none, and each edge moves a whole list with one
+    translation (``_dense_moves``) for the rest of that start's steps.
+
+    A step n skips every edge into a state that cannot get back to s0 in
+    the max_n - n steps left; ``back``, the fewest steps to s0, comes from
+    one breadth-first search over reversed edges.  The skip is exact: a
+    count at (state, n) only reaches totals[j] along a path of j - n steps
+    from that state to s0, so a skipped count reaches none.
     """
     g = s.hom.target
     moves = _lift_moves(s)
     classes = conjugacy_classes(g)
     class_of = g._class_of  # filled by conjugacy_classes
+    dense_moves = class_picks = None  # built at the first switch to dense counts
+    cells = s.state_count * g.order
     totals = [[0] * len(classes) for _ in range(max_n + 1)]
+    first_read = 0 if every_length else max_n
     for s0 in range(s.state_count):
         back = [max_n + 1] * s.state_count  # above max_n: not within max_n steps
         back[s0] = 0
@@ -208,26 +239,62 @@ def _closed_path_totals(s: LabeledSFT, max_n: int) -> list[list[int]]:
                 if back[u] > max_n:
                     back[u] = d
                     queue.append(u)
-        cur: list[dict[int, int]] = [{} for _ in range(s.state_count)]
+        cur: list = [{} for _ in range(s.state_count)]
         cur[s0][g.identity] = 1
-        for n, tot in enumerate(totals):
+        dense = False
+        for n in range(max_n + 1):
             if n:
                 left = max_n - n
-                nxt: list[dict[int, int]] = [{} for _ in range(s.state_count)]
-                for st, dist in enumerate(cur):
-                    if not dist:
-                        continue
-                    for dst, row in moves[st]:
-                        if back[dst] > left:
+                if dense:
+                    nxt = [None] * s.state_count
+                    for st, vec in enumerate(cur):
+                        if vec is None:
                             continue
-                        out = nxt[dst]
-                        get = out.get
-                        for el, c in dist.items():
-                            y = row[el]
-                            out[y] = get(y, 0) + c
+                        for dst, pick in dense_moves[st]:
+                            if back[dst] > left:
+                                continue
+                            acc, moved = nxt[dst], pick(vec)
+                            nxt[dst] = moved if acc is None else list(map(add, acc, moved))
+                else:
+                    nxt = [{} for _ in range(s.state_count)]
+                    for st, dist in enumerate(cur):
+                        if not dist:
+                            continue
+                        for dst, row in moves[st]:
+                            if back[dst] > left:
+                                continue
+                            out = nxt[dst]
+                            get = out.get
+                            for el, c in dist.items():
+                                y = row[el]
+                                out[y] = get(y, 0) + c
+                    if 4 * sum(map(len, nxt)) >= cells:
+                        dense = True
+                        if dense_moves is None:
+                            dense_moves = _dense_moves(s)
+                            # a one-index itemgetter returns a bare item, so a
+                            # one-member class reads a one-item slice instead
+                            class_picks = [itemgetter(*m) if len(m) > 1
+                                           else itemgetter(slice(m[0], m[0] + 1))
+                                           for m in (sorted(c.members) for c in classes)]
+                        for st, dist in enumerate(nxt):
+                            vec = None
+                            if dist:
+                                vec = [0] * g.order
+                                for el, c in dist.items():
+                                    vec[el] = c
+                            nxt[st] = vec
                 cur = nxt
-            for el, c in cur[s0].items():
-                tot[class_of[el]] += c
+            here = cur[s0]
+            if n < first_read or not here:
+                continue
+            tot = totals[n]
+            if dense:
+                for ci, pick in enumerate(class_picks):
+                    tot[ci] += sum(pick(here))
+            else:
+                for el, c in here.items():
+                    tot[class_of[el]] += c
     return totals
 
 
@@ -236,14 +303,14 @@ def exact_counts(s: LabeledSFT, n: int) -> tuple[int, ...]:
 
     Based paths: every start state counts, and rotations of a cycle are
     distinct paths.  Dynamic programming over (state, group element), so the
-    cost is linear in n and no orbit is enumerated.  Raises ValueError for n
-    below 0 or above LENGTH_CAP.
+    cost is linear in n and no orbit is enumerated; the classes are read out
+    at length n only.  Raises ValueError for n below 0 or above LENGTH_CAP.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > LENGTH_CAP:
         raise ValueError(f"length {n} exceeds the length cap {LENGTH_CAP}")
-    return tuple(_closed_path_totals(s, n)[n])
+    return tuple(_closed_path_totals(s, n, every_length=False)[n])
 
 
 def primitive_counts(g: FiniteGroup,

@@ -415,34 +415,102 @@ def test_pruned_transfer_matches_unpruned_oracle(s):
         assert sft._closed_path_totals(s, max_n) == closed_path_totals_unpruned(s, max_n), max_n
 
 
-def chain_into_sink():
+def chain_into_sink(core=False):
     """State 0 loops and feeds the one-way chain 1 -> 2 -> 3 -> 4 into the
-    looping sink 4; labels in s3."""
+    looping sink 4; labels in s3.  With ``core`` an edge 1 -> 0 joins states
+    0 and 1 into a component whose counts fill a quarter of states x G, so
+    the DP turns dense there while the chain still leads away."""
     hom = parse_hom_data({"degree": 3, "images": ["(1 2 3)", "(1 2)"]})
     x1, x2 = parse_word("x1"), parse_word("x2")
     edges = [SftEdge(0, 0, x1), SftEdge(0, 1, x2), SftEdge(1, 2, x1), SftEdge(2, 3, x2),
              SftEdge(3, 4, x1), SftEdge(4, 4, x2), SftEdge(4, 4, x1)]
+    if core:
+        edges.append(SftEdge(1, 0, x1))
     return LabeledSFT(5, edges, hom)
 
 
-def test_transfer_skips_counts_that_cannot_close(monkeypatch):
-    # count the lift's row lookups: counts that flow down the chain never
-    # return to a start state, so the DP should not push them
-    lookups = [0]
+def count_transfer_work(monkeypatch):
+    """Count the transfer DP's work at its two seams: one per row lookup of
+    a sparse step (``_lift_moves``, which the unpruned oracle reads too) and
+    |G| per vector a dense step moves (``_dense_moves``).  Returns the
+    counter [sparse lookups, dense translations]."""
+    work = [0, 0]
 
     class CountingRow(tuple):
         def __getitem__(self, i):
-            lookups[0] += 1
+            work[0] += 1
             return tuple.__getitem__(self, i)
 
-    lift_moves = sft._lift_moves
+    def counted(pick, order):
+        def moved(vec):
+            work[1] += order
+            return pick(vec)
+        return moved
+
+    lift_moves, dense_moves = sft._lift_moves, sft._dense_moves
     monkeypatch.setattr(sft, "_lift_moves", lambda s: [
         [(dst, CountingRow(row)) for dst, row in m] for m in lift_moves(s)])
-    s = chain_into_sink()
-    got = exact_counts(s, 12)
-    pruned, lookups[0] = lookups[0], 0
-    assert got == tuple(closed_path_totals_unpruned(s, 12)[12])
-    assert 0 < 2 * pruned <= lookups[0]
+    monkeypatch.setattr(sft, "_dense_moves", lambda s: [
+        [(dst, counted(pick, s.hom.target.order)) for dst, pick in m] for m in dense_moves(s)])
+    return work
+
+
+def test_transfer_skips_counts_that_cannot_close(monkeypatch):
+    # counts that flow down the chain never return to a start state, so the
+    # DP should not push them, in the sparse phase or the dense one
+    work = count_transfer_work(monkeypatch)
+    for core in (False, True):
+        s = chain_into_sink(core)
+        work[:] = [0, 0]
+        got = exact_counts(s, 12)
+        pruned, dense = sum(work), work[1]
+        work[:] = [0, 0]
+        assert got == tuple(closed_path_totals_unpruned(s, 12)[12])
+        assert (dense > 0) == core
+        assert 0 < 2 * pruned <= work[0], core
+
+
+def s6_shift():
+    """Six states, two out-edges each, labels onto S6: over 16 steps its
+    counts fill a quarter of states x G only for the last few."""
+    hom = parse_hom_data({"degree": 6, "images": ["(1 2)", "(1 2 3 4 5 6)"]})
+    edges = [(0, 1, "x1"), (0, 3, "x2"), (1, 2, "x2 x1"), (1, 4, "x2^-1"),
+             (2, 0, "x1 x2 x2"), (2, 5, "x2"), (3, 4, "x2 x1 x2^-1"), (3, 0, "x2 x2"),
+             (4, 5, "x1 x2^-1"), (4, 2, "x2^-1 x1"), (5, 0, "x2 x1 x2"), (5, 3, "x1 x2 x1")]
+    return LabeledSFT(6, [SftEdge(a, b, parse_word(w)) for a, b, w in edges], hom)
+
+
+def a5_four_states():
+    """Four states, three out-edges each, labeled through the bundled A5 hom:
+    its counts fill a quarter of states x G within a few steps."""
+    hom = bundled_a5()[1]
+    edges = [(0, 0, "x1"), (0, 1, "x2"), (0, 2, "x1 x2"), (1, 2, "x2^-1"), (1, 3, "x1"),
+             (1, 0, "x2 x1"), (2, 3, "x1^-1"), (2, 0, "x2 x2"), (2, 1, "x1 x2^-1"),
+             (3, 0, "x2"), (3, 1, "x1 x1"), (3, 3, "x2 x1^-1")]
+    return LabeledSFT(4, [SftEdge(a, b, parse_word(w)) for a, b, w in edges], hom)
+
+
+def abelian_shift():
+    """Three states labeled into the cyclic group of order 6, where every
+    class has one element."""
+    return shift_from_spec(("c6", 3, [(0, 1, [1]), (0, 0, [2]), (1, 2, [1, 1]),
+                                      (1, 0, []), (2, 0, [-1]), (2, 2, [2])]))
+
+
+@pytest.mark.parametrize("make", [s6_shift, a5_four_states, golden_mean, abelian_shift])
+def test_dense_transfer_matches_unpruned_oracle(make, monkeypatch):
+    # long enough that the counts turn dense, through each of the readout's
+    # cases: classes of many elements, of one, and the degree-1 trivial group
+    work = count_transfer_work(monkeypatch)
+    s = make()
+    oracle = closed_path_totals_unpruned(s, 16)
+    work[:] = [0, 0]
+    got = sft._closed_path_totals(s, 16)
+    assert work[1] > 0
+    assert got == oracle
+    assert all(type(c) is int for row in got for c in row)
+    for n in range(17):
+        assert exact_counts(s, n) == tuple(oracle[n]), n
 
 
 def test_random_sfts_conservation_property():
