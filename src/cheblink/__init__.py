@@ -9,6 +9,7 @@ from .permgroup import (
     Subgroup,
     all_subgroups,
     class_index,
+    class_types,
     compose,
     conjugacy_classes,
     conjugates,
@@ -19,6 +20,7 @@ from .permgroup import (
     load_group_file,
     parse_group_data,
     permutation_character,
+    power_classes,
     powers,
 )
 from .freewords import (

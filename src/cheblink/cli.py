@@ -10,6 +10,7 @@ row and redoing the subtraction reproduces the printed digits exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -21,8 +22,8 @@ from typing import Optional, Sequence
 from .covers import ARTIN_WORK_BUDGET, build_cover, decompose_loop, verify_artin
 from .freewords import (braid_presentation, cyclic_reduce, evaluate, format_letters,
                         load_hom_file, parse_braid, parse_word)
-from .permgroup import (CosetAction, FiniteGroup, Subgroup, all_subgroups,
-                        conjugacy_classes, cycle_type, load_group_file, Permutation)
+from .permgroup import (FiniteGroup, Subgroup, all_subgroups, conjugacy_classes,
+                        cycle_type, load_group_file, Permutation)
 from .quotients import (generic_check, load_matrix_file, quotient_search,
                         smith_normal_form)
 from .sft import (DensityRow, bundled_a5, chebotarev_report, enumerate_orbits,
@@ -125,7 +126,7 @@ def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
     Loads the shift and its labeling hom (bundled ones by default), insists
     the target is the alternating group on 5 points, gates on the
     realization check, then reads each Frobenius class's decomposition type
-    through the coset action of the configured subgroup.
+    on the cosets of the configured subgroup from its permutation character.
     """
     hom = load_hom_file(cfg.hom_path) if cfg.hom_path else None
     if cfg.sft_path is None:
@@ -146,7 +147,7 @@ def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
             f"strongly_connected={real.strongly_connected}, period={real.period}, "
             f"holonomy order {real.holonomy_order} of {g.order}, "
             f"classes without an orbit of length <= {real.bound}: [{missing}]")
-    report = chebotarev_report(s, cfg.max_len, skip=cfg.skip, action=CosetAction(g, h))
+    report = chebotarev_report(s, cfg.max_len, skip=cfg.skip, subgroup=h)
     rows = tuple(A5TableRow(t, int(r.target * g.order), r.count, r.density, r.target,
                             r.deviation)
                  for t, r in zip(report.types, report.final_type_rows))
@@ -384,6 +385,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # one tree per process, built at the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="cheblink",

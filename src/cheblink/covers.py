@@ -18,8 +18,8 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .freewords import CyclicWord, GroupHom, Presentation, Word, cyclic_reduce, evaluate, format_letters
-from .permgroup import (CosetAction, FiniteGroup, Subgroup, class_index,
-                        conjugacy_classes, cycle_type, permutation_character, powers)
+from .permgroup import (CosetAction, FiniteGroup, Subgroup, class_index, class_types,
+                        conjugacy_classes, cycle_type, powers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,51 +143,16 @@ class _TracePlan(NamedTuple):
     # this is a depth-first walk of their tree and each parent comes first
     walk: tuple[tuple[int, int, int], ...]
     height: int
-    class_of: tuple[int, ...]
-    # per class, the class of rep^e for e = 0, 1, ..., ord(rep) - 1
-    power_classes: tuple[tuple[int, ...], ...]
-    # the class types of each permutation character met so far; conjugate
-    # subgroups share one, so A5's 59 subgroups need 9
-    class_types: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 def _trace_plan(g: FiniteGroup) -> _TracePlan:
     if g._trace_plan is None:
         # the identity's empty word sorts first and is left out
         tree = sorted((g.word_for(z), z) for z in range(g.order))[1:]
-        class_of = tuple(class_index(g, z) for z in range(g.order))
         g._trace_plan = _TracePlan(
             walk=tuple((z, len(w), w[-1] - 1) for w, z in tree),
-            height=max((len(w) for w, _ in tree), default=0),
-            class_of=class_of,
-            power_classes=tuple(tuple(class_of[y] for y in powers(g, c.representative))
-                                for c in conjugacy_classes(g)),
-            class_types={})
+            height=max((len(w) for w, _ in tree), default=0))
     return g._trace_plan
-
-
-def _class_types(g: FiniteGroup, h: Subgroup) -> tuple[tuple[int, ...], ...]:
-    """The cycle type of each class in the action on g/h, in the order of
-    conjugacy_classes(g), by Artin's formula: no coset is touched.
-
-    A class's type is read off the permutation character at its powers: a
-    point is fixed by y^d exactly when its cycle length divides d, so the
-    points on cycles of length exactly d follow by Möbius inversion of
-    fix(y^d) over the divisors of d, for d dividing ord(y).
-    """
-    fix = permutation_character(g, h)
-    plan = _trace_plan(g)
-    if fix not in plan.class_types:
-        types = []
-        for power_class in plan.power_classes:
-            o = len(power_class)
-            on = {}  # cycle length d -> points on cycles of that length
-            for d in range(1, o + 1):
-                if o % d == 0:
-                    on[d] = fix[power_class[d % o]] - sum(n for e, n in on.items() if d % e == 0)
-            types.append(tuple(d for d in reversed(on) for _ in range(on[d] // d)))
-        plan.class_types[fix] = tuple(types)
-    return plan.class_types[fix]
 
 
 def _loop_monodromies(cover: CoveringGraph) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -242,18 +207,18 @@ def verify_artin(g: FiniteGroup, h: Subgroup) -> ArtinReport:
     decomposition type against the cycle type Artin's formula gives.
 
     The expected side is one cycle type per conjugacy class, derived from
-    the permutation character of g/h (``_class_types``).  The trace side
+    the permutation character of g/h (``class_types``).  The trace side
     walks the tree of recorded words once, so each element's monodromy is
     its parent's composed with one step map; only the identity's loop
     x1^ord is composed letter by letter.  ``CosetAction.image`` is called
     only for the step maps.
     """
     cover = build_cover(GroupHom(Presentation(len(g.generators), ()), g, g.generators), h)
-    class_types = _class_types(g, h)
-    class_of = _trace_plan(g).class_of
+    types = class_types(g, h)
+    class_of = g._class_of  # filled by class_types
     mismatches = []
     for z, m in _loop_monodromies(cover):
-        expected = class_types[class_of[z]]
+        expected = types[class_of[z]]
         traced = cycle_type(m)
         if traced != expected:
             w = _loop_word_for(g, z)

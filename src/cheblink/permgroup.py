@@ -1,4 +1,6 @@
-"""Finite permutation groups: closure, conjugacy classes, coset actions.
+"""Finite permutation groups: closure, conjugacy classes, cycle types on the
+cosets of a subgroup (read off its permutation character), and coset
+actions, which label the vertices of covers.
 
 Conventions, fixed once and used everywhere downstream:
 
@@ -205,6 +207,8 @@ class FiniteGroup:
         self._conjugations = None
         self._classes = None
         self._class_of = None
+        self._power_classes = None
+        self._class_types = {}  # permutation character -> class_types
         self._trace_plan = None
 
     @property
@@ -390,6 +394,38 @@ def permutation_character(g: FiniteGroup, h: "Subgroup") -> tuple[int, ...]:
         meets[g._class_of[m]] += 1
     return tuple(g.order * k // (len(c.members) * len(h))
                  for c, k in zip(classes, meets))
+
+
+def power_classes(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """Per class, the classes of rep^0, rep^1, ..., rep^(ord - 1); kept on the group."""
+    if g._power_classes is None:
+        g._power_classes = tuple(tuple(class_index(g, y) for y in powers(g, c.representative))
+                                 for c in conjugacy_classes(g))
+    return g._power_classes
+
+
+def class_types(g: FiniteGroup, h: "Subgroup") -> tuple[tuple[int, ...], ...]:
+    """The cycle type of each class in the action on g/h, in the order of
+    conjugacy_classes(g), by Artin's formula: no coset is touched.
+
+    A class's type is read off the permutation character at its powers: a
+    point is fixed by y^d exactly when its cycle length divides d, so the
+    points on cycles of length exactly d follow by Möbius inversion of
+    fix(y^d) over the divisors of d, for d dividing ord(y).  Kept on the
+    group per character, which conjugate subgroups share.
+    """
+    fix = permutation_character(g, h)
+    if fix not in g._class_types:
+        types = []
+        for power_class in power_classes(g):
+            o = len(power_class)
+            on = {}  # cycle length d -> points on cycles of that length
+            for d in range(1, o + 1):
+                if o % d == 0:
+                    on[d] = fix[power_class[d % o]] - sum(n for e, n in on.items() if d % e == 0)
+            types.append(tuple(d for d in reversed(on) for _ in range(on[d] // d)))
+        g._class_types[fix] = tuple(types)
+    return g._class_types[fix]
 
 
 def generated_set(g: FiniteGroup, seed: Iterable[int]) -> frozenset:

@@ -21,8 +21,8 @@ from operator import add, itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .freewords import GroupHom, Word, evaluate, parse_hom_data, parse_word
-from .permgroup import (CosetAction, FiniteGroup, class_index, conjugacy_classes, cycle_type,
-                        load_json, powers)
+from .permgroup import (FiniteGroup, Subgroup, class_index, class_types, conjugacy_classes,
+                        cycle_type, load_json, power_classes)
 
 DP_STATE_CAP = 65536  # the transfer DP and realization_check refuse above state_count * |G|
 SKIP_CAP = 10 ** 6    # chebotarev_report refuses to enumerate more skipped orbits
@@ -324,10 +324,8 @@ def primitive_counts(g: FiniteGroup,
     ValueError when a count comes out fractional or negative, which no
     shift's totals do.
     """
-    classes = conjugacy_classes(g)
     max_n = len(totals)
-    # power_class[ci][m % ord]: class of the m-th power of class ci
-    power_class = [[class_index(g, x) for x in powers(g, c.representative)] for c in classes]
+    power_class = power_classes(g)  # power_class[ci][m % ord]: class of ci's m-th power
     rest = [list(t) for t in totals]
     out = []
     for n in range(1, max_n + 1):
@@ -360,9 +358,9 @@ class DensityReport:
     """Cumulative Frobenius-class statistics per length cutoff.
 
     ``class_rows``/``type_rows`` hold one row per (cutoff, class) and
-    (cutoff, cycle type); types aggregate the classes whose representatives
-    share a cycle type in the report's permutation action, listed in row
-    order in ``types``.  Densities are exact fractions over the orbits
+    (cutoff, cycle type); types, listed in row order in ``types``, aggregate
+    the classes of one cycle type on the cosets of the report's subgroup or
+    on the target's points.  Densities are exact fractions over the orbits
     counted at that cutoff (after the leading ``skip`` orbits are dropped).
     """
 
@@ -392,7 +390,7 @@ class DensityReport:
 
 
 def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
-                      action: Optional[CosetAction] = None) -> DensityReport:
+                      subgroup: Optional[Subgroup] = None) -> DensityReport:
     """Empirical class/type densities over orbits of length <= max_len.
 
     The hom must be surjective so the class-size targets |C|/|G| mean what
@@ -401,9 +399,9 @@ def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
     counted, at every cutoff; it must leave at least one orbit.  Counts come
     from the transfer DP and divisor peeling, so the cost is linear in
     max_len; only the skipped orbits are enumerated, to learn their classes.
-    Types are the cycle types of class representatives under ``action``, a
-    coset action of the target on G/H (decomposition types in that cover),
-    or under the target's own permutations when it is None.
+    Types are the cycle types of the classes on the cosets of ``subgroup``
+    (decomposition types in that cover), read off its permutation character
+    by ``class_types``, or on the target's own points when it is None.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -415,18 +413,17 @@ def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
     if max_len > LENGTH_CAP:
         raise ValueError(f"max_len {max_len} exceeds the length cap {LENGTH_CAP}")
     g = s.hom.target
-    if action is not None and action.group is not g:
-        raise ValueError("the coset action is not on the hom's target group")
+    classes = conjugacy_classes(g)
+    # class_types refuses a subgroup of another group before anything is counted
+    type_of_class = (class_types(g, subgroup) if subgroup is not None else
+                     [cycle_type(g.elements[c.representative].images) for c in classes])
     # the DP cap is checked first, so oversized inputs are refused before
     # the hom's image is closed in its target
     totals = _closed_path_totals(s, max_len)
     if not s.hom.is_surjective():
         raise ValueError("hom does not map onto its target group")
-    classes = conjugacy_classes(g)
     class_target = [Fraction(len(c.members), g.order) for c in classes]
     class_key = [f"class:{g.elements[c.representative].cycle_string()}" for c in classes]
-    image = (lambda z: g.elements[z].images) if action is None else action.image
-    type_of_class = [cycle_type(image(c.representative)) for c in classes]
     type_list = sorted(set(type_of_class))
     type_target = {t: sum(class_target[i] for i, tc in enumerate(type_of_class) if tc == t)
                    for t in type_list}

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from cheblink import all_subgroups, cli, parse_group_data
+from cheblink import (CosetAction, Subgroup, all_subgroups, bundled_a5, chebotarev_report, cli,
+                      parse_group_data, sft)
 from cheblink.cli import ExperimentConfig, decimal_str, main, run_a5_experiment
 
 A5_HOM = {"degree": 5, "images": ["(1 2 3 4 5)", "(1 2 3)"]}
@@ -335,6 +336,47 @@ def test_quotient_search_a5_forced_golden(tmp_path, capsys):
                  "--target", grp, "--surjective-only", "--dedup-conjugacy"]) == 0
     assert capsys.readouterr().out == \
         (GOLDEN / "quotient_a5_forced.txt").read_text()
+
+
+def test_successive_calls_share_one_parser_and_no_values(tmp_path, capsys):
+    # the argument tree is built once per process; every call still starts
+    # from the defaults, whatever the calls before it set
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["a5", "--max-len", "3", "--subgroup", "whole", "--skip", "2"]) == 0
+    assert "(length <= 3, skip 2); subgroup of order 60" in capsys.readouterr().out
+    assert main(["a5"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("orbits counted: 25486 (length <= 11, skip 0); "
+                          "subgroup of order 12, index 5\n")
+    assert "(5)                  24    10186" in out and "within tolerance 0.020000" in out
+    assert main(["a5", "--max-len", "11", "--format", "rows"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "a5_rows_len11.tsv").read_text()
+    grp = write(tmp_path, "a5.json", {"degree": 5, "generators": A5_HOM["images"]})
+    search = ["quotient", "search", "--braid", "3:s1^-1 s2 s1 s2^-1 s2^-1 s2^-1",
+              "--target", grp, "--surjective-only"]
+    assert main(search + ["--dedup-conjugacy"]) == 0
+    up_to_conjugacy = int(capsys.readouterr().out.split()[0])
+    assert up_to_conjugacy > 0
+    assert main(search) == 0
+    # A5 has trivial centre, so each surjection has 60 distinct conjugates
+    assert capsys.readouterr().out.startswith(
+        f"{60 * up_to_conjugacy} surjection(s) onto group of order 60\n")
+
+
+def test_density_path_builds_no_coset_action(monkeypatch, capsys):
+    # decomposition types come from the permutation character alone; coset
+    # actions serve covers
+    def refuse(self, group, subgroup):
+        raise AssertionError("a coset action was built")
+
+    assert not hasattr(cli, "CosetAction") and not hasattr(sft, "CosetAction")
+    monkeypatch.setattr(CosetAction, "__init__", refuse)
+    assert main(["a5", "--format", "rows"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "a5_rows_len11.tsv").read_text()
+    s, hom = bundled_a5()
+    h = Subgroup.point_stabilizer(hom.target, 4)
+    rep = chebotarev_report(s, 11, subgroup=h)
+    assert [r.count for r in rep.final_type_rows] == [414, 6381, 8505, 10186]
 
 
 def test_a5_defaults(capsys):

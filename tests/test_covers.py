@@ -6,12 +6,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cheblink import (CosetAction, GroupHom, Permutation, Presentation, Subgroup,
-                      all_subgroups, build_cover, class_index, conjugacy_classes,
+                      all_subgroups, build_cover, class_index, class_types, conjugacy_classes,
                       covers, cycle_type, cyclic_reduce, decompose_loop,
                       evaluate, generate_group, parse_word, reduce,
                       verify_artin, verify_component_bijection)
 from cheblink.covers import (BijectionReport, Component, ComponentCheck,
-                             LiftResult, _class_types, _loop_monodromies,
+                             LiftResult, _loop_monodromies,
                              _loop_word_for, _monodromy)
 
 from corpus import corpus, psl27
@@ -232,7 +232,7 @@ def test_class_types_match_coset_cycle_types(name):
     g = psl27() if name == "psl27" else GROUPS[name]
     for h in all_subgroups(g):
         act = CosetAction(g, h)
-        assert _class_types(g, h) == \
+        assert class_types(g, h) == \
             tuple(cycle_type(act.image(c.representative)) for c in conjugacy_classes(g)), len(h)
 
 

@@ -11,7 +11,7 @@ from cheblink import (ConjugacyClass, CosetAction, Permutation, Subgroup, all_su
                       class_index, compose, conjugacy_classes, conjugates,
                       cycle_type, generate_group, generated_set, group_file_data,
                       load_group_file, parse_group_data, permgroup, permutation_character,
-                      powers)
+                      power_classes, powers)
 from cheblink.cli import main, parse_subgroup
 
 from corpus import corpus, perm_group, psl27, EXPECTED_ORDERS
@@ -90,6 +90,15 @@ def test_powers_match_composition(name):
     g = GROUPS[name]
     for i in range(g.order):
         assert powers(g, i) == powers_by_composition(g, i), i
+
+
+@pytest.mark.parametrize("name", EXPECTED_ORDERS)
+def test_power_classes_match_composed_powers(name):
+    g = GROUPS[name]
+    assert power_classes(g) == tuple(
+        tuple(class_index(g, y) for y in powers_by_composition(g, c.representative))
+        for c in conjugacy_classes(g))
+    assert power_classes(g) is power_classes(g)
 
 
 @pytest.mark.parametrize("name", EXPECTED_ORDERS)

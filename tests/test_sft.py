@@ -8,14 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cheblink import (CosetAction, GroupHom, LabeledSFT, Presentation, SftEdge,
-                      Subgroup, bundled_a5, chebotarev_report, class_index,
-                      conjugacy_classes, enumerate_orbits,
+                      Subgroup, all_subgroups, bundled_a5, chebotarev_report, class_index,
+                      conjugacy_classes, conjugates, cycle_type, enumerate_orbits,
                       exact_counts, parse_hom_data, parse_sft_data, parse_word,
-                      primitive_counts, realization_check, reduce)
+                      permutation_character, primitive_counts, realization_check, reduce)
 from cheblink import sft
-from cheblink.sft import DP_STATE_CAP, LENGTH_CAP
+from cheblink.sft import DP_STATE_CAP, LENGTH_CAP, DensityRow
 
-from corpus import corpus
+from corpus import corpus, psl27
 from oracles import brute_force_orbits, closed_path_totals_unpruned, realization_by_passes
 
 GROUPS = corpus()
@@ -198,10 +198,10 @@ def test_chebotarev_report_densities_are_consistent():
     g = s.hom.target
     # the coset action on the trivial subgroup is the regular action, whose
     # cycle types differ from the natural ones on 3 points
-    for action, types in ((None, ((1, 1, 1), (2, 1), (3,))),
-                          (CosetAction(g, Subgroup.trivial(g)),
-                           ((1,) * 6, (2, 2, 2), (3, 3)))):
-        rep = chebotarev_report(s, 7, action=action)
+    for subgroup, types in ((None, ((1, 1, 1), (2, 1), (3,))),
+                            (Subgroup.trivial(g),
+                             ((1,) * 6, (2, 2, 2), (3, 3)))):
+        rep = chebotarev_report(s, 7, subgroup=subgroup)
         assert rep.types == types
         k = len(conjugacy_classes(g))
         for cutoff in range(1, 8):
@@ -224,8 +224,82 @@ def test_chebotarev_report_densities_are_consistent():
 def test_chebotarev_rejects_action_on_another_group():
     s = two_state_s3()
     other = parse_hom_data({"degree": 3, "images": ["(1 2 3)", "(1 2)"]}).target
-    with pytest.raises(ValueError, match="coset action"):
-        chebotarev_report(s, 4, action=CosetAction(other, Subgroup.trivial(other)))
+    with pytest.raises(ValueError, match="different group"):
+        chebotarev_report(s, 4, subgroup=Subgroup.trivial(other))
+
+
+def test_chebotarev_refuses_foreign_subgroup_before_counting(monkeypatch):
+    def no_counting(*args, **kwargs):
+        raise AssertionError("the transfer DP ran")
+
+    s = two_state_s3()
+    other = parse_hom_data({"degree": 3, "images": ["(1 2 3)", "(1 2)"]}).target
+    monkeypatch.setattr(sft, "_closed_path_totals", no_counting)
+    with pytest.raises(ValueError, match="different group"):
+        chebotarev_report(s, 4, subgroup=Subgroup.whole(other))
+
+
+def type_rows_by_coset_action(report, g, h):
+    """The report's class rows aggregated by the cycle type of each class
+    representative's coset-action image: the coset route, kept as the oracle
+    for the character route the report takes."""
+    act = CosetAction(g, h)
+    type_of_class = [cycle_type(act.image(c.representative)) for c in conjugacy_classes(g)]
+    types = sorted(set(type_of_class))
+    rows = []
+    for cutoff in range(1, report.max_len + 1):
+        class_rows = report.rows_at(cutoff)
+        total = sum(r.count for r in class_rows)
+        for t in types:
+            picked = [r for r, tc in zip(class_rows, type_of_class) if tc == t]
+            count = sum(r.count for r in picked)
+            target = sum(r.target for r in picked)
+            density = Fraction(count, total) if total else Fraction(0)
+            rows.append(DensityRow(cutoff, "type:(" + ",".join(map(str, t)) + ")", count,
+                                   density, target, abs(density - target)))
+    return tuple(rows)
+
+
+def test_report_types_match_the_coset_route_on_every_a5_subgroup():
+    s, hom = bundled_a5()
+    g = hom.target
+    subs = all_subgroups(g)
+    assert len(subs) == 59
+    for h in subs:
+        rep = chebotarev_report(s, 11, subgroup=h)
+        assert rep.type_rows == type_rows_by_coset_action(rep, g, h), sorted(h.members)
+
+
+def gassmann_pairs(g):
+    """Pairs of subgroup class representatives of g with equal permutation
+    characters, in the order of all_subgroups."""
+    reps, seen = [], set()
+    for h in all_subgroups(g):
+        if h.members not in seen:
+            seen |= conjugates(g, h.members)
+            reps.append(h)
+    return reps, [(a, b) for i, a in enumerate(reps) for b in reps[i + 1:]
+                  if permutation_character(g, a) == permutation_character(g, b)]
+
+
+def test_gassmann_pairs_of_psl27_have_one_law():
+    # non-conjugate subgroups with one permutation character give every
+    # class one decomposition type, so their covers share the law at every
+    # cutoff: the knot analogue of arithmetically equivalent number fields
+    g = psl27()
+    reps, pairs = gassmann_pairs(g)
+    assert len(reps) == 15
+    assert [(a.index, b.index) for a, b in pairs] == [(42, 42), (14, 14), (7, 7)]
+    x = parse_word("x1"), parse_word("x2")
+    s = LabeledSFT(1, [SftEdge(0, 0, x[0]), SftEdge(0, 0, x[1])],
+                   GroupHom(Presentation(2, ()), g, g.generators))
+    for a, b in pairs:
+        assert b.members not in conjugates(g, a.members)
+        coset_types = [[cycle_type(CosetAction(g, h).image(c.representative))
+                        for c in conjugacy_classes(g)] for h in (a, b)]
+        assert coset_types[0] == coset_types[1]
+        assert chebotarev_report(s, 14, subgroup=a).type_rows == \
+            chebotarev_report(s, 14, subgroup=b).type_rows
 
 
 def test_chebotarev_skip_drops_shortest():
