@@ -26,8 +26,8 @@ from .permgroup import (FiniteGroup, Subgroup, all_subgroups, conjugacy_classes,
                         cycle_type, load_group_file, Permutation)
 from .quotients import (generic_check, load_matrix_file, quotient_search,
                         smith_normal_form)
-from .sft import (DensityRow, bundled_a5, chebotarev_report, enumerate_orbits,
-                  load_sft_file, realization_check)
+from .sft import (DensityReport, DensityRow, bundled_a5, chebotarev_report,
+                  enumerate_orbits, load_sft_file, realization_check)
 
 
 class CheckFailed(Exception):
@@ -117,7 +117,7 @@ class A5Result:
     within_tolerance: bool
     subgroup_order: int
     subgroup_index: int
-    per_cutoff: tuple[DensityRow, ...]  # type-aggregated rows for every cutoff
+    report: DensityReport
 
 
 def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
@@ -127,6 +127,8 @@ def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
     the target is the alternating group on 5 points, gates on the
     realization check, then reads each Frobenius class's decomposition type
     on the cosets of the configured subgroup from its permutation character.
+    The table rows are the report's type rows at the length cutoff; the
+    report itself is carried for the rows at every other cutoff.
     """
     hom = load_hom_file(cfg.hom_path) if cfg.hom_path else None
     if cfg.sft_path is None:
@@ -150,7 +152,7 @@ def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
     report = chebotarev_report(s, cfg.max_len, skip=cfg.skip, subgroup=h)
     rows = tuple(A5TableRow(t, int(r.target * g.order), r.count, r.density, r.target,
                             r.deviation)
-                 for t, r in zip(report.types, report.final_type_rows))
+                 for t, r in zip(report.types, report.rows_at(cfg.max_len, types=True)))
     max_dev = report.max_type_deviation
     return A5Result(
         rows=rows,
@@ -159,7 +161,7 @@ def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
         within_tolerance=max_dev <= cfg.tolerance,
         subgroup_order=len(h),
         subgroup_index=h.index,
-        per_cutoff=report.type_rows,
+        report=report,
     )
 
 
@@ -177,8 +179,9 @@ def _cmd_a5(args) -> int:
     )
     result = run_a5_experiment(cfg)
     if args.format == "rows":
-        for row in result.per_cutoff:
-            print(render_row(row))
+        for cutoff in range(1, cfg.max_len + 1):
+            for row in result.report.rows_at(cutoff, types=True):
+                print(render_row(row))
     else:
         print(f"orbits counted: {result.total_counted} "
               f"(length <= {cfg.max_len}, skip {cfg.skip}); "
@@ -270,6 +273,8 @@ def _cmd_cover_verify_artin(args) -> int:
 
 
 def _cmd_sft_orbits(args) -> int:
+    if args.limit < 0:
+        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     hom = load_hom_file(args.hom)
     s = load_sft_file(args.sft, hom)
     g = hom.target
@@ -291,16 +296,16 @@ def _cmd_sft_chebotarev(args) -> int:
     s = load_sft_file(args.sft, hom)
     report = chebotarev_report(s, args.max_len, skip=args.skip)
     if args.format == "rows":
-        for row in report.class_rows:
-            print(render_row(row))
-        for row in report.type_rows:
-            print(render_row(row))
+        for types in (False, True):
+            for cutoff in range(1, report.max_len + 1):
+                for row in report.rows_at(cutoff, types=types):
+                    print(render_row(row))
         return 0
     g = hom.target
     print(f"group order {g.order}; orbits counted: {report.total_counted} "
           f"(length <= {report.max_len}, skip {report.skip})")
     print(f"{'key':<28} {'count':>8} {'density':>10} {'target':>8} {'deviation':>10}")
-    for row in report.final_class_rows + report.final_type_rows:
+    for row in report.rows_at(report.max_len) + report.rows_at(report.max_len, types=True):
         dens, dev = rendered(row.density, row.target)
         print(f"{row.key:<28} {row.count:>8} {dens:>10} {str(row.target):>8} "
               f"{decimal_str(dev):>10}")

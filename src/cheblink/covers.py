@@ -251,7 +251,6 @@ class BijectionReport(NamedTuple):
     decomposition_type: tuple[int, ...]
     degree_one_checks: tuple[ComponentCheck, ...]
     class_meets_subgroup: bool
-    conjugator: Optional[int]
     direction1_ok: bool  # each degree-1 component's holonomy is in H and conjugate to z
     direction2_ok: bool  # some conjugate of z in H  =>  a degree-1 component exists
 
@@ -262,7 +261,11 @@ class BijectionReport(NamedTuple):
 
 def verify_component_bijection(cover: CoveringGraph, w: CyclicWord | Word) -> BijectionReport:
     """Check that degree-1 components of the lift carry conjugates of the
-    loop's image into the subgroup, and that such a conjugate forces one."""
+    loop's image into the subgroup, and that such a conjugate forces one.
+
+    Some conjugate of the image lies in the subgroup exactly when the
+    image's class meets it, so that is read off the class: no conjugator is
+    searched for."""
     if isinstance(w, Word):
         w = cyclic_reduce(w)
     g = cover.hom.target
@@ -277,23 +280,13 @@ def verify_component_bijection(cover: CoveringGraph, w: CyclicWord | Word) -> Bi
         r = act.reps[v]
         hol = g.mul(g.mul(r, z), g.inv(r))
         checks.append(ComponentCheck(v, hol, hol in h.members, hol in cls))
-    # some conjugate of z lies in H exactly when z's class meets H, so the
-    # least conjugator is searched for only then, and the search finds one
     meets = not cls.isdisjoint(h.members)
-    conjugator = None
-    if meets:
-        for c in range(g.order):
-            if g.mul(g.mul(c, z), g.inv(c)) in h.members:
-                conjugator = c
-                break
-    dir2 = conjugator is None or bool(checks)
     return BijectionReport(
         word=w,
         image=z,
         decomposition_type=cycle_type(m),
         degree_one_checks=tuple(checks),
         class_meets_subgroup=meets,
-        conjugator=conjugator,
         direction1_ok=all(c.in_subgroup and c.in_class for c in checks),
-        direction2_ok=dir2,
+        direction2_ok=not meets or bool(checks),
     )

@@ -129,10 +129,6 @@ class SmithForm:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.s.entries[i][i] for i in range(min(self.s.rows, self.s.cols)))
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d)
-
 
 def smith_normal_form(a: IntMatrix) -> SmithForm:
     """Diagonalize over the integers with unimodular row/column transforms.
@@ -349,29 +345,19 @@ def _search_plan(p: Presentation) -> list[tuple[int, list[Word]]]:
     generator that stops qualifying never qualifies again, the
     highest-numbered qualifying generator and the highest-numbered one left
     only fall, and one pass over the relator letters plus a falling pointer
-    for each build the whole order.  It is used only when it pins more
-    generators than the order x1, x2, ... does; otherwise the plan keeps
-    that order, whose results need no relabelling.
+    for each build the whole order.
     """
     n = p.generator_count
     counts = [Counter(map(abs, r.letters)) for r in p.relators]
     holders: list[list[int]] = [[] for _ in range(n + 1)]
     once = [0] * (n + 1)   # relators not yet assigned that meet the generator once
-    numbered = [(x, []) for x in range(1, n + 1)]
-    pinned_numbered = set()
     for i, c in enumerate(counts):
         for x, m in c.items():
             holders[x].append(i)
             once[x] += m == 1
-        if c:
-            last = max(c)
-            numbered[last - 1][1].append(p.relators[i])
-            if c[last] == 1:
-                pinned_numbered.add(last)
     assigned = [False] * len(counts)
     left = [True] * (n + 1)
     plan = []
-    pinned = 0
     forced = plain = n
     for _ in range(n):
         while forced and (not left[forced] or not once[forced]):
@@ -379,7 +365,6 @@ def _search_plan(p: Presentation) -> list[tuple[int, list[Word]]]:
         while not left[plain]:
             plain -= 1
         x = forced or plain
-        pinned += x == forced
         left[x] = False
         checks = []
         for i in holders[x]:
@@ -389,8 +374,6 @@ def _search_plan(p: Presentation) -> list[tuple[int, list[Word]]]:
                 for y, m in counts[i].items():
                     once[y] -= m == 1
         plan.append((x, checks))
-    if pinned <= len(pinned_numbered):
-        return numbered
     plan.reverse()
     return plan
 
@@ -409,10 +392,7 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
 
     The generators are chosen in the order of ``_search_plan``: from the
     back, a generator goes last when it occurs exactly once in a relator on
-    the generators before it, and otherwise the numbering decides.  That
-    order is used only when it pins more generators than x1, x2, ... does,
-    so a presentation whose last generator is already pinned keeps the
-    order x1, x2, ...
+    the generators before it, and otherwise the numbering decides.
 
     Each node compiles its relators once: the letters on the images already
     chosen are multiplied out, leaving a few fixed elements between the

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files
-from itertools import islice
+from itertools import accumulate, islice
 from math import gcd
 from operator import add, itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -355,43 +355,61 @@ class DensityRow(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class DensityReport:
-    """Cumulative Frobenius-class statistics per length cutoff.
+    """Cumulative Frobenius-class counts per length cutoff.
 
-    ``class_rows``/``type_rows`` hold one row per (cutoff, class) and
-    (cutoff, cycle type); types, listed in row order in ``types``, aggregate
-    the classes of one cycle type on the cosets of the report's subgroup or
-    on the target's points.  Densities are exact fractions over the orbits
-    counted at that cutoff (after the leading ``skip`` orbits are dropped).
+    ``counts[cutoff - 1][class]`` counts the primitive orbits of length <=
+    cutoff in each class, after the leading ``skip`` orbits are dropped.
+    ``class_keys`` and ``class_sizes`` follow the class order; ``types``
+    lists the cycle types of the classes on the cosets of the report's
+    subgroup, or on the target's points, and ``type_of_class`` gives each
+    class's position in it.  Rows, with their exact densities, are built
+    only when ``rows_at`` asks for them.
     """
 
     group_order: int
     max_len: int
     skip: int
-    total_counted: int
-    class_rows: tuple[DensityRow, ...]
-    type_rows: tuple[DensityRow, ...]
+    counts: tuple[tuple[int, ...], ...]
+    class_keys: tuple[str, ...]
+    class_sizes: tuple[int, ...]
     types: tuple[tuple[int, ...], ...]
+    type_of_class: tuple[int, ...]
+
+    @property
+    def total_counted(self) -> int:
+        return sum(self.counts[-1])
 
     def rows_at(self, cutoff: int, *, types: bool = False) -> list[DensityRow]:
-        rows = self.type_rows if types else self.class_rows
-        return [r for r in rows if r.cutoff == cutoff]
-
-    @property
-    def final_class_rows(self) -> list[DensityRow]:
-        return self.rows_at(self.max_len)
-
-    @property
-    def final_type_rows(self) -> list[DensityRow]:
-        return self.rows_at(self.max_len, types=True)
+        """One row per class, or per type with ``types``, at this cutoff; none
+        outside 1..max_len.  A type's count and size sum its classes'."""
+        if not 1 <= cutoff <= self.max_len:
+            return []
+        per_class = self.counts[cutoff - 1]
+        if types:
+            keys = ["type:(" + ",".join(map(str, t)) + ")" for t in self.types]
+            counts, sizes = [0] * len(self.types), [0] * len(self.types)
+            for t, c, size in zip(self.type_of_class, per_class, self.class_sizes):
+                counts[t] += c
+                sizes[t] += size
+        else:
+            keys, counts, sizes = self.class_keys, per_class, self.class_sizes
+        total = sum(per_class)
+        rows = []
+        for key, c, size in zip(keys, counts, sizes):
+            dens = Fraction(c, total) if total else Fraction(0)
+            target = Fraction(size, self.group_order)
+            rows.append(DensityRow(cutoff, key, c, dens, target, abs(dens - target)))
+        return rows
 
     @property
     def max_type_deviation(self) -> Fraction:
-        return max((r.deviation for r in self.final_type_rows), default=Fraction(0))
+        return max((r.deviation for r in self.rows_at(self.max_len, types=True)),
+                   default=Fraction(0))
 
 
 def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
                       subgroup: Optional[Subgroup] = None) -> DensityReport:
-    """Empirical class/type densities over orbits of length <= max_len.
+    """Cumulative class counts over orbits of length <= max_len.
 
     The hom must be surjective so the class-size targets |C|/|G| mean what
     they should.  ``max_len`` is at most LENGTH_CAP.  ``skip`` (at most
@@ -401,7 +419,8 @@ def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
     max_len; only the skipped orbits are enumerated, to learn their classes.
     Types are the cycle types of the classes on the cosets of ``subgroup``
     (decomposition types in that cover), read off its permutation character
-    by ``class_types``, or on the target's own points when it is None.
+    by ``class_types``, or on the target's own points when it is None.  No
+    row or density is built here: ``DensityReport.rows_at`` builds them.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -422,11 +441,7 @@ def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
     totals = _closed_path_totals(s, max_len)
     if not s.hom.is_surjective():
         raise ValueError("hom does not map onto its target group")
-    class_target = [Fraction(len(c.members), g.order) for c in classes]
-    class_key = [f"class:{g.elements[c.representative].cycle_string()}" for c in classes]
-    type_list = sorted(set(type_of_class))
-    type_target = {t: sum(class_target[i] for i, tc in enumerate(type_of_class) if tc == t)
-                   for t in type_list}
+    types = sorted(set(type_of_class))
 
     counts = [list(row) for row in primitive_counts(g, totals[1:])]
     if skip:
@@ -438,30 +453,16 @@ def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
         # holds the skip-th orbit
         for o in islice(enumerate_orbits(s, max_len), skip):
             counts[o.length - 1][o.frobenius_class] -= 1
-    per_class = [0] * len(classes)
-    class_rows: list[DensityRow] = []
-    type_rows: list[DensityRow] = []
-    for cutoff, row in enumerate(counts, start=1):
-        per_class = [a + b for a, b in zip(per_class, row)]
-        total = sum(per_class)
-        for i in range(len(classes)):
-            dens = Fraction(per_class[i], total) if total else Fraction(0)
-            class_rows.append(DensityRow(cutoff, class_key[i], per_class[i], dens,
-                                         class_target[i], abs(dens - class_target[i])))
-        for t in type_list:
-            cnt = sum(per_class[i] for i, tc in enumerate(type_of_class) if tc == t)
-            dens = Fraction(cnt, total) if total else Fraction(0)
-            key = "type:(" + ",".join(map(str, t)) + ")"
-            type_rows.append(DensityRow(cutoff, key, cnt, dens,
-                                        type_target[t], abs(dens - type_target[t])))
     return DensityReport(
         group_order=g.order,
         max_len=max_len,
         skip=skip,
-        total_counted=sum(per_class),
-        class_rows=tuple(class_rows),
-        type_rows=tuple(type_rows),
-        types=tuple(type_list),
+        counts=tuple(accumulate(map(tuple, counts), lambda a, b: tuple(map(add, a, b)))),
+        class_keys=tuple(f"class:{g.elements[c.representative].cycle_string()}"
+                         for c in classes),
+        class_sizes=tuple(len(c.members) for c in classes),
+        types=tuple(types),
+        type_of_class=tuple(map(types.index, type_of_class)),
     )
 
 

@@ -226,6 +226,16 @@ def test_sft_orbits(tmp_path, capsys):
     assert "stopped at --limit" in out[-1]
 
 
+def test_sft_orbits_negative_limit_is_input_error(tmp_path, capsys):
+    sft = write(tmp_path, "gm.json", GOLDEN_MEAN)
+    hom = write(tmp_path, "hom.json", TRIVIAL_HOM)
+    assert main(["sft", "orbits", "--sft", sft, "--hom", hom,
+                 "--max-len", "5", "--limit", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip().splitlines() == ["error: --limit must be nonnegative, got -1"]
+
+
 def test_sft_orbits_deep_lengths(tmp_path, capsys):
     # the only orbit is the length-3 cycle, so the search walks every
     # multiple of 3 up to 3000 edges deep looking for a second one
@@ -376,7 +386,26 @@ def test_density_path_builds_no_coset_action(monkeypatch, capsys):
     s, hom = bundled_a5()
     h = Subgroup.point_stabilizer(hom.target, 4)
     rep = chebotarev_report(s, 11, subgroup=h)
-    assert [r.count for r in rep.final_type_rows] == [414, 6381, 8505, 10186]
+    assert [r.count for r in rep.rows_at(11, types=True)] == [414, 6381, 8505, 10186]
+
+
+@pytest.mark.parametrize("command", [
+    ["sft", "chebotarev", "--sft", str(DATA / "a5_full_shift.json"),
+     "--hom", str(DATA / "a5_hom.json"), "--max-len", "40"],
+    ["a5", "--max-len", "40"],
+])
+def test_text_output_builds_rows_only_at_max_len(command, monkeypatch):
+    # the text table reads one cutoff, so no other cutoff's rows are built
+    cutoffs = []
+    make = sft.DensityRow
+
+    def row(*args):
+        cutoffs.append(args[0])
+        return make(*args)
+
+    monkeypatch.setattr(sft, "DensityRow", row)
+    assert main(command) == 0
+    assert set(cutoffs) == {40}
 
 
 def test_a5_defaults(capsys):

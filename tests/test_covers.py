@@ -297,7 +297,6 @@ def test_component_bijection_pinned():
     for check in rep.degree_one_checks:
         assert check.in_subgroup
     assert rep.class_meets_subgroup
-    assert rep.conjugator is not None
 
 
 def test_component_bijection_negative_direction():
@@ -307,7 +306,6 @@ def test_component_bijection_negative_direction():
     assert rep.passed
     assert rep.degree_one_checks == ()
     assert not rep.class_meets_subgroup
-    assert rep.conjugator is None
 
 
 def test_component_bijection_exhaustive_s4():
@@ -347,24 +345,23 @@ def test_bijection_report_matches_full_scan_oracle():
                         hol = g.index[r * image * r.inverse()]
                         in_class = conjugator_by_full_scan(g, y, {hol}) is not None
                         checks.append(ComponentCheck(v, hol, hol in h.members, in_class))
-                conjugator = conjugator_by_full_scan(g, y, h.members)
+                meets = conjugator_by_full_scan(g, y, h.members) is not None
                 rep = verify_component_bijection(cover, w)
                 assert rep == BijectionReport(
                     word=w,
                     image=y,
                     decomposition_type=cycle_type(perm),
                     degree_one_checks=tuple(checks),
-                    class_meets_subgroup=conjugator is not None,
-                    conjugator=conjugator,
+                    class_meets_subgroup=meets,
                     direction1_ok=all(c.in_subgroup and c.in_class for c in checks),
-                    direction2_ok=conjugator is None or bool(checks),
+                    direction2_ok=not meets or bool(checks),
                 ), (name, len(h), z)
 
 
 def test_component_bijection_work_bounded(monkeypatch):
-    # a loop whose class misses H needs no conjugator search: scanning all
-    # of A5 for one on each of the 2019 such loops made 290,918 products
-    # here, and searching only when the class meets H makes 48,638
+    # whether some conjugate of the loop's image lies in H is read off its
+    # class: a search for a conjugator on the loops whose class meets H made
+    # 48,638 products here, and the check alone makes 23,954
     g = GROUPS["a5"]
     hom = free_hom(g)
     covers = [build_cover(hom, h) for h in all_subgroups(g)]
@@ -380,7 +377,7 @@ def test_component_bijection_work_bounded(monkeypatch):
     monkeypatch.setattr(g, "mul", counting_mul)
     reports = [verify_component_bijection(c, w) for c in covers for w in words]
     assert len(reports) == 59 * 60 and all(r.passed for r in reports)
-    assert calls <= 60_000
+    assert calls <= 30_000
 
 
 @functools.cache

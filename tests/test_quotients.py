@@ -301,10 +301,10 @@ def test_search_plan_puts_a_pinned_generator_last():
     # the relator x3^-1 x1 pins x3: the order stays x1, x2, x3
     knot = braid_presentation(parse_braid("3:s1^-1 s2 s1 s2^-1 s2^-1 s2^-1"))
     assert [x for x, _ in _search_plan(knot)] == [1, 2, 3]
-    # a split link: from the back x2 is pinned and x3 is not, but x2 is
-    # pinned in the order x1, x2, x3 as well, so that order stays
+    # a split link: from the back x2 is pinned, so it goes last, though it
+    # is pinned in the order x1, x2, x3 as well
     split = braid_presentation(parse_braid("3:s1"))
-    assert _search_plan(split) == [(1, []), (2, list(split.relators[:2])), (3, [])]
+    assert _search_plan(split) == [(1, []), (3, []), (2, list(split.relators[:2]))]
     # no relator at all: the numbering decides
     assert _search_plan(Presentation(3, ())) == [(1, []), (2, []), (3, [])]
 
@@ -335,6 +335,7 @@ def small_braids(draw):
 @example("3:s1^-1 s2")        # x3^-1 x2 forces x3 through an x^-1 marker
 @example("2:s1 s1 s1")        # x2 occurs three times in each relator: nothing forced
 @example("3:s1 s1 s2 s2")     # x2 and x3 never forced
+@example("3:s1")              # x2 pinned either way, searched last: relabelled results
 def test_quotient_search_matches_brute_force(text):
     # every hom, image tuple by image tuple and in order, against walking all
     # |G|^n tuples; A5 only on 2-strand braids (60^3 tuples take too long)

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -188,8 +189,8 @@ def test_chebotarev_report_golden_mean():
     s = golden_mean()
     rep = chebotarev_report(s, 8)
     assert rep.total_counted == 17  # 1+1+1+1+2+2+4+5
-    assert [r.count for r in rep.class_rows] == [1, 2, 3, 4, 6, 8, 12, 17]
-    final = rep.final_class_rows[0]
+    assert [r.count for c in range(1, 9) for r in rep.rows_at(c)] == [1, 2, 3, 4, 6, 8, 12, 17]
+    final = rep.rows_at(8)[0]
     assert final.density == 1 and final.target == 1 and final.deviation == 0
 
 
@@ -218,7 +219,7 @@ def test_chebotarev_report_densities_are_consistent():
                 ["type:(" + ",".join(map(str, t)) + ")" for t in types]
             assert sum(r.count for r in type_rows) == total
             assert sum(r.target for r in type_rows) == 1
-        assert sum(r.count for r in rep.final_type_rows) == rep.total_counted
+        assert sum(r.count for r in rep.rows_at(7, types=True)) == rep.total_counted
 
 
 def test_chebotarev_rejects_action_on_another_group():
@@ -267,7 +268,8 @@ def test_report_types_match_the_coset_route_on_every_a5_subgroup():
     assert len(subs) == 59
     for h in subs:
         rep = chebotarev_report(s, 11, subgroup=h)
-        assert rep.type_rows == type_rows_by_coset_action(rep, g, h), sorted(h.members)
+        assert tuple(r for c in range(1, 12) for r in rep.rows_at(c, types=True)) == \
+            type_rows_by_coset_action(rep, g, h), sorted(h.members)
 
 
 def gassmann_pairs(g):
@@ -298,8 +300,8 @@ def test_gassmann_pairs_of_psl27_have_one_law():
         coset_types = [[cycle_type(CosetAction(g, h).image(c.representative))
                         for c in conjugacy_classes(g)] for h in (a, b)]
         assert coset_types[0] == coset_types[1]
-        assert chebotarev_report(s, 14, subgroup=a).type_rows == \
-            chebotarev_report(s, 14, subgroup=b).type_rows
+        ra, rb = (chebotarev_report(s, 14, subgroup=h) for h in (a, b))
+        assert all(ra.rows_at(c, types=True) == rb.rows_at(c, types=True) for c in range(1, 15))
 
 
 def test_chebotarev_skip_drops_shortest():
@@ -621,3 +623,62 @@ def test_random_sfts_conservation_property():
             assert [r.count for r in rep.rows_at(cutoff)] == [
                 sum(enumerated[(n, ci)] for n in range(1, cutoff + 1))
                 for ci in range(k)], (trial, cutoff)
+
+
+@pytest.mark.parametrize("make", [two_state_s3, golden_mean, one_way_shift, chain_into_sink,
+                                  abelian_shift, a5_four_states])
+def test_report_counts_are_running_sums_of_primitive_counts(make):
+    # with a skip, the running sums lose the leading orbits of the stream
+    s = make()
+    g = s.hom.target
+    prim = primitive_counts(g, [exact_counts(s, n) for n in range(1, 11)])
+    available = sum(map(sum, prim))
+    for skip in (0, 1, 5):
+        if skip >= available:
+            continue
+        dropped = Counter((o.length, o.frobenius_class)
+                          for o in islice(enumerate_orbits(s, 10), skip))
+        rep = chebotarev_report(s, 10, skip=skip)
+        assert len(rep.counts) == 10
+        running = [0] * len(prim[0])
+        for n, row in enumerate(prim, start=1):
+            running = [r + c - dropped[(n, ci)] for ci, (r, c) in enumerate(zip(running, row))]
+            assert rep.counts[n - 1] == tuple(running), (skip, n)
+        assert all(type(c) is int for row in rep.counts for c in row)
+        assert rep.total_counted == available - skip
+
+
+def test_rows_at_outside_the_cutoffs_is_empty():
+    # counts[cutoff - 1] at cutoff 0 would read the last cutoff's counts
+    rep = chebotarev_report(golden_mean(), 8)
+    for types in (False, True):
+        assert len(rep.rows_at(8, types=types)) == 1
+        for cutoff in (-1, 0, 9):
+            assert rep.rows_at(cutoff, types=types) == [], (cutoff, types)
+
+
+def count_built(monkeypatch, *names):
+    """Count the calls of each named constructor of the sft module."""
+    built = Counter()
+
+    def counting(name, make):
+        def build(*args):
+            built[name] += 1
+            return make(*args)
+        return build
+
+    for name in names:
+        monkeypatch.setattr(sft, name, counting(name, getattr(sft, name)))
+    return built
+
+
+def test_chebotarev_report_builds_no_row_or_fraction(monkeypatch):
+    # the report keeps integer counts; rows_at builds rows on request
+    built = count_built(monkeypatch, "DensityRow", "Fraction")
+    s, _ = bundled_a5()
+    rep = chebotarev_report(s, LENGTH_CAP)
+    assert not built
+    assert len(rep.counts) == LENGTH_CAP
+    rows = rep.rows_at(LENGTH_CAP, types=True)
+    assert built["DensityRow"] == len(rows) == len(rep.types) == 4
+    assert sum(r.count for r in rows) == rep.total_counted
