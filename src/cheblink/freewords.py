@@ -260,6 +260,17 @@ class GroupHom:
             if evaluate(self, r) != self.target.identity:
                 raise ValueError(f"relator {r} does not map to the identity")
 
+    @classmethod
+    def _trusted(cls, presentation: Presentation, target: FiniteGroup,
+                 images: tuple[int, ...]) -> "GroupHom":
+        """A hom whose images the caller has already checked against every
+        relator, built without evaluating them again."""
+        hom = object.__new__(cls)
+        object.__setattr__(hom, "presentation", presentation)
+        object.__setattr__(hom, "target", target)
+        object.__setattr__(hom, "images", images)
+        return hom
+
     def is_surjective(self) -> bool:
         return len(generated_set(self.target, self.images)) == self.target.order
 

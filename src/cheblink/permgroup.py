@@ -203,6 +203,8 @@ class FiniteGroup:
         self._rows: list[tuple[int, ...] | None] = [None] * len(self.elements)
         self._row_entries = 0
         self._single_products = [0] * len(self.elements)
+        self._class_rows: list[Sequence[int] | None] = [None] * len(self.elements)
+        self._left_rows: dict[int, tuple[int, ...]] = {}  # generator -> its left-multiplication row
         self._inv = None
         self._conjugations = None
         self._classes = None
@@ -240,6 +242,44 @@ class FiniteGroup:
                 return self._position[tuple(map(a.__getitem__, self._images[j]))]
             row = self.right_row(j)
         return row[i]
+
+    def class_row(self, j: int) -> Sequence[int]:
+        """The class position of every element times j: ``class_row(j)[i]``
+        is the class of mul(i, j), one byte an entry (a tuple above 256
+        classes).
+
+        j's word is its parent's and one more generator a, and i·p·a is
+        conjugate to a·i·p, so j's class row is its parent's read through a's
+        left-multiplication row: one pass per element down the word, from the
+        identity, whose class row is the class of each element.  A class row
+        counts |G| entries against ``ROW_CACHE_CAP`` and is kept while the
+        kept rows and class rows fit.
+        """
+        chain = []
+        while self._class_rows[j] is None and self._words[j]:
+            chain.append(j)
+            a = self.generators[self._words[j][-1] - 1]
+            j = self.right_row(self.inv(a))[j]
+        cr = self._class_rows[j]
+        if cr is None:  # the identity's
+            conjugacy_classes(self)
+            cr = self._keep_class_row(j, self._class_of)
+        for j in reversed(chain):
+            a = self.generators[self._words[j][-1] - 1]
+            left = self._left_rows.get(a)
+            if left is None:
+                # a·i is the inverse of i⁻¹·a⁻¹
+                row = self.right_row(self.inv(a))
+                left = self._left_rows[a] = itemgetter(*itemgetter(*self._inv)(row))(self._inv)
+            cr = self._keep_class_row(j, itemgetter(*left)(cr))
+        return cr
+
+    def _keep_class_row(self, j: int, classes: Sequence[int]) -> Sequence[int]:
+        cr = bytes(classes) if len(self._classes) <= 256 else tuple(classes)
+        if self._row_entries + len(cr) <= ROW_CACHE_CAP:
+            self._class_rows[j] = cr
+            self._row_entries += len(cr)
+        return cr
 
     def inv(self, i: int) -> int:
         if self._inv is None:

@@ -471,7 +471,7 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
         t = tuple(images)
         if dedup_conjugacy and relabelled:
             t = min(conjugates(g, t))
-        results.append(GroupHom(p, g, t))
+        results.append(GroupHom._trusted(p, g, t))
 
     def level(k: int, cent: list[int]):
         # the frame choosing the image of generator plan[k][0]: its

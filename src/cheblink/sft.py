@@ -79,6 +79,7 @@ class LabeledSFT:
         self.out_edges = tuple(tuple(o) for o in out)
         self.predecessors = tuple(tuple(p) for p in into)  # sources of the edges into each state
         self._reach_cache: dict[int, list[list[bool]]] = {}
+        self._backward: dict[int, _Backward] = {}  # exact_counts' tables, per start
 
     def _reach(self, target: int, upto: int) -> list[list[bool]]:
         """reach[k][state]: is there a path of exactly k steps state -> target?"""
@@ -181,120 +182,278 @@ def _lift_moves(s: LabeledSFT) -> list[list[tuple[int, tuple[int, ...]]]]:
             for st in range(s.state_count)]
 
 
+def _translation(row: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
+    """vec -> the vector whose entry t is vec[row[t]], in one itemgetter call."""
+    # a one-index itemgetter returns a bare item; order 1 has only the
+    # identity, which moves nothing
+    return itemgetter(*row) if len(row) > 1 else tuple
+
+
 def _dense_moves(s: LabeledSFT) -> list[list[tuple[int, Callable[[list], Sequence[int]]]]]:
     """moves[state]: (destination, translation) per out-edge, for dense counts.
 
     A translation takes a state's counts as one vector indexed by element and
     returns the vector the edge's label moves them to, moved[y] =
-    vec[y·label⁻¹], in one ``itemgetter`` call over the label inverse's row.
+    vec[y·label⁻¹], by ``_translation`` over the label inverse's row.
     """
     g = s.hom.target
-    picks = {}
-    for lab in set(s.edge_elem):
-        row = g.right_row(g.inv(lab))
-        # a one-index itemgetter returns a bare item; order 1 has only the
-        # identity, which moves nothing
-        picks[lab] = itemgetter(*row) if len(row) > 1 else tuple
+    picks = {lab: _translation(g.right_row(g.inv(lab))) for lab in set(s.edge_elem)}
     return [[(s.edge_dst[ei], picks[s.edge_elem[ei]]) for ei in s.out_edges[st]]
             for st in range(s.state_count)]
 
 
-def _closed_path_totals(s: LabeledSFT, max_n: int, *,
-                        every_length: bool = True) -> list[list[int]]:
-    """totals[n][class]: closed paths of length n, for every n <= max_n.
+def _back_moves(s: LabeledSFT) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """moves[state]: (source, row) per in-edge, for the backward tables.
 
-    With ``every_length`` false only totals[max_n] is read out, and every
-    other row stays zero.
-
-    One pass of max_n steps per start state s0 over per-state counts keyed
-    by the holonomy so far, stepping along the lift's edges.  The counts
-    start sparse, one dict per state (``_lift_moves``).  Once they fill a
-    quarter of states x G, they turn into one list of |G| counts per state,
-    None where a state holds none, and each edge moves a whole list with one
-    translation (``_dense_moves``) for the rest of that start's steps.
-
-    A step n skips every edge into a state that cannot get back to s0 in
-    the max_n - n steps left; ``back``, the fewest steps to s0, comes from
-    one breadth-first search over reversed edges.  The skip is exact: a
-    count at (state, n) only reaches totals[j] along a path of j - n steps
-    from that state to s0, so a skipped count reaches none.
+    A path from the state to a start, with label product y, is kept under
+    w = y⁻¹; the edge in front of it turns w into row[w] = w·label⁻¹, by
+    tuple lookup in the label inverse's right-multiplication row.
     """
     g = s.hom.target
-    moves = _lift_moves(s)
-    classes = conjugacy_classes(g)
-    class_of = g._class_of  # filled by conjugacy_classes
-    dense_moves = class_picks = None  # built at the first switch to dense counts
-    cells = s.state_count * g.order
-    totals = [[0] * len(classes) for _ in range(max_n + 1)]
-    first_read = 0 if every_length else max_n
-    for s0 in range(s.state_count):
-        back = [max_n + 1] * s.state_count  # above max_n: not within max_n steps
-        back[s0] = 0
-        queue = [s0]
-        for v in queue:  # the loop visits what it appends: breadth first
-            d = back[v] + 1
-            if d > max_n:
-                break
-            for u in s.predecessors[v]:
-                if back[u] > max_n:
-                    back[u] = d
-                    queue.append(u)
+    rows = {lab: g.right_row(g.inv(lab)) for lab in set(s.edge_elem)}
+    into: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(s.state_count)]
+    for src, dst, lab in zip(s.edge_src, s.edge_dst, s.edge_elem):
+        into[dst].append((src, rows[lab]))
+    return into
+
+
+def _meet_classes(g: FiniteGroup, w: int) -> Sequence[int]:
+    """classes[x]: the class of x·w⁻¹, the holonomy of a forward path to x
+    closed by a backward path of label product w⁻¹."""
+    return g.class_row(g.inv(w))
+
+
+def _meet_translation(g: FiniteGroup, w: int) -> Callable[[Sequence[int]], Sequence[int]]:
+    """moved[t] = vec[t·w]: a class sum of moved counts the forward paths
+    whose holonomy, closed by a backward path of label product w⁻¹, lies in
+    the class."""
+    return _translation(g.right_row(w))
+
+
+def _back_distances(s: LabeledSFT, s0: int, max_n: int) -> list[int]:
+    """back[state]: fewest steps from the state to s0, above max_n when
+    there is no path of at most max_n steps; one breadth-first search over
+    reversed edges."""
+    back = [max_n + 1] * s.state_count
+    back[s0] = 0
+    queue = [s0]
+    for v in queue:  # the loop visits what it appends: breadth first
+        d = back[v] + 1
+        if d > max_n:
+            break
+        for u in s.predecessors[v]:
+            if back[u] > max_n:
+                back[u] = d
+                queue.append(u)
+    return back
+
+
+class _Transfer:
+    """The transfer DP on one shift: the forward walk both counting routes
+    share, with the lift's moves and the class readout built once."""
+
+    def __init__(self, s: LabeledSFT):
+        self.s = s
+        self.g = g = s.hom.target
+        self.moves = _lift_moves(s)
+        self.classes = conjugacy_classes(g)
+        self.class_of = g._class_of  # filled by conjugacy_classes
+        self.dense_moves = self.class_picks = None  # built at the first switch to dense counts
+
+    def walk(self, s0: int, max_n: int, back: Sequence[int],
+             since: int = 0) -> Iterator[tuple[int, list, bool]]:
+        """Yield (n, counts, dense) after each step n = since..max_n of the
+        walk from (s0, identity).
+
+        counts[state] is a dict from holonomy to path count, or, once
+        ``dense``, a list of |G| counts, None where the state holds none.
+        Once the dicts fill a quarter of states x G they turn into lists at
+        the start of the next step, and each edge then moves a whole list
+        with one translation (``_dense_moves``).  Step n skips every edge
+        into a state whose ``back`` exceeds the max_n - n steps left: a count
+        there reaches s0 only along a longer path.
+        """
+        s, g, moves, dense_moves = self.s, self.g, self.moves, self.dense_moves
+        cells = s.state_count * g.order
         cur: list = [{} for _ in range(s.state_count)]
         cur[s0][g.identity] = 1
-        dense = False
-        for n in range(max_n + 1):
-            if n:
-                left = max_n - n
-                if dense:
-                    nxt = [None] * s.state_count
-                    for st, vec in enumerate(cur):
-                        if vec is None:
-                            continue
-                        for dst, pick in dense_moves[st]:
-                            if back[dst] > left:
-                                continue
-                            acc, moved = nxt[dst], pick(vec)
-                            nxt[dst] = moved if acc is None else list(map(add, acc, moved))
-                else:
-                    nxt = [{} for _ in range(s.state_count)]
-                    for st, dist in enumerate(cur):
-                        if not dist:
-                            continue
-                        for dst, row in moves[st]:
-                            if back[dst] > left:
-                                continue
-                            out = nxt[dst]
-                            get = out.get
-                            for el, c in dist.items():
-                                y = row[el]
-                                out[y] = get(y, 0) + c
-                    if 4 * sum(map(len, nxt)) >= cells:
-                        dense = True
-                        if dense_moves is None:
-                            dense_moves = _dense_moves(s)
-                            # a one-index itemgetter returns a bare item, so a
-                            # one-member class reads a one-item slice instead
-                            class_picks = [itemgetter(*m) if len(m) > 1
-                                           else itemgetter(slice(m[0], m[0] + 1))
-                                           for m in (sorted(c.members) for c in classes)]
-                        for st, dist in enumerate(nxt):
-                            vec = None
-                            if dist:
-                                vec = [0] * g.order
-                                for el, c in dist.items():
-                                    vec[el] = c
-                            nxt[st] = vec
-                cur = nxt
-            here = cur[s0]
-            if n < first_read or not here:
-                continue
-            tot = totals[n]
+        dense = turn = False
+        if since <= 0:
+            yield 0, cur, dense
+        for n in range(1, max_n + 1):
+            if turn:
+                dense, turn = True, False
+                if dense_moves is None:
+                    self.dense_moves = _dense_moves(s)
+                    # a one-index itemgetter returns a bare item, so a
+                    # one-member class reads a one-item slice instead
+                    self.class_picks = [itemgetter(*m) if len(m) > 1
+                                        else itemgetter(slice(m[0], m[0] + 1))
+                                        for m in (sorted(c.members) for c in self.classes)]
+                dense_moves = self.dense_moves
+                vecs = [None] * s.state_count
+                for st, dist in enumerate(cur):
+                    if dist:
+                        vec = vecs[st] = [0] * g.order
+                        for el, c in dist.items():
+                            vec[el] = c
+                cur = vecs
+            left = max_n - n
             if dense:
-                for ci, pick in enumerate(class_picks):
-                    tot[ci] += sum(pick(here))
+                nxt = [None] * s.state_count
+                for st, vec in enumerate(cur):
+                    if vec is None:
+                        continue
+                    for dst, pick in dense_moves[st]:
+                        if back[dst] > left:
+                            continue
+                        acc, moved = nxt[dst], pick(vec)
+                        nxt[dst] = moved if acc is None else list(map(add, acc, moved))
             else:
-                for el, c in here.items():
-                    tot[class_of[el]] += c
+                nxt = [{} for _ in range(s.state_count)]
+                for st, dist in enumerate(cur):
+                    if not dist:
+                        continue
+                    for dst, row in moves[st]:
+                        if back[dst] > left:
+                            continue
+                        out = nxt[dst]
+                        get = out.get
+                        for el, c in dist.items():
+                            y = row[el]
+                            out[y] = get(y, 0) + c
+                turn = 4 * sum(map(len, nxt)) >= cells
+            cur = nxt
+            if n >= since:
+                yield n, cur, dense
+
+    def read(self, here, dense: bool, tot: list[int]) -> None:
+        """Add the classes of one state's counts into tot."""
+        if not here:
+            return
+        if dense:
+            for ci, pick in enumerate(self.class_picks):
+                tot[ci] += sum(pick(here))
+        else:
+            class_of = self.class_of
+            for el, c in here.items():
+                tot[class_of[el]] += c
+
+    def meet(self, cur, dense: bool, table: tuple, tot: list[int]) -> None:
+        """Add into tot the classes of the closed paths that pair a forward
+        count at (v, x) with a backward table count at (v, w): x·w⁻¹.
+
+        Sparse counts read pair by pair from ``_meet_classes``; a dense
+        vector is moved once per table entry by ``_meet_translation`` and
+        read by class.
+        """
+        g = self.g
+        for v, w, cb in zip(*table):
+            here = cur[v]
+            if not here:
+                continue
+            if dense:
+                moved = _meet_translation(g, w)(here)
+                for ci, pick in enumerate(self.class_picks):
+                    tot[ci] += cb * sum(pick(moved))
+            else:
+                classes = _meet_classes(g, w)
+                for x, c in here.items():
+                    tot[classes[x]] += c * cb
+
+
+class _Backward:
+    """The backward half of the walks from one start s0, grown as longer
+    lengths ask for it and kept on the shift.
+
+    ``tables[b]`` lists the b-step paths v -> s0 by (v, w) with label
+    product w⁻¹, as three tuples: the states v, the keys w and the number
+    of paths of each.  Costs are in the units of a sparse step's lookup; a
+    pass over one state's |G| dense counts costs |G| / 4 of them, the ratio
+    at which the walk itself turns dense.
+
+    A dense meet with tables[b] makes two passes per table entry (a
+    translation and the class sums); it spares the last b forward steps,
+    which make a translation per edge into a state within b - 1 steps of s0
+    and an addition per such edge but the first into each state
+    (``spared[b]`` passes).  ``best[b]`` is the b' <= b whose meet spares
+    the most, 0 when none spares anything.
+
+    Tables stop growing once one start's tables together would hold more
+    than |G| entries (so the halves of all starts hold no more than one
+    walk's counts can), or once a table's passes are more than one full step
+    above what it spares: entries grow geometrically with b, what they
+    spare by at most a step at a time.
+    """
+
+    __slots__ = ("tables", "spared", "best", "gain", "edges_within", "budget", "full")
+
+    def __init__(self, s: LabeledSFT, s0: int):
+        self.tables = [((s0,), (s.hom.target.identity,), (1,))]
+        self.spared, self.best, self.gain = [0], [0], [0]
+        self.edges_within = [0]  # [b]: edges into states within j steps of s0, summed over j < b
+        self.budget = s.hom.target.order - 1
+        self.full = False
+
+    def grow(self, s: LabeledSFT, upto: int, back: Sequence[int], back_moves: list) -> None:
+        """Grow the tables to tables[upto], or as far as they may go; back
+        is ``_back_distances`` to s0 for at least upto steps."""
+        while not self.full and len(self.tables) <= upto:
+            b = len(self.tables)
+            within = [len(p) for v, p in enumerate(s.predecessors) if back[v] < b]
+            spared = self.spared[-1] + 2 * sum(within) - sum(map(bool, within))
+            paths: dict[tuple[int, int], int] = {}
+            get = paths.get
+            for v, w, c in zip(*self.tables[-1]):
+                for u, row in back_moves[v]:
+                    key = (u, row[w])
+                    paths[key] = get(key, 0) + c
+            self.budget -= len(paths)
+            if self.budget < 0 or 2 * len(paths) > spared + 2 * len(s.edges):
+                self.full = True
+                break
+            self.tables.append((tuple(u for u, _ in paths), tuple(w for _, w in paths),
+                                tuple(paths.values())))
+            self.edges_within.append(self.edges_within[-1] + sum(within))
+            self.spared.append(spared)
+            self.gain.append(spared - 2 * len(paths))
+            self.best.append(b if self.gain[b] > self.gain[self.best[-1]] else self.best[-1])
+
+    def meets_now(self, s: LabeledSFT, cur, dense: bool, b: int, back: Sequence[int]) -> bool:
+        """Should the walk, b steps short of the end, meet tables[b] now?
+
+        Dense counts meet at the best b.  Sparse counts meet when the pairs
+        to read cost no more than the cheaper of two estimates of going on:
+        the next step's lookups and then, with no further growth, as many per
+        edge as the counts hold per state; or turning dense now and going on
+        to the best dense meet.
+        """
+        if dense:
+            return self.best[b] == b
+        pairs = sum(map(len, map(cur.__getitem__, self.tables[b][0])))
+        entries = pushes = 0
+        for st, dist in enumerate(cur):
+            if dist:
+                entries += len(dist)
+                pushes += len(dist) * sum(back[s.edge_dst[ei]] < b for ei in s.out_edges[st])
+        on_sparse = pushes + entries * self.edges_within[b - 1] // s.state_count
+        on_dense = entries + (self.spared[b] - self.gain[self.best[b]]) * s.hom.target.order // 4
+        return pairs <= min(on_sparse, on_dense)
+
+
+def _closed_path_totals(s: LabeledSFT, max_n: int) -> list[list[int]]:
+    """totals[n][class]: closed paths of length n, for every n <= max_n.
+
+    One forward walk of max_n steps per start state s0 (``_Transfer.walk``),
+    its counts at s0 read out after every step.  Every length needs every
+    step here, so this route never meets a backward table: ``exact_counts``,
+    which wants one length, does.
+    """
+    tr = _Transfer(s)
+    totals = [[0] * len(tr.classes) for _ in range(max_n + 1)]
+    for s0 in range(s.state_count):
+        for n, cur, dense in tr.walk(s0, max_n, _back_distances(s, s0, max_n)):
+            tr.read(cur[s0], dense, totals[n])
     return totals
 
 
@@ -303,14 +462,45 @@ def exact_counts(s: LabeledSFT, n: int) -> tuple[int, ...]:
 
     Based paths: every start state counts, and rotations of a cycle are
     distinct paths.  Dynamic programming over (state, group element), so the
-    cost is linear in n and no orbit is enumerated; the classes are read out
-    at length n only.  Raises ValueError for n below 0 or above LENGTH_CAP.
+    cost is linear in n and no orbit is enumerated.  Raises ValueError for n
+    below 0 or above LENGTH_CAP.
+
+    The count meets in the middle.  Each start s0 is walked forward as in
+    ``_closed_path_totals``, but only to some step n - b, and is paired
+    there with a table of the b-step paths into s0 (``_Backward``, built
+    once per start and kept on the shift): a closed path is a forward count
+    at (v, x) times a table count at (v, y), in the class of x·y.  Sparse
+    counts are paired one by one through the group's class row of y; a
+    dense state's vector is translated once per (v, y) and summed by class.
+    b is chosen per start, step by step, from sizes the walk already sees:
+    the table's and the counts' entries, the edges still to walk and |G|.
+    Dense counts meet the table that spares the most dense steps; sparse
+    counts meet once the pairs cost no more than going on would.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > LENGTH_CAP:
         raise ValueError(f"length {n} exceeds the length cap {LENGTH_CAP}")
-    return tuple(_closed_path_totals(s, n, every_length=False)[n])
+    tr = _Transfer(s)
+    tot = [0] * len(tr.classes)
+    back_moves = None  # built when a table has to grow
+    for s0 in range(s.state_count):
+        half = s._backward.get(s0)
+        if half is None:
+            half = s._backward[s0] = _Backward(s, s0)
+        back = _back_distances(s, s0, n)
+        if not half.full and len(half.tables) <= n:
+            if back_moves is None:
+                back_moves = _back_moves(s)
+            half.grow(s, n, back, back_moves)
+        # the walk may meet tables[b] from b = len(tables) - 1 steps short of n
+        for m, cur, dense in tr.walk(s0, n, back, n - len(half.tables) + 1):
+            if m == n:
+                tr.read(cur[s0], dense, tot)
+            elif half.meets_now(s, cur, dense, n - m, back):
+                tr.meet(cur, dense, half.tables[n - m], tot)
+                break
+    return tuple(tot)
 
 
 def primitive_counts(g: FiniteGroup,

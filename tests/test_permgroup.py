@@ -486,6 +486,27 @@ def test_mul_builds_a_row_only_after_single_products(monkeypatch):
     assert cached_rows(g) == 1
 
 
+@pytest.mark.parametrize("cap_rows", [None, 2])
+def test_class_rows_match_products(monkeypatch, cap_rows):
+    # under a cap of two rows' entries the class rows that do not fit are
+    # built and dropped
+    for name, g in GROUPS.items():
+        g = fresh(g)
+        if cap_rows is not None:
+            monkeypatch.setattr(permgroup, "ROW_CACHE_CAP", cap_rows * g.order)
+        for j in range(g.order):
+            assert list(g.class_row(j)) == [class_index(g, g.mul(i, j))
+                                            for i in range(g.order)], (name, j)
+            assert g._row_entries <= permgroup.ROW_CACHE_CAP
+
+
+def test_class_rows_of_more_than_256_classes():
+    # too many classes for a byte each
+    g = perm_group(300, "(" + " ".join(map(str, range(1, 301))) + ")")
+    for j in range(0, g.order, 7):
+        assert list(g.class_row(j)) == [class_index(g, g.mul(i, j)) for i in range(g.order)]
+
+
 def test_trivial_group_of_degree_one(tmp_path):
     g = perm_group(1)
     assert (g.order, g.degree) == (1, 1)

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cheblink import (GroupHom, IntMatrix, Presentation, Word, abelianized_matrix,
-                      braid_presentation, cycle_type, generic_check, parse_braid, parse_word,
-                      permgroup, quotient_search, quotients, smith_normal_form)
+                      braid_presentation, cycle_type, freewords, generic_check, parse_braid,
+                      parse_word, permgroup, quotient_search, quotients, smith_normal_form)
 from cheblink.quotients import (MILLER_RABIN_LIMIT, TRIAL_DIVISION_CAP,
                                 _least_prime_factor, _search_plan, load_matrix_file)
 
@@ -401,9 +401,9 @@ def test_quotient_search_ignores_generator_labels(case):
 
 
 def test_quotient_search_onto_s7_builds_no_rows():
-    # each candidate is a right factor twice in the search and twice more
-    # when its hom checks the relator, too few to pay for a row of 5040
-    # entries; a row per candidate would fill all 416 rows the cap allows
+    # each candidate is a right factor twice in the search, too few to pay
+    # for a row of 5040 entries; a row per candidate would fill all 416 rows
+    # the cap allows
     s7 = perm_group(7, "(1 2 3 4 5 6 7)", "(1 2)")
     homs = quotient_search(Presentation(1, (parse_word("x1 x1"),)), s7)
     assert s7._row_entries == 0
@@ -420,25 +420,45 @@ def test_quotient_search_onto_s7_keeps_row_cache_bounded(monkeypatch):
     cap = 64 * 5040
     monkeypatch.setattr(permgroup, "ROW_CACHE_CAP", cap)
     s7 = perm_group(7, "(1 2 3 4 5 6 7)", "(1 2)")
-    leaf_entries = 0
-    plain_hom = quotients.GroupHom
-
-    def counting_hom(*args):
-        # rows the leaves' relator checks keep are not the search's own
-        nonlocal leaf_entries
-        before = s7._row_entries
-        hom = plain_hom(*args)
-        leaf_entries += s7._row_entries - before
-        return hom
-
-    monkeypatch.setattr(quotients, "GroupHom", counting_hom)
     homs = quotient_search(Presentation(1, (parse_word(" ".join(["x1"] * 10)),)), s7)
     # the elements of order 1, 2, 5 and 10
     assert len(homs) == 1 + 21 + 105 + 105 + 504 + 504
     assert {cycle_type(s7.elements[h.images[0]].images) for h in homs} == {
         (1,) * 7, (2, 1, 1, 1, 1, 1), (2, 2, 1, 1, 1), (2, 2, 2, 1), (5, 1, 1), (5, 2)}
     assert s7._row_entries <= cap
-    assert s7._row_entries - leaf_entries + s7.order > cap  # the search filled the cache
+    # the results check no relator again, so every row kept is the search's
+    assert s7._row_entries + s7.order > cap
+
+
+def test_search_results_match_the_validating_constructor(monkeypatch):
+    # the search builds its homs without evaluating their relators again:
+    # each must be the hom the validating constructor builds from its images
+    rng = random.Random(23)
+    braids = [_random_braid(rng, strands) for strands in (2, 3) for _ in range(8)]
+    braids.append("3:s1^-1 s2 s1 s2^-1 s2^-1 s2^-1")
+    evaluated = [0]
+    plain_evaluate = freewords.evaluate
+
+    def counting_evaluate(hom, w):
+        evaluated[0] += 1
+        return plain_evaluate(hom, w)
+
+    monkeypatch.setattr(freewords, "evaluate", counting_evaluate)
+    for name, g in GROUPS.items():
+        for text in braids:
+            if name == "a5" and text.startswith("3:"):
+                continue  # 60^3 image triples
+            p = braid_presentation(parse_braid(text))
+            for dedup in (False, True):
+                evaluated[0] = 0
+                homs = quotient_search(p, g, dedup_conjugacy=dedup)
+                assert evaluated[0] == 0, (name, text)
+                assert homs, (name, text)  # the trivial hom at least
+                for hom in homs:
+                    checked = GroupHom(p, g, hom.images)
+                    assert (hom.presentation, hom.target, hom.images) == \
+                        (checked.presentation, checked.target, checked.images)
+                    assert type(hom.images) is tuple
 
 
 def test_least_prime_factor_small_values():

@@ -486,9 +486,12 @@ def dp_shifts(draw):
 @example(golden_mean())
 @example(one_way_shift())
 def test_pruned_transfer_matches_unpruned_oracle(s):
-    # the skip depends on max_n, so every max_n is its own run
+    # the skip depends on max_n, so every max_n is its own run; exact_counts
+    # meets backward tables that grow as the lengths do
     for max_n in range(11):
-        assert sft._closed_path_totals(s, max_n) == closed_path_totals_unpruned(s, max_n), max_n
+        oracle = closed_path_totals_unpruned(s, max_n)
+        assert sft._closed_path_totals(s, max_n) == oracle, max_n
+        assert exact_counts(s, max_n) == tuple(oracle[max_n]), max_n
 
 
 def chain_into_sink(core=False):
@@ -506,44 +509,63 @@ def chain_into_sink(core=False):
 
 
 def count_transfer_work(monkeypatch):
-    """Count the transfer DP's work at its two seams: one per row lookup of
-    a sparse step (``_lift_moves``, which the unpruned oracle reads too) and
-    |G| per vector a dense step moves (``_dense_moves``).  Returns the
-    counter [sparse lookups, dense translations]."""
-    work = [0, 0]
+    """Count the transfer DP's work at its seams: one per row lookup of a
+    sparse step (``_lift_moves``, which the unpruned oracle reads too), |G|
+    per vector a dense step moves (``_dense_moves``), and the meet's work:
+    one per pair a sparse meet reads (``_meet_classes``), |G| per vector a
+    dense meet translates (``_meet_translation``) and one per lookup that
+    builds a backward table (``_back_moves``).  Returns the counter
+    [sparse lookups, dense translations, meet reads, table lookups]."""
+    work = [0, 0, 0, 0]
 
-    class CountingRow(tuple):
-        def __getitem__(self, i):
-            work[0] += 1
-            return tuple.__getitem__(self, i)
+    def counting_row(at):
+        class CountingRow(tuple):
+            def __getitem__(self, i):
+                work[at] += 1
+                return tuple.__getitem__(self, i)
+        return CountingRow
 
-    def counted(pick, order):
+    def counted(pick, order, at):
         def moved(vec):
-            work[1] += order
+            work[at] += order
             return pick(vec)
         return moved
 
-    lift_moves, dense_moves = sft._lift_moves, sft._dense_moves
+    step_row, meet_row, table_row = counting_row(0), counting_row(2), counting_row(3)
+    lift_moves, dense_moves, back_moves = sft._lift_moves, sft._dense_moves, sft._back_moves
+    meet_classes, meet_translation = sft._meet_classes, sft._meet_translation
     monkeypatch.setattr(sft, "_lift_moves", lambda s: [
-        [(dst, CountingRow(row)) for dst, row in m] for m in lift_moves(s)])
+        [(dst, step_row(row)) for dst, row in m] for m in lift_moves(s)])
     monkeypatch.setattr(sft, "_dense_moves", lambda s: [
-        [(dst, counted(pick, s.hom.target.order)) for dst, pick in m] for m in dense_moves(s)])
+        [(dst, counted(pick, s.hom.target.order, 1)) for dst, pick in m]
+        for m in dense_moves(s)])
+    monkeypatch.setattr(sft, "_back_moves", lambda s: [
+        [(src, table_row(row)) for src, row in m] for m in back_moves(s)])
+    monkeypatch.setattr(sft, "_meet_classes", lambda g, w: meet_row(meet_classes(g, w)))
+    monkeypatch.setattr(sft, "_meet_translation", lambda g, w: counted(
+        meet_translation(g, w), g.order, 2))
     return work
 
 
 def test_transfer_skips_counts_that_cannot_close(monkeypatch):
     # counts that flow down the chain never return to a start state, so the
-    # DP should not push them, in the sparse phase or the dense one
+    # DP should not push them, in the sparse phase or the dense one, on
+    # either route
     work = count_transfer_work(monkeypatch)
     for core in (False, True):
         s = chain_into_sink(core)
-        work[:] = [0, 0]
+        work[:] = [0, 0, 0, 0]
         got = exact_counts(s, 12)
         pruned, dense = sum(work), work[1]
-        work[:] = [0, 0]
-        assert got == tuple(closed_path_totals_unpruned(s, 12)[12])
-        assert (dense > 0) == core
+        work[:] = [0, 0, 0, 0]
+        every = sft._closed_path_totals(s, 12)
+        every_pruned, every_dense = sum(work), work[1]
+        work[:] = [0, 0, 0, 0]
+        oracle = closed_path_totals_unpruned(s, 12)
+        assert got == tuple(oracle[12]) and every == oracle
+        assert (dense > 0) == core and (every_dense > 0) == core
         assert 0 < 2 * pruned <= work[0], core
+        assert 0 < 2 * every_pruned <= work[0], core
 
 
 def s6_shift():
@@ -580,13 +602,48 @@ def test_dense_transfer_matches_unpruned_oracle(make, monkeypatch):
     work = count_transfer_work(monkeypatch)
     s = make()
     oracle = closed_path_totals_unpruned(s, 16)
-    work[:] = [0, 0]
+    work[:] = [0, 0, 0, 0]
     got = sft._closed_path_totals(s, 16)
     assert work[1] > 0
     assert got == oracle
     assert all(type(c) is int for row in got for c in row)
     for n in range(17):
         assert exact_counts(s, n) == tuple(oracle[n]), n
+
+
+def test_meet_does_less_work_than_the_every_length_pass(monkeypatch):
+    # the meet, its tables included, must cost less than walking every step
+    work = count_transfer_work(monkeypatch)
+    s = s6_shift()
+    work[:] = [0, 0, 0, 0]
+    every = sft._closed_path_totals(s, 15)
+    every_work = sum(work)
+    work[:] = [0, 0, 0, 0]
+    assert exact_counts(s, 15) == tuple(every[15])
+    assert work[2] > 0 and work[3] > 0
+    assert sum(work) < every_work
+
+
+def chain_with_core():
+    return chain_into_sink(core=True)
+
+
+def bundled_shift():
+    return bundled_a5()[0]
+
+
+@pytest.mark.parametrize("make", [s6_shift, a5_four_states, golden_mean, abelian_shift,
+                                  chain_into_sink, chain_with_core, bundled_shift])
+def test_both_counting_routes_agree(make):
+    # exact_counts meets in the middle, the every-length pass walks every
+    # step: through the trivial group of degree 1 (golden_mean), classes of
+    # one element (abelian_shift), chains that lead away, and both phases
+    s = make()
+    every = sft._closed_path_totals(s, 64)
+    for n in range(65):
+        got = exact_counts(s, n)
+        assert got == tuple(every[n]), n
+        assert all(type(c) is int for c in got), n
 
 
 def test_random_sfts_conservation_property():
