@@ -15,9 +15,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from math import gcd
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .freewords import GroupHom, Word, evaluate, parse_hom_data, parse_word
@@ -79,7 +79,6 @@ class LabeledSFT:
         self.out_edges = tuple(tuple(o) for o in out)
         self.predecessors = tuple(tuple(p) for p in into)  # sources of the edges into each state
         self._reach_cache: dict[int, list[list[bool]]] = {}
-        self._backward: dict[int, _Backward] = {}  # exact_counts' tables, per start
 
     def _reach(self, target: int, upto: int) -> list[list[bool]]:
         """reach[k][state]: is there a path of exactly k steps state -> target?"""
@@ -202,32 +201,33 @@ def _dense_moves(s: LabeledSFT) -> list[list[tuple[int, Callable[[list], Sequenc
             for st in range(s.state_count)]
 
 
-def _back_moves(s: LabeledSFT) -> list[list[tuple[int, tuple[int, ...]]]]:
-    """moves[state]: (source, row) per in-edge, for the backward tables.
-
-    A path from the state to a start, with label product y, is kept under
-    w = y⁻¹; the edge in front of it turns w into row[w] = w·label⁻¹, by
-    tuple lookup in the label inverse's right-multiplication row.
-    """
-    g = s.hom.target
-    rows = {lab: g.right_row(g.inv(lab)) for lab in set(s.edge_elem)}
-    into: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(s.state_count)]
-    for src, dst, lab in zip(s.edge_src, s.edge_dst, s.edge_elem):
-        into[dst].append((src, rows[lab]))
-    return into
-
-
-def _meet_classes(g: FiniteGroup, w: int) -> Sequence[int]:
-    """classes[x]: the class of x·w⁻¹, the holonomy of a forward path to x
-    closed by a backward path of label product w⁻¹."""
-    return g.class_row(g.inv(w))
+def _paths_into(counts: Sequence[list], s0: int) -> tuple[tuple[int, ...], ...]:
+    """The paths into s0 that every start's walk holds at one step, as three
+    tuples: the starts v, the label products x of the paths v -> s0 and the
+    number of paths of each.  counts[v] is the walk from v at that step."""
+    starts: list[int] = []
+    keys: list[int] = []
+    paths: list[int] = []
+    for v, cur in enumerate(counts):
+        here = cur[s0]
+        if here:
+            starts += [v] * len(here)
+            keys += here
+            paths += here.values()
+    return tuple(starts), tuple(keys), tuple(paths)
 
 
-def _meet_translation(g: FiniteGroup, w: int) -> Callable[[Sequence[int]], Sequence[int]]:
-    """moved[t] = vec[t·w]: a class sum of moved counts the forward paths
-    whose holonomy, closed by a backward path of label product w⁻¹, lies in
-    the class."""
-    return _translation(g.right_row(w))
+def _meet_classes(g: FiniteGroup, x: int) -> Sequence[int]:
+    """classes[y]: the class of y·x, the holonomy of a forward path to y
+    closed by a path of label product x."""
+    return g.class_row(x)
+
+
+def _meet_translation(g: FiniteGroup, x: int) -> Callable[[Sequence[int]], Sequence[int]]:
+    """moved[t] = vec[t·x⁻¹]: a class sum of moved counts the forward paths
+    whose holonomy, closed by a path of label product x, lies in the
+    class."""
+    return _translation(g.right_row(g.inv(x)))
 
 
 def _back_distances(s: LabeledSFT, s0: int, max_n: int) -> list[int]:
@@ -260,10 +260,9 @@ class _Transfer:
         self.class_of = g._class_of  # filled by conjugacy_classes
         self.dense_moves = self.class_picks = None  # built at the first switch to dense counts
 
-    def walk(self, s0: int, max_n: int, back: Sequence[int],
-             since: int = 0) -> Iterator[tuple[int, list, bool]]:
-        """Yield (n, counts, dense) after each step n = since..max_n of the
-        walk from (s0, identity).
+    def walk(self, s0: int, max_n: int, back: Sequence[int]) -> Iterator[tuple[int, list, bool]]:
+        """Yield (n, counts, dense) after each step n = 0..max_n of the walk
+        from (s0, identity).
 
         counts[state] is a dict from holonomy to path count, or, once
         ``dense``, a list of |G| counts, None where the state holds none.
@@ -273,17 +272,16 @@ class _Transfer:
         into a state whose ``back`` exceeds the max_n - n steps left: a count
         there reaches s0 only along a longer path.
         """
-        s, g, moves, dense_moves = self.s, self.g, self.moves, self.dense_moves
+        s, g, moves = self.s, self.g, self.moves
         cells = s.state_count * g.order
         cur: list = [{} for _ in range(s.state_count)]
         cur[s0][g.identity] = 1
         dense = turn = False
-        if since <= 0:
-            yield 0, cur, dense
+        yield 0, cur, dense
         for n in range(1, max_n + 1):
             if turn:
                 dense, turn = True, False
-                if dense_moves is None:
+                if self.dense_moves is None:
                     self.dense_moves = _dense_moves(s)
                     # a one-index itemgetter returns a bare item, so a
                     # one-member class reads a one-item slice instead
@@ -324,8 +322,7 @@ class _Transfer:
                             out[y] = get(y, 0) + c
                 turn = 4 * sum(map(len, nxt)) >= cells
             cur = nxt
-            if n >= since:
-                yield n, cur, dense
+            yield n, cur, dense
 
     def read(self, here, dense: bool, tot: list[int]) -> None:
         """Add the classes of one state's counts into tot."""
@@ -341,104 +338,107 @@ class _Transfer:
 
     def meet(self, cur, dense: bool, table: tuple, tot: list[int]) -> None:
         """Add into tot the classes of the closed paths that pair a forward
-        count at (v, x) with a backward table count at (v, w): x·w⁻¹.
+        count at (v, y) with a table count at (v, x): y·x.
 
         Sparse counts read pair by pair from ``_meet_classes``; a dense
         vector is moved once per table entry by ``_meet_translation`` and
         read by class.
         """
         g = self.g
-        for v, w, cb in zip(*table):
+        for v, x, cb in zip(*table):
             here = cur[v]
             if not here:
                 continue
             if dense:
-                moved = _meet_translation(g, w)(here)
+                moved = _meet_translation(g, x)(here)
                 for ci, pick in enumerate(self.class_picks):
                     tot[ci] += cb * sum(pick(moved))
             else:
-                classes = _meet_classes(g, w)
-                for x, c in here.items():
-                    tot[classes[x]] += c * cb
+                classes = _meet_classes(g, x)
+                for y, c in here.items():
+                    tot[classes[y]] += c * cb
 
 
 class _Backward:
-    """The backward half of the walks from one start s0, grown as longer
-    lengths ask for it and kept on the shift.
+    """The last steps into one start s0, read off the counts the walks keep:
+    the b-step paths v -> s0 are the counts at s0 of the walk from v after
+    step b, and ``_paths_into(kept[b], s0)`` lists them as a table.
 
-    ``tables[b]`` lists the b-step paths v -> s0 by (v, w) with label
-    product w⁻¹, as three tuples: the states v, the keys w and the number
-    of paths of each.  Costs are in the units of a sparse step's lookup; a
-    pass over one state's |G| dense counts costs |G| / 4 of them, the ratio
-    at which the walk itself turns dense.
-
-    A dense meet with tables[b] makes two passes per table entry (a
-    translation and the class sums); it spares the last b forward steps,
-    which make a translation per edge into a state within b - 1 steps of s0
-    and an addition per such edge but the first into each state
-    (``spared[b]`` passes).  ``best[b]`` is the b' <= b whose meet spares
-    the most, 0 when none spares anything.
-
-    Tables stop growing once one start's tables together would hold more
-    than |G| entries (so the halves of all starts hold no more than one
-    walk's counts can), or once a table's passes are more than one full step
-    above what it spares: entries grow geometrically with b, what they
-    spare by at most a step at a time.
+    Costs are in the units of a sparse step's lookup; a pass over one
+    state's |G| dense counts costs |G| / 4 of them, the ratio at which the
+    walk itself turns dense.  A dense meet with the b-step table makes two
+    passes per table entry (a translation and the class sums); it spares
+    the last b forward steps, which make a translation per edge into a
+    state within b - 1 steps of s0 and an addition per such edge but the
+    first into each state.  ``best[b]`` is the b' <= b whose meet spares
+    the most, 0 when none spares anything, and ``rest[b]`` the passes the
+    last b dense steps still make with that meet.
     """
 
-    __slots__ = ("tables", "spared", "best", "gain", "edges_within", "budget", "full")
+    __slots__ = ("kept", "pick", "order", "edges", "best", "rest")
 
-    def __init__(self, s: LabeledSFT, s0: int):
-        self.tables = [((s0,), (s.hom.target.identity,), (1,))]
-        self.spared, self.best, self.gain = [0], [0], [0]
-        self.edges_within = [0]  # [b]: edges into states within j steps of s0, summed over j < b
-        self.budget = s.hom.target.order - 1
-        self.full = False
+    def __init__(self, s: LabeledSFT, s0: int, kept: Sequence[list], back: Sequence[int]):
+        """kept[b] holds every walk's counts after step b, for 0 < b <
+        len(kept); back is ``_back_distances`` to s0."""
+        self.kept, self.pick = kept, itemgetter(s0)
+        self.order, self.edges = s.hom.target.order, len(s.edges)
+        self.best, self.rest = [0], [0]
+        spared, gain = 0, [0]
+        for b in range(1, len(kept)):
+            within = [len(p) for p, d in zip(s.predecessors, back) if d < b]
+            spared += 2 * sum(within) - sum(map(bool, within))
+            gain.append(spared - 2 * sum(map(len, map(self.pick, kept[b]))))
+            self.best.append(b if gain[b] > gain[self.best[-1]] else self.best[-1])
+            self.rest.append(spared - gain[self.best[b]])
 
-    def grow(self, s: LabeledSFT, upto: int, back: Sequence[int], back_moves: list) -> None:
-        """Grow the tables to tables[upto], or as far as they may go; back
-        is ``_back_distances`` to s0 for at least upto steps."""
-        while not self.full and len(self.tables) <= upto:
-            b = len(self.tables)
-            within = [len(p) for v, p in enumerate(s.predecessors) if back[v] < b]
-            spared = self.spared[-1] + 2 * sum(within) - sum(map(bool, within))
-            paths: dict[tuple[int, int], int] = {}
-            get = paths.get
-            for v, w, c in zip(*self.tables[-1]):
-                for u, row in back_moves[v]:
-                    key = (u, row[w])
-                    paths[key] = get(key, 0) + c
-            self.budget -= len(paths)
-            if self.budget < 0 or 2 * len(paths) > spared + 2 * len(s.edges):
-                self.full = True
-                break
-            self.tables.append((tuple(u for u, _ in paths), tuple(w for _, w in paths),
-                                tuple(paths.values())))
-            self.edges_within.append(self.edges_within[-1] + sum(within))
-            self.spared.append(spared)
-            self.gain.append(spared - 2 * len(paths))
-            self.best.append(b if self.gain[b] > self.gain[self.best[-1]] else self.best[-1])
+    def meets_now(self, cur, dense: bool, b: int) -> bool:
+        """Should the walk, b steps short of the end, meet the b-step table now?
 
-    def meets_now(self, s: LabeledSFT, cur, dense: bool, b: int, back: Sequence[int]) -> bool:
-        """Should the walk, b steps short of the end, meet tables[b] now?
-
-        Dense counts meet at the best b.  Sparse counts meet when the pairs
-        to read cost no more than the cheaper of two estimates of going on:
-        the next step's lookups and then, with no further growth, as many per
-        edge as the counts hold per state; or turning dense now and going on
-        to the best dense meet.
+        Dense counts meet at the best b.  A sparse step costs a pass over
+        the edges and a lookup per count and edge, and a meet spares the
+        lookups only, so sparse counts meet only once they outnumber the
+        edges, and then when the pairs to read cost no more than going on:
+        turning dense now and walking on to the best dense meet.
         """
         if dense:
             return self.best[b] == b
-        pairs = sum(map(len, map(cur.__getitem__, self.tables[b][0])))
-        entries = pushes = 0
-        for st, dist in enumerate(cur):
-            if dist:
-                entries += len(dist)
-                pushes += len(dist) * sum(back[s.edge_dst[ei]] < b for ei in s.out_edges[st])
-        on_sparse = pushes + entries * self.edges_within[b - 1] // s.state_count
-        on_dense = entries + (self.spared[b] - self.gain[self.best[b]]) * s.hom.target.order // 4
-        return pairs <= min(on_sparse, on_dense)
+        entries = sum(map(len, cur))
+        if entries <= self.edges:
+            return False
+        pairs = sum(map(mul, map(len, cur), map(len, map(self.pick, self.kept[b]))))
+        return pairs <= entries + self.rest[b] * self.order // 4
+
+
+def _keep_counts(s: LabeledSFT, walks: list, upto: int) -> tuple[list, list]:
+    """(kept, steps): kept[b] lists every walk's counts after step b, for
+    0 < b < len(kept), and steps[v] is the last step the walk from v made.
+
+    Each walk steps on to step ``upto``, keeping its counts while they hold
+    at most |G| entries in all, as many as one state's dense counts.
+    Nothing is kept when a walk's counts turn dense before ``upto``: they
+    then fill states x G long before the end, and the kept counts would
+    cost more to look at than the few dense steps a meet could spare.
+    """
+    steps, by_walk, filled = [], [], False
+    for walk in walks:
+        mine, room = [], s.hom.target.order
+        for step in walk:
+            m, cur, dense = step
+            if m:
+                if dense:
+                    filled = True
+                    break
+                room -= sum(map(len, cur))
+                if room < 0:
+                    break
+                mine.append(cur)
+            if m == upto:
+                break
+        steps.append(step)
+        by_walk.append(mine)
+    if filled:
+        return [None], steps
+    return [None, *map(list, zip(*by_walk))], steps
 
 
 def _closed_path_totals(s: LabeledSFT, max_n: int) -> list[list[int]]:
@@ -446,8 +446,8 @@ def _closed_path_totals(s: LabeledSFT, max_n: int) -> list[list[int]]:
 
     One forward walk of max_n steps per start state s0 (``_Transfer.walk``),
     its counts at s0 read out after every step.  Every length needs every
-    step here, so this route never meets a backward table: ``exact_counts``,
-    which wants one length, does.
+    step here, so this route never meets a table: ``exact_counts``, which
+    wants one length, does.
     """
     tr = _Transfer(s)
     totals = [[0] * len(tr.classes) for _ in range(max_n + 1)]
@@ -467,15 +467,19 @@ def exact_counts(s: LabeledSFT, n: int) -> tuple[int, ...]:
 
     The count meets in the middle.  Each start s0 is walked forward as in
     ``_closed_path_totals``, but only to some step n - b, and is paired
-    there with a table of the b-step paths into s0 (``_Backward``, built
-    once per start and kept on the shift): a closed path is a forward count
-    at (v, x) times a table count at (v, y), in the class of x·y.  Sparse
-    counts are paired one by one through the group's class row of y; a
-    dense state's vector is translated once per (v, y) and summed by class.
-    b is chosen per start, step by step, from sizes the walk already sees:
-    the table's and the counts' entries, the edges still to walk and |G|.
-    Dense counts meet the table that spares the most dense steps; sparse
-    counts meet once the pairs cost no more than going on would.
+    there with the b-step paths into s0: a closed path is a forward count at
+    (v, y) times a count of paths v -> s0 with label product x, in the class
+    of y·x.  Those paths are read off the walks themselves, as the counts at
+    s0 of the walk from v after step b, so no table is built and nothing is
+    kept on the shift: every walk first steps on to step n // 2 keeping its
+    sparse counts (``_keep_counts``), and then each walks on and meets.
+    Sparse counts are paired one by one through the group's class row of x;
+    a dense state's vector is translated once per (v, x) and summed by
+    class.  b is chosen per start, step by step, from sizes the walk already
+    sees: the counts' and the tables' entries, the edges still to walk and
+    |G| (``_Backward``).  Dense counts meet the table that spares the most
+    dense steps; sparse counts meet once they outnumber the edges and the
+    pairs cost no more than going on would.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -483,23 +487,30 @@ def exact_counts(s: LabeledSFT, n: int) -> tuple[int, ...]:
         raise ValueError(f"length {n} exceeds the length cap {LENGTH_CAP}")
     tr = _Transfer(s)
     tot = [0] * len(tr.classes)
-    back_moves = None  # built when a table has to grow
-    for s0 in range(s.state_count):
-        half = s._backward.get(s0)
-        if half is None:
-            half = s._backward[s0] = _Backward(s, s0)
-        back = _back_distances(s, s0, n)
-        if not half.full and len(half.tables) <= n:
-            if back_moves is None:
-                back_moves = _back_moves(s)
-            half.grow(s, n, back, back_moves)
-        # the walk may meet tables[b] from b = len(tables) - 1 steps short of n
-        for m, cur, dense in tr.walk(s0, n, back, n - len(half.tables) + 1):
+    if max(map(len, s.out_edges)) ** (n // 2) <= len(s.edges):
+        # a walk holds at most d^b counts after b steps, d the largest
+        # out-degree, so no sparse meet can find more counts than edges
+        # (``_Backward.meets_now``): each start walks to the end
+        for s0 in range(s.state_count):
+            for m, cur, dense in tr.walk(s0, n, _back_distances(s, s0, n)):
+                pass
+            tr.read(cur[s0], dense, tot)
+        return tuple(tot)
+    backs = [_back_distances(s, s0, n) for s0 in range(s.state_count)]
+    walks = [tr.walk(s0, n, back) for s0, back in enumerate(backs)]
+    # no walk meets before step n - n // 2, so the tables come from steps up to n // 2
+    kept, steps = _keep_counts(s, walks, n // 2)
+    for s0, back in enumerate(backs):
+        half = None
+        for m, cur, dense in chain((steps[s0],), walks[s0]):
             if m == n:
                 tr.read(cur[s0], dense, tot)
-            elif half.meets_now(s, cur, dense, n - m, back):
-                tr.meet(cur, dense, half.tables[n - m], tot)
-                break
+            elif n - m < len(kept):
+                if half is None:
+                    half = _Backward(s, s0, kept, back)
+                if half.meets_now(cur, dense, n - m):
+                    tr.meet(cur, dense, _paths_into(kept[n - m], s0), tot)
+                    break
     return tuple(tot)
 
 

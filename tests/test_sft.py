@@ -487,7 +487,7 @@ def dp_shifts(draw):
 @example(one_way_shift())
 def test_pruned_transfer_matches_unpruned_oracle(s):
     # the skip depends on max_n, so every max_n is its own run; exact_counts
-    # meets backward tables that grow as the lengths do
+    # reads the tables it meets off the walks of that length
     for max_n in range(11):
         oracle = closed_path_totals_unpruned(s, max_n)
         assert sft._closed_path_totals(s, max_n) == oracle, max_n
@@ -513,9 +513,9 @@ def count_transfer_work(monkeypatch):
     sparse step (``_lift_moves``, which the unpruned oracle reads too), |G|
     per vector a dense step moves (``_dense_moves``), and the meet's work:
     one per pair a sparse meet reads (``_meet_classes``), |G| per vector a
-    dense meet translates (``_meet_translation``) and one per lookup that
-    builds a backward table (``_back_moves``).  Returns the counter
-    [sparse lookups, dense translations, meet reads, table lookups]."""
+    dense meet translates (``_meet_translation``) and one per entry a table
+    reads off the walks (``_paths_into``).  Returns the counter
+    [sparse lookups, dense translations, meet reads, table entries]."""
     work = [0, 0, 0, 0]
 
     def counting_row(at):
@@ -531,16 +531,20 @@ def count_transfer_work(monkeypatch):
             return pick(vec)
         return moved
 
-    step_row, meet_row, table_row = counting_row(0), counting_row(2), counting_row(3)
-    lift_moves, dense_moves, back_moves = sft._lift_moves, sft._dense_moves, sft._back_moves
+    def counted_table(counts, s0):
+        table = paths_into(counts, s0)
+        work[3] += len(table[0])
+        return table
+
+    step_row, meet_row = counting_row(0), counting_row(2)
+    lift_moves, dense_moves, paths_into = sft._lift_moves, sft._dense_moves, sft._paths_into
     meet_classes, meet_translation = sft._meet_classes, sft._meet_translation
     monkeypatch.setattr(sft, "_lift_moves", lambda s: [
         [(dst, step_row(row)) for dst, row in m] for m in lift_moves(s)])
     monkeypatch.setattr(sft, "_dense_moves", lambda s: [
         [(dst, counted(pick, s.hom.target.order, 1)) for dst, pick in m]
         for m in dense_moves(s)])
-    monkeypatch.setattr(sft, "_back_moves", lambda s: [
-        [(src, table_row(row)) for src, row in m] for m in back_moves(s)])
+    monkeypatch.setattr(sft, "_paths_into", counted_table)
     monkeypatch.setattr(sft, "_meet_classes", lambda g, w: meet_row(meet_classes(g, w)))
     monkeypatch.setattr(sft, "_meet_translation", lambda g, w: counted(
         meet_translation(g, w), g.order, 2))
@@ -612,7 +616,8 @@ def test_dense_transfer_matches_unpruned_oracle(make, monkeypatch):
 
 
 def test_meet_does_less_work_than_the_every_length_pass(monkeypatch):
-    # the meet, its tables included, must cost less than walking every step
+    # the meet, the table entries it reads off the walks included, must cost
+    # less than walking every step
     work = count_transfer_work(monkeypatch)
     s = s6_shift()
     work[:] = [0, 0, 0, 0]
