@@ -15,9 +15,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from math import gcd
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .freewords import GroupHom, Word, evaluate, parse_hom_data, parse_word
@@ -223,13 +223,6 @@ def _meet_classes(g: FiniteGroup, x: int) -> Sequence[int]:
     return g.class_row(x)
 
 
-def _meet_translation(g: FiniteGroup, x: int) -> Callable[[Sequence[int]], Sequence[int]]:
-    """moved[t] = vec[t·x⁻¹]: a class sum of moved counts the forward paths
-    whose holonomy, closed by a path of label product x, lies in the
-    class."""
-    return _translation(g.right_row(g.inv(x)))
-
-
 def _back_distances(s: LabeledSFT, s0: int, max_n: int) -> list[int]:
     """back[state]: fewest steps from the state to s0, above max_n when
     there is no path of at most max_n steps; one breadth-first search over
@@ -336,109 +329,18 @@ class _Transfer:
             for el, c in here.items():
                 tot[class_of[el]] += c
 
-    def meet(self, cur, dense: bool, table: tuple, tot: list[int]) -> None:
-        """Add into tot the classes of the closed paths that pair a forward
-        count at (v, y) with a table count at (v, x): y·x.
-
-        Sparse counts read pair by pair from ``_meet_classes``; a dense
-        vector is moved once per table entry by ``_meet_translation`` and
-        read by class.
-        """
+    def meet(self, cur, table: tuple, tot: list[int]) -> None:
+        """Add into tot the classes of the closed paths that pair a sparse
+        forward count at (v, y) with a table count at (v, x): y·x, read pair
+        by pair from ``_meet_classes``."""
         g = self.g
         for v, x, cb in zip(*table):
             here = cur[v]
             if not here:
                 continue
-            if dense:
-                moved = _meet_translation(g, x)(here)
-                for ci, pick in enumerate(self.class_picks):
-                    tot[ci] += cb * sum(pick(moved))
-            else:
-                classes = _meet_classes(g, x)
-                for y, c in here.items():
-                    tot[classes[y]] += c * cb
-
-
-class _Backward:
-    """The last steps into one start s0, read off the counts the walks keep:
-    the b-step paths v -> s0 are the counts at s0 of the walk from v after
-    step b, and ``_paths_into(kept[b], s0)`` lists them as a table.
-
-    Costs are in the units of a sparse step's lookup; a pass over one
-    state's |G| dense counts costs |G| / 4 of them, the ratio at which the
-    walk itself turns dense.  A dense meet with the b-step table makes two
-    passes per table entry (a translation and the class sums); it spares
-    the last b forward steps, which make a translation per edge into a
-    state within b - 1 steps of s0 and an addition per such edge but the
-    first into each state.  ``best[b]`` is the b' <= b whose meet spares
-    the most, 0 when none spares anything, and ``rest[b]`` the passes the
-    last b dense steps still make with that meet.
-    """
-
-    __slots__ = ("kept", "pick", "order", "edges", "best", "rest")
-
-    def __init__(self, s: LabeledSFT, s0: int, kept: Sequence[list], back: Sequence[int]):
-        """kept[b] holds every walk's counts after step b, for 0 < b <
-        len(kept); back is ``_back_distances`` to s0."""
-        self.kept, self.pick = kept, itemgetter(s0)
-        self.order, self.edges = s.hom.target.order, len(s.edges)
-        self.best, self.rest = [0], [0]
-        spared, gain = 0, [0]
-        for b in range(1, len(kept)):
-            within = [len(p) for p, d in zip(s.predecessors, back) if d < b]
-            spared += 2 * sum(within) - sum(map(bool, within))
-            gain.append(spared - 2 * sum(map(len, map(self.pick, kept[b]))))
-            self.best.append(b if gain[b] > gain[self.best[-1]] else self.best[-1])
-            self.rest.append(spared - gain[self.best[b]])
-
-    def meets_now(self, cur, dense: bool, b: int) -> bool:
-        """Should the walk, b steps short of the end, meet the b-step table now?
-
-        Dense counts meet at the best b.  A sparse step costs a pass over
-        the edges and a lookup per count and edge, and a meet spares the
-        lookups only, so sparse counts meet only once they outnumber the
-        edges, and then when the pairs to read cost no more than going on:
-        turning dense now and walking on to the best dense meet.
-        """
-        if dense:
-            return self.best[b] == b
-        entries = sum(map(len, cur))
-        if entries <= self.edges:
-            return False
-        pairs = sum(map(mul, map(len, cur), map(len, map(self.pick, self.kept[b]))))
-        return pairs <= entries + self.rest[b] * self.order // 4
-
-
-def _keep_counts(s: LabeledSFT, walks: list, upto: int) -> tuple[list, list]:
-    """(kept, steps): kept[b] lists every walk's counts after step b, for
-    0 < b < len(kept), and steps[v] is the last step the walk from v made.
-
-    Each walk steps on to step ``upto``, keeping its counts while they hold
-    at most |G| entries in all, as many as one state's dense counts.
-    Nothing is kept when a walk's counts turn dense before ``upto``: they
-    then fill states x G long before the end, and the kept counts would
-    cost more to look at than the few dense steps a meet could spare.
-    """
-    steps, by_walk, filled = [], [], False
-    for walk in walks:
-        mine, room = [], s.hom.target.order
-        for step in walk:
-            m, cur, dense = step
-            if m:
-                if dense:
-                    filled = True
-                    break
-                room -= sum(map(len, cur))
-                if room < 0:
-                    break
-                mine.append(cur)
-            if m == upto:
-                break
-        steps.append(step)
-        by_walk.append(mine)
-    if filled:
-        return [None], steps
-    return [None, *map(list, zip(*by_walk))], steps
+            classes = _meet_classes(g, x)
+            for y, c in here.items():
+                tot[classes[y]] += c * cb
 
 
 def _closed_path_totals(s: LabeledSFT, max_n: int) -> list[list[int]]:
@@ -465,21 +367,17 @@ def exact_counts(s: LabeledSFT, n: int) -> tuple[int, ...]:
     cost is linear in n and no orbit is enumerated.  Raises ValueError for n
     below 0 or above LENGTH_CAP.
 
-    The count meets in the middle.  Each start s0 is walked forward as in
-    ``_closed_path_totals``, but only to some step n - b, and is paired
-    there with the b-step paths into s0: a closed path is a forward count at
-    (v, y) times a count of paths v -> s0 with label product x, in the class
-    of y·x.  Those paths are read off the walks themselves, as the counts at
-    s0 of the walk from v after step b, so no table is built and nothing is
-    kept on the shift: every walk first steps on to step n // 2 keeping its
-    sparse counts (``_keep_counts``), and then each walks on and meets.
-    Sparse counts are paired one by one through the group's class row of x;
-    a dense state's vector is translated once per (v, x) and summed by
-    class.  b is chosen per start, step by step, from sizes the walk already
-    sees: the counts' and the tables' entries, the edges still to walk and
-    |G| (``_Backward``).  Dense counts meet the table that spares the most
-    dense steps; sparse counts meet once they outnumber the edges and the
-    pairs cost no more than going on would.
+    The count meets in the middle, at b = n // 2.  Every start's walk (as in
+    ``_closed_path_totals``) steps to b, and the walk from v then holds at
+    s0 the b-step paths v -> s0: a closed path is a forward count at (v, y)
+    of the walk from s0 after n - b steps times a count of paths v -> s0
+    with label product x, in the class of y·x.  If any walk is dense at b,
+    every start walks to the end.  Otherwise each start steps on to n - b
+    and meets the paths into it while its counts are still sparse and the
+    pairs to read number at most b·|E|·|G|/4, the lookups of b dense steps
+    by the walk's quarter rule; else it too walks to the end.  When the
+    largest out-degree to the power b is at most |E|, every start walks to
+    the end and no table is made.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -487,30 +385,33 @@ def exact_counts(s: LabeledSFT, n: int) -> tuple[int, ...]:
         raise ValueError(f"length {n} exceeds the length cap {LENGTH_CAP}")
     tr = _Transfer(s)
     tot = [0] * len(tr.classes)
-    if max(map(len, s.out_edges)) ** (n // 2) <= len(s.edges):
+    b = n // 2
+    if max(map(len, s.out_edges)) ** b <= len(s.edges):
         # a walk holds at most d^b counts after b steps, d the largest
-        # out-degree, so no sparse meet can find more counts than edges
-        # (``_Backward.meets_now``): each start walks to the end
+        # out-degree; with no more counts than edges a step costs about its
+        # pass over the edges, which a meet does not spare
         for s0 in range(s.state_count):
-            for m, cur, dense in tr.walk(s0, n, _back_distances(s, s0, n)):
+            for _, cur, dense in tr.walk(s0, n, _back_distances(s, s0, n)):
                 pass
             tr.read(cur[s0], dense, tot)
         return tuple(tot)
-    backs = [_back_distances(s, s0, n) for s0 in range(s.state_count)]
-    walks = [tr.walk(s0, n, back) for s0, back in enumerate(backs)]
-    # no walk meets before step n - n // 2, so the tables come from steps up to n // 2
-    kept, steps = _keep_counts(s, walks, n // 2)
-    for s0, back in enumerate(backs):
-        half = None
-        for m, cur, dense in chain((steps[s0],), walks[s0]):
-            if m == n:
-                tr.read(cur[s0], dense, tot)
-            elif n - m < len(kept):
-                if half is None:
-                    half = _Backward(s, s0, kept, back)
-                if half.meets_now(cur, dense, n - m):
-                    tr.meet(cur, dense, _paths_into(kept[n - m], s0), tot)
-                    break
+    walks = [tr.walk(s0, n, _back_distances(s, s0, n)) for s0 in range(s.state_count)]
+    at_b = [next(islice(walk, b, None)) for walk in walks]
+    table = None if any(dense for _, _, dense in at_b) else [cur for _, cur, _ in at_b]
+    budget = b * len(s.edges) * tr.g.order
+    for s0, (walk, step) in enumerate(zip(walks, at_b)):
+        if table is not None:
+            for step in islice(walk, n - 2 * b):  # on to step n - b
+                pass
+            _, cur, dense = step
+            if not dense and 4 * sum(len(here) * len(paths[s0])
+                                     for here, paths in zip(cur, table)) <= budget:
+                tr.meet(cur, _paths_into(table, s0), tot)
+                continue
+        for step in walk:
+            pass
+        _, cur, dense = step
+        tr.read(cur[s0], dense, tot)
     return tuple(tot)
 
 

@@ -512,8 +512,7 @@ def count_transfer_work(monkeypatch):
     """Count the transfer DP's work at its seams: one per row lookup of a
     sparse step (``_lift_moves``, which the unpruned oracle reads too), |G|
     per vector a dense step moves (``_dense_moves``), and the meet's work:
-    one per pair a sparse meet reads (``_meet_classes``), |G| per vector a
-    dense meet translates (``_meet_translation``) and one per entry a table
+    one per pair it reads (``_meet_classes``) and one per entry a table
     reads off the walks (``_paths_into``).  Returns the counter
     [sparse lookups, dense translations, meet reads, table entries]."""
     work = [0, 0, 0, 0]
@@ -538,7 +537,7 @@ def count_transfer_work(monkeypatch):
 
     step_row, meet_row = counting_row(0), counting_row(2)
     lift_moves, dense_moves, paths_into = sft._lift_moves, sft._dense_moves, sft._paths_into
-    meet_classes, meet_translation = sft._meet_classes, sft._meet_translation
+    meet_classes = sft._meet_classes
     monkeypatch.setattr(sft, "_lift_moves", lambda s: [
         [(dst, step_row(row)) for dst, row in m] for m in lift_moves(s)])
     monkeypatch.setattr(sft, "_dense_moves", lambda s: [
@@ -546,8 +545,6 @@ def count_transfer_work(monkeypatch):
         for m in dense_moves(s)])
     monkeypatch.setattr(sft, "_paths_into", counted_table)
     monkeypatch.setattr(sft, "_meet_classes", lambda g, w: meet_row(meet_classes(g, w)))
-    monkeypatch.setattr(sft, "_meet_translation", lambda g, w: counted(
-        meet_translation(g, w), g.order, 2))
     return work
 
 
@@ -637,8 +634,11 @@ def bundled_shift():
     return bundled_a5()[0]
 
 
-@pytest.mark.parametrize("make", [s6_shift, a5_four_states, golden_mean, abelian_shift,
-                                  chain_into_sink, chain_with_core, bundled_shift])
+ROUTE_SHIFTS = [s6_shift, a5_four_states, golden_mean, abelian_shift, chain_into_sink,
+                chain_with_core, bundled_shift]
+
+
+@pytest.mark.parametrize("make", ROUTE_SHIFTS)
 def test_both_counting_routes_agree(make):
     # exact_counts meets in the middle, the every-length pass walks every
     # step: through the trivial group of degree 1 (golden_mean), classes of
@@ -649,6 +649,22 @@ def test_both_counting_routes_agree(make):
         got = exact_counts(s, n)
         assert got == tuple(every[n]), n
         assert all(type(c) is int for c in got), n
+
+
+@pytest.mark.parametrize("make", ROUTE_SHIFTS)
+def test_one_length_costs_no_more_than_every_length(make, monkeypatch):
+    # a start meets only when the pairs cost less than its last steps would,
+    # and the table is listed only then, so exact_counts never does more
+    # work than the every-length pass to the same length
+    work = count_transfer_work(monkeypatch)
+    s = make()
+    for n in range(25):
+        work[:] = [0, 0, 0, 0]
+        sft._closed_path_totals(s, n)
+        every = sum(work)
+        work[:] = [0, 0, 0, 0]
+        exact_counts(s, n)
+        assert sum(work) <= every, (n, work, every)
 
 
 def test_random_sfts_conservation_property():
