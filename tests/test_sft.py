@@ -653,9 +653,9 @@ def test_both_counting_routes_agree(make):
 
 @pytest.mark.parametrize("make", ROUTE_SHIFTS)
 def test_one_length_costs_no_more_than_every_length(make, monkeypatch):
-    # a start meets only when the pairs cost less than its last steps would,
-    # and the table is listed only then, so exact_counts never does more
-    # work than the every-length pass to the same length
+    # a start meets only when its pairs cost no more than b dense steps, and
+    # lists the table only then, so exact_counts does no more work than the
+    # every-length pass to the same length
     work = count_transfer_work(monkeypatch)
     s = make()
     for n in range(25):
