@@ -26,7 +26,7 @@ from .permgroup import (FiniteGroup, Subgroup, all_subgroups, conjugacy_classes,
                         cycle_type, load_group_file, Permutation)
 from .quotients import (generic_check, load_matrix_file, quotient_search,
                         smith_normal_form)
-from .sft import (DensityReport, DensityRow, bundled_a5, chebotarev_report,
+from .sft import (DensityReport, bundled_a5, chebotarev_report,
                   enumerate_orbits, load_sft_file, realization_check)
 
 
@@ -34,29 +34,58 @@ class CheckFailed(Exception):
     """A verification or tolerance check came back negative (exit code 1)."""
 
 
-def decimal_str(x: Fraction, places: int = 6) -> str:
-    """Render an exact fraction to fixed decimal places, round half up."""
-    n, d = x.numerator, x.denominator
-    scaled = (2 * abs(n) * 10 ** places + d) // (2 * d)
-    sign = "-" if n < 0 and scaled else ""
-    digits = str(scaled).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+PLACES = 6  # decimal places of every printed density and deviation
 
 
-def rendered(density: Fraction, target: Fraction) -> tuple[str, Fraction]:
-    """The density as printed, and its exact deviation |printed - target|."""
-    dens = decimal_str(density)
-    return dens, abs(Fraction(dens) - target)
+def _scaled(n: int, d: int) -> int:
+    """|n|/d times 10^PLACES, rounded half up; d > 0."""
+    return (2 * abs(n) * 10 ** PLACES + d) // (2 * d)
 
 
-def render_row(row: DensityRow) -> str:
+def _digits(scaled: int) -> str:
+    digits = str(scaled).rjust(PLACES + 1, "0")
+    return f"{digits[:-PLACES]}.{digits[-PLACES:]}"
+
+
+def decimal_str(x: Fraction) -> str:
+    """Render an exact fraction to PLACES decimal places, round half up."""
+    scaled = _scaled(x.numerator, x.denominator)
+    return ("-" if x.numerator < 0 and scaled else "") + _digits(scaled)
+
+
+def rendered(count: int, total: int, size: int, order: int) -> tuple[str, int, str]:
+    """The density count/total as printed, its deviation from the target
+    size/order (|printed - target|, times 10^PLACES and rounded) and the
+    target as a reduced fraction, all by integer arithmetic.
+
+    ``total`` 0 reads as density 0.  The printed density is scaled/10^PLACES,
+    so the deviation is |scaled·order - size·10^PLACES| over
+    10^PLACES·order, which needs no gcd; only the target is reduced.
+    """
+    scaled = _scaled(count, total or 1)
+    dev = _scaled(scaled * order - size * 10 ** PLACES, 10 ** PLACES * order)
+    k = math.gcd(size, order)
+    target = str(size // k) if k == order else f"{size // k}/{order // k}"
+    return _digits(scaled), dev, target
+
+
+def render_row(cutoff: int, key: str, count: int, total: int, size: int, order: int) -> str:
     """One machine-readable line: cutoff, key, count, density, target, deviation.
 
     Tab-separated; the deviation is |rendered density - target| so the line
     round-trips: parse the fields, redo the arithmetic, get the same digits.
     """
-    dens, dev = rendered(row.density, row.target)
-    return f"{row.cutoff}\t{row.key}\t{row.count}\t{dens}\t{row.target}\t{decimal_str(dev)}"
+    dens, dev, target = rendered(count, total, size, order)
+    return f"{cutoff}\t{key}\t{count}\t{dens}\t{target}\t{_digits(dev)}"
+
+
+def _print_rows(report: DensityReport, *, types: bool) -> None:
+    """Every cutoff's rows of the report, one ``render_row`` line each."""
+    order, write = report.group_order, sys.stdout.write
+    for cutoff in range(1, report.max_len + 1):
+        keys, counts, sizes, total = report.tally(cutoff, types=types)
+        write("".join(render_row(cutoff, key, c, total, size, order) + "\n"
+                      for key, c, size in zip(keys, counts, sizes)))
 
 
 def parse_subgroup(group: FiniteGroup, spec: str) -> Subgroup:
@@ -179,24 +208,23 @@ def _cmd_a5(args) -> int:
     )
     result = run_a5_experiment(cfg)
     if args.format == "rows":
-        for cutoff in range(1, cfg.max_len + 1):
-            for row in result.report.rows_at(cutoff, types=True):
-                print(render_row(row))
+        _print_rows(result.report, types=True)
     else:
         print(f"orbits counted: {result.total_counted} "
               f"(length <= {cfg.max_len}, skip {cfg.skip}); "
               f"subgroup of order {result.subgroup_order}, index {result.subgroup_index}")
         print(f"{'type':<14} {'elements':>8} {'orbits':>8} {'density':>10} "
               f"{'target':>8} {'deviation':>10}")
-        shown = Fraction(0)
+        shown = 0
         for r in result.rows:
             tname = "(" + ",".join(map(str, r.dtype)) + ")"
-            dens, dev = rendered(r.density, r.target)
+            dens, dev, target = rendered(r.density.numerator, r.density.denominator,
+                                         r.target.numerator, r.target.denominator)
             shown = max(shown, dev)
             print(f"{tname:<14} {r.element_count:>8} {r.orbit_count:>8} {dens:>10} "
-                  f"{str(r.target):>8} {decimal_str(dev):>10}")
+                  f"{target:>8} {_digits(dev):>10}")
         verdict = "within" if result.within_tolerance else "OVER"
-        print(f"max deviation {decimal_str(shown)} — "
+        print(f"max deviation {_digits(shown)} — "
               f"{verdict} tolerance {decimal_str(cfg.tolerance)}")
     if not result.within_tolerance:
         raise CheckFailed(
@@ -296,19 +324,17 @@ def _cmd_sft_chebotarev(args) -> int:
     s = load_sft_file(args.sft, hom)
     report = chebotarev_report(s, args.max_len, skip=args.skip)
     if args.format == "rows":
-        for types in (False, True):
-            for cutoff in range(1, report.max_len + 1):
-                for row in report.rows_at(cutoff, types=types):
-                    print(render_row(row))
+        _print_rows(report, types=False)
+        _print_rows(report, types=True)
         return 0
     g = hom.target
     print(f"group order {g.order}; orbits counted: {report.total_counted} "
           f"(length <= {report.max_len}, skip {report.skip})")
     print(f"{'key':<28} {'count':>8} {'density':>10} {'target':>8} {'deviation':>10}")
     for row in report.rows_at(report.max_len) + report.rows_at(report.max_len, types=True):
-        dens, dev = rendered(row.density, row.target)
-        print(f"{row.key:<28} {row.count:>8} {dens:>10} {str(row.target):>8} "
-              f"{decimal_str(dev):>10}")
+        dens, dev, target = rendered(row.density.numerator, row.density.denominator,
+                                     row.target.numerator, row.target.denominator)
+        print(f"{row.key:<28} {row.count:>8} {dens:>10} {target:>8} {_digits(dev):>10}")
     return 0
 
 

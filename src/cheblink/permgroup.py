@@ -56,6 +56,13 @@ class Permutation:
         self.images = images
 
     @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple known to be a permutation, unchecked."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, degree: int) -> "Permutation":
         return cls(range(degree))
 
@@ -317,24 +324,30 @@ def generate_group(generators: Sequence[Permutation], *,
         if g.degree != degree:
             raise ValueError("generators act on different numbers of points")
     _check_slots(degree)
-    ident = Permutation.identity(degree)
-    words: dict[Permutation, tuple[int, ...]] = {ident: ()}
+    # one itemgetter per generator k: q = p ∘ k has images p.images[k(x)];
+    # a one-index itemgetter returns a bare item, and degree 1 has only the
+    # identity, which its generators leave as it is
+    picks = [itemgetter(*g.images) if degree > 1 else tuple for g in gens]
+    ident = tuple(range(degree))
+    words: dict[tuple[int, ...], tuple[int, ...]] = {ident: ()}
     frontier = [ident]
     while frontier:
         nxt = []
         for p in frontier:
             w = words[p]
-            for k, g in enumerate(gens):
-                q = compose(p, g)
+            for k, pick in enumerate(picks, start=1):
+                q = pick(p)
                 if q not in words:
                     if len(words) >= GENERATION_CAP:
                         raise ValueError(f"group closure exceeded cap of {GENERATION_CAP} elements")
                     _check_slots(degree, len(words) + 1)
-                    words[q] = w + (k + 1,)
+                    words[q] = w + (k,)
                     nxt.append(q)
         frontier = nxt
-    elements = sorted(words)
-    return FiniteGroup(degree, elements, gens, [words[p] for p in elements])
+    images = sorted(words)
+    # products of permutations are permutations: no image tuple is re-validated
+    return FiniteGroup(degree, map(Permutation._trusted, images), gens,
+                       [words[t] for t in images])
 
 
 def _conjugations(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:

@@ -481,21 +481,28 @@ class DensityReport:
     def total_counted(self) -> int:
         return sum(self.counts[-1])
 
-    def rows_at(self, cutoff: int, *, types: bool = False) -> list[DensityRow]:
-        """One row per class, or per type with ``types``, at this cutoff; none
-        outside 1..max_len.  A type's count and size sum its classes'."""
+    def tally(self, cutoff: int, *, types: bool = False) -> tuple[
+            Sequence[str], Sequence[int], Sequence[int], int]:
+        """The rows' keys, counts and class sizes at this cutoff, one per
+        class or per type with ``types``, and the cutoff's total count: the
+        integers every row is read from.  A type's count and size sum its
+        classes'.  No rows outside 1..max_len."""
         if not 1 <= cutoff <= self.max_len:
-            return []
+            return (), (), (), 0
         per_class = self.counts[cutoff - 1]
-        if types:
-            keys = ["type:(" + ",".join(map(str, t)) + ")" for t in self.types]
-            counts, sizes = [0] * len(self.types), [0] * len(self.types)
-            for t, c, size in zip(self.type_of_class, per_class, self.class_sizes):
-                counts[t] += c
-                sizes[t] += size
-        else:
-            keys, counts, sizes = self.class_keys, per_class, self.class_sizes
-        total = sum(per_class)
+        if not types:
+            return self.class_keys, per_class, self.class_sizes, sum(per_class)
+        keys = ["type:(" + ",".join(map(str, t)) + ")" for t in self.types]
+        counts, sizes = [0] * len(self.types), [0] * len(self.types)
+        for t, c, size in zip(self.type_of_class, per_class, self.class_sizes):
+            counts[t] += c
+            sizes[t] += size
+        return keys, counts, sizes, sum(per_class)
+
+    def rows_at(self, cutoff: int, *, types: bool = False) -> list[DensityRow]:
+        """One row per class, or per type with ``types``, at this cutoff, with
+        exact densities; none outside 1..max_len."""
+        keys, counts, sizes, total = self.tally(cutoff, types=types)
         rows = []
         for key, c, size in zip(keys, counts, sizes):
             dens = Fraction(c, total) if total else Fraction(0)
@@ -505,8 +512,14 @@ class DensityReport:
 
     @property
     def max_type_deviation(self) -> Fraction:
-        return max((r.deviation for r in self.rows_at(self.max_len, types=True)),
-                   default=Fraction(0))
+        """The largest |density - target| over the types at max_len.  Every
+        type's deviation has the denominator total·|G|, so the numerators
+        are compared and one Fraction is built."""
+        _, counts, sizes, total = self.tally(self.max_len, types=True)
+        total = total or 1  # with nothing counted every count is 0, so is every density
+        order = self.group_order
+        return Fraction(max((abs(c * order - size * total) for c, size in zip(counts, sizes)),
+                            default=0), total * order)
 
 
 def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
@@ -608,9 +621,16 @@ def realization_check(s: LabeledSFT, bound: int) -> RealizationReport:
     every lift component is a left translate of the searched one, so the
     lift is strongly connected exactly when the holonomy generates.
 
-    Raises ValueError for a bound below 1 or a lift over the DP cap."""
+    Each class's witness is the first orbit of that class in
+    ``enumerate_orbits(s, bound)``, found by ``_class_witnesses`` in the
+    lift without listing the orbits before it.
+
+    Raises ValueError for a bound below 1 or above LENGTH_CAP, or a lift
+    over the DP cap."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    if bound > LENGTH_CAP:
+        raise ValueError(f"bound {bound} exceeds the length cap {LENGTH_CAP}")
     g = s.hom.target
     n, order = s.state_count, g.order
     moves = _lift_moves(s)
@@ -639,24 +659,134 @@ def realization_check(s: LabeledSFT, bound: int) -> RealizationReport:
                 stack.append(a)
     connected = len(bwd) == n == len({u for u, _ in queue})
 
-    classes = conjugacy_classes(g)
-    witnesses: list[Optional[Orbit]] = [None] * len(classes)
-    found = 0
-    for orbit in enumerate_orbits(s, bound):
-        if witnesses[orbit.frobenius_class] is None:
-            witnesses[orbit.frobenius_class] = orbit
-            found += 1
-            if found == len(classes):
-                break
-
     return RealizationReport(
         strongly_connected=connected,
         period=period if connected else None,
         holonomy_generates=holonomy_order == order,
         holonomy_order=holonomy_order,
-        class_witnesses=tuple(witnesses),
+        class_witnesses=_class_witnesses(s, bound),
         bound=bound,
     )
+
+
+class _BackTable:
+    """levels[r][u]: the holonomies x at state u that some r-step path
+    u -> s0 closes into one class, a frozenset per state.
+
+    Level 0 is the class at s0; x lies in level r at u when x·z lies in
+    level r - 1 at v for an edge u -> v labelled z; ``moves[u]`` holds
+    (v, the right-multiplication row of z⁻¹) per out-edge.  Each level follows
+    from the one before, so once a level repeats an earlier one the rest
+    repeat with them: they are appended as references, and no new level is
+    computed.
+    """
+
+    def __init__(self, moves, s0: int, members: frozenset):
+        level = [frozenset()] * len(moves)
+        level[s0] = members
+        self.moves = moves
+        self.levels = [level]
+        self.seen = {tuple(level): 0}  # each level computed -> its index
+        self.period = 0  # of the levels' cycle, once a level repeats
+
+    def extend(self, r: int) -> int:
+        """Make levels[0..r]; return the entries of the levels computed."""
+        levels, added = self.levels, 0
+        while len(levels) <= r:
+            if self.period:
+                levels.append(levels[-self.period])
+                continue
+            prev = levels[-1]
+            level = [frozenset().union(*[map(row.__getitem__, prev[v])
+                                         for v, row in out if prev[v]])
+                     for out in self.moves]
+            first = self.seen.setdefault(tuple(level), len(levels))
+            if first < len(levels):
+                self.period = len(levels) - first
+                continue
+            levels.append(level)
+            added += sum(map(len, level))
+        return added
+
+
+def _class_witnesses(s: LabeledSFT, bound: int) -> tuple[Optional[Orbit], ...]:
+    """The first orbit of ``enumerate_orbits(s, bound)`` in each class, or
+    None, found by a search in the lift rather than by the stream.
+
+    Loops give the length-1 witnesses.  For each longer length and each
+    class still missing, a depth-first search runs in the stream's order
+    (start edge, then lexicographic, edges >= the start edge) and keeps a
+    prefix with holonomy x at state u and r steps left only when x lies in
+    the class's ``_BackTable`` for the start state at (r, u); the first
+    canonical primitive path it completes is the stream's first orbit of
+    that class.  A class that no closed path reaches is pruned at every
+    start edge, so it costs only its tables: O(bound·|E|·|G|) each.
+
+    Raises ValueError once the tables' cells would pass
+    DP_STATE_CAP × bound.
+    """
+    g = s.hom.target
+    classes = conjugacy_classes(g)
+    class_of = g._class_of
+    witnesses: list[Optional[Orbit]] = [None] * len(classes)
+    for e0, h in enumerate(s.edge_elem):
+        if s.edge_dst[e0] == s.edge_src[e0] and witnesses[class_of[h]] is None:
+            witnesses[class_of[h]] = Orbit(1, (e0,), h, class_of[h])
+    if None not in witnesses or bound < 2:
+        return tuple(witnesses)
+    rows = {lab: g.right_row(g.inv(lab)) for lab in set(s.edge_elem)}
+    moves = [[(s.edge_dst[ei], rows[s.edge_elem[ei]]) for ei in s.out_edges[st]]
+             for st in range(s.state_count)]
+    tables: dict[tuple[int, int], _BackTable] = {}
+    cells, cap = 0, DP_STATE_CAP * bound
+    mul, elem, dst, out_edges = g.mul, s.edge_elem, s.edge_dst, s.out_edges
+    for length in range(2, bound + 1):
+        for c, cls in enumerate(classes):
+            if witnesses[c] is not None:
+                continue
+            for e0, s0 in enumerate(s.edge_src):
+                back = tables.get((c, s0))
+                if back is None:
+                    back = tables[c, s0] = _BackTable(moves, s0, cls.members)
+                    cells += len(cls.members)
+                levels = back.levels
+                if len(levels) < length:
+                    cells += back.extend(length - 1)
+                    if cells > cap:
+                        raise ValueError(f"the witness search's tables pass {cap} cells "
+                                         f"(DP cap {DP_STATE_CAP} x bound {bound})")
+                if elem[e0] not in levels[length - 1][dst[e0]]:
+                    continue
+                # frame i tries the out-edges after the path seq[:i + 1],
+                # whose label product is prefix[i]
+                seq, prefix = [e0], [elem[e0]]
+                frames = [iter(out_edges[dst[e0]])]
+                while frames and witnesses[c] is None:
+                    left = length - len(seq) - 1
+                    for ei in frames[-1]:
+                        if ei < e0:
+                            continue
+                        y = mul(prefix[-1], elem[ei])
+                        if y not in levels[left][dst[ei]]:
+                            continue
+                        seq.append(ei)
+                        if left:
+                            prefix.append(y)
+                            frames.append(iter(out_edges[dst[ei]]))
+                            break
+                        if _canonical_primitive(seq):
+                            witnesses[c] = Orbit(length, tuple(seq), y, c)
+                            break
+                        seq.pop()
+                    else:
+                        frames.pop()
+                        seq.pop()
+                        prefix.pop()
+                if witnesses[c] is not None:
+                    break
+        if None not in witnesses:
+            break
+    return tuple(witnesses)
 
 
 def parse_sft_data(data: dict, hom: GroupHom) -> LabeledSFT:

@@ -16,15 +16,18 @@ closure's relators by substituting each letter's automorphism into every
 image, first letter first, closed-path totals by pushing every count
 along every edge at every step, an element's powers by composing its
 permutation with itself, and conjugation orbits by conjugating with the
-permutation of every element.
+permutation of every element, a group's closure by composing validated
+permutations, realization witnesses by streaming every orbit, and printed
+rows by reducing fractions.
 Slow is fine; these only run on small inputs.
 """
 
 import math
+from fractions import Fraction
 from typing import Optional
 from itertools import combinations, product
 
-from cheblink import (IntMatrix, Permutation, Presentation, Word, conjugacy_classes,
+from cheblink import (IntMatrix, Permutation, Presentation, Word, compose, conjugacy_classes,
                       generated_set, sft)
 
 
@@ -440,3 +443,54 @@ def closed_path_totals_unpruned(s, max_n):
             for el, c in cur[s0].items():
                 tot[class_of[el]] += c
     return totals
+
+
+def group_by_composition(generators, degree):
+    """(sorted elements, their words) of the closure of ``generators``:
+    breadth-first from the identity, each element composed with every
+    generator as a validated ``Permutation``; a word records the generators
+    (1-based) of the first path that reached its element."""
+    ident = Permutation.identity(degree)
+    words = {ident: ()}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for k, g in enumerate(generators, start=1):
+                q = compose(p, g)
+                if q not in words:
+                    words[q] = words[p] + (k,)
+                    nxt.append(q)
+        frontier = nxt
+    elements = sorted(words)
+    return elements, [words[p] for p in elements]
+
+
+def witnesses_by_enumeration(s, bound):
+    """The first orbit of each class in the stream of every orbit of length
+    <= bound, or None for a class that has none."""
+    witnesses = [None] * len(conjugacy_classes(s.hom.target))
+    for orbit in sft.enumerate_orbits(s, bound):
+        if witnesses[orbit.frobenius_class] is None:
+            witnesses[orbit.frobenius_class] = orbit
+            if None not in witnesses:
+                break
+    return tuple(witnesses)
+
+
+def decimal_by_fraction(x, places=6):
+    """x to ``places`` decimals, ties away from zero, by Fraction arithmetic."""
+    scaled = math.floor(abs(x) * 10 ** places + Fraction(1, 2))
+    sign = "-" if x < 0 and scaled else ""
+    whole, frac = divmod(scaled, 10 ** places)
+    return f"{sign}{whole}.{frac:0{places}d}"
+
+
+def render_row_by_fractions(row):
+    """A rows line from a row's reduced fractions: the density printed, then
+    the printed density parsed back and its deviation from the target
+    reduced and printed."""
+    dens = decimal_by_fraction(row.density)
+    dev = abs(Fraction(dens) - row.target)
+    return (f"{row.cutoff}\t{row.key}\t{row.count}\t{dens}\t{row.target}\t"
+            f"{decimal_by_fraction(dev)}")

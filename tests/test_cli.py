@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -9,10 +10,14 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cheblink import (CosetAction, Subgroup, all_subgroups, bundled_a5, chebotarev_report, cli,
-                      parse_group_data, sft)
+                      parse_group_data, permgroup, sft)
 from cheblink.cli import ExperimentConfig, decimal_str, main, run_a5_experiment
+
+from oracles import render_row_by_fractions
 
 A5_HOM = {"degree": 5, "images": ["(1 2 3 4 5)", "(1 2 3)"]}
 S3_HOM = {"degree": 3, "images": ["(1 2 3)", "(1 2)"]}
@@ -685,3 +690,131 @@ def test_bad_word_is_input_error(tmp_path, capsys):
                  "--subgroup", "stab:5", "--word", "x9"]) == 2
     assert main(["cover", "decompose", "--hom", hom,
                  "--subgroup", "stab:9", "--word", "x1"]) == 2
+
+
+# sha256 and line count of whole outputs, captured before rows were rendered
+# from integer counts
+ROW_PINS = {
+    ("a5", "--max-len", "80", "--format", "rows"):
+        ("43962b24689d3301ae90098bac160dab613527d5c4a9cf50a61b3c7e885a1d40", 320),
+    ("a5", "--max-len", "4096", "--format", "rows"):
+        ("209c5d22a0f3db79f89822287d6a099e84f96002a33428db036031e4ed58e6e7", 16384),
+    ("sft", "chebotarev", "--sft", str(DATA / "a5_full_shift.json"), "--hom",
+     str(DATA / "a5_hom.json"), "--max-len", "200", "--format", "rows"):
+        ("8b12500808c266b11165cf0bddc674ac3f8d42070efe5b96c113957ae743110a", 1800),
+}
+
+
+@pytest.mark.parametrize("argv", list(ROW_PINS), ids=lambda a: " ".join(a[:3]))
+def test_rows_output_byte_pins(argv, capsys):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), out.count("\n")) == ROW_PINS[argv]
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["a5"], "a5_text.txt"),
+    (["sft", "chebotarev", "--sft", str(DATA / "a5_full_shift.json"),
+      "--hom", str(DATA / "a5_hom.json"), "--max-len", "40"], "chebotarev_a5_len40.txt"),
+    (["sft", "realization", "--sft", str(DATA / "a5_full_shift.json"),
+      "--hom", str(DATA / "a5_hom.json")], "realization_a5.txt"),
+])
+def test_text_output_golden(argv, golden, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+A5_FOUR_STATES = {"states": 4, "edges": [
+    {"from": a, "to": b, "label": w} for a, b, w in (
+        (0, 0, "x1"), (0, 1, "x2"), (0, 2, "x1 x2"), (1, 2, "x2^-1"), (1, 3, "x1"),
+        (1, 0, "x2 x1"), (2, 3, "x1^-1"), (2, 0, "x2 x2"), (2, 1, "x1 x2^-1"),
+        (3, 0, "x2"), (3, 1, "x1 x1"), (3, 3, "x2 x1^-1"))]}
+CYCLIC_LABELS = {"states": 1, "edges": [
+    {"from": 0, "to": 0, "label": w} for w in ("x1", "x1 x1", "x1 x1 x1")]}
+
+
+def test_sft_realization_multi_state_golden(tmp_path, capsys):
+    sft = write(tmp_path, "four.json", A5_FOUR_STATES)
+    assert main(["sft", "realization", "--sft", sft, "--hom", str(DATA / "a5_hom.json"),
+                 "--bound", "8"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "realization_a5_four_states.txt").read_text()
+
+
+def test_sft_realization_bound_200_on_cyclic_labels(tmp_path, capsys, monkeypatch):
+    # two classes have no orbit at any length; the search proves it at bound
+    # 200 with the products of the two classes it finds
+    calls = []
+    mul = permgroup.FiniteGroup.mul
+
+    def counting(self, i, j):
+        calls.append(1)
+        return mul(self, i, j)
+
+    monkeypatch.setattr(permgroup.FiniteGroup, "mul", counting)
+    sft = write(tmp_path, "cyclic.json", CYCLIC_LABELS)
+    assert main(["sft", "realization", "--sft", sft, "--hom", str(DATA / "a5_hom.json"),
+                 "--bound", "200"]) == 1
+    captured = capsys.readouterr()
+    assert "class 1 ((3 4 5)): NO orbit of length <= 200" in captured.out
+    assert "class 0 (()): orbit of length 2, edges [1, 2]" in captured.out
+    assert captured.err == "FAIL: realization check failed\n"
+    assert len(calls) <= 1000
+
+
+@pytest.mark.parametrize("command", [["a5"], ["sft", "realization", "--sft", "SFT",
+                                              "--hom", str(DATA / "a5_hom.json")]])
+def test_bound_over_the_length_cap_is_input_error(tmp_path, capsys, command):
+    sft = write(tmp_path, "cyclic.json", CYCLIC_LABELS)
+    argv = [sft if a == "SFT" else a for a in command]
+    assert main(argv + ["--bound", "4097"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bound 4097 exceeds the length cap 4096\n"
+
+
+def test_rows_build_as_many_fractions_at_any_max_len(monkeypatch, capsys):
+    # the rows are rendered from integer counts: the Fractions built are the
+    # table's at max_len and the tolerance's, whatever the number of cutoffs
+    built = []
+    for module in (cli, sft):
+        make = module.Fraction
+
+        def counting(*args, make=make):
+            built.append(args)
+            return make(*args)
+
+        monkeypatch.setattr(module, "Fraction", counting)
+    per_len = []
+    for max_len in ("11", "80"):
+        built.clear()
+        assert main(["a5", "--max-len", max_len, "--format", "rows"]) == 0
+        capsys.readouterr()
+        per_len.append(len(built))
+    assert per_len[0] == per_len[1] > 0
+
+
+@st.composite
+def row_integers(draw):
+    """(count, total, size, order) as a report's rows hold them: totals up
+    to thousands of bits, and 0 when nothing is counted."""
+    order = draw(st.integers(1, 10 ** 4))
+    size = draw(st.integers(1, order))
+    total = draw(st.one_of(st.just(0), st.integers(1, 10 ** 6), st.integers(1, 2 ** 5000)))
+    count = draw(st.integers(0, total))
+    return count, total, size, order
+
+
+@settings(max_examples=300)
+@given(row_integers())
+@example((0, 0, 1, 60))
+@example((1, 3, 1, 3))
+@example((5, 10 ** 7, 1, 1))       # a tie in the seventh place rounds up
+@example((1, 2, 60, 60))           # a target of 1 prints as "1"
+@example((2 ** 4000, 3 * 2 ** 4000 + 1, 20, 60))
+def test_render_row_matches_the_fraction_oracle(values):
+    count, total, size, order = values
+    density = Fraction(count, total) if total else Fraction(0)
+    target = Fraction(size, order)
+    row = sft.DensityRow(7, "type:(5)", count, density, target, abs(density - target))
+    assert cli.render_row(7, "type:(5)", count, total, size, order) == \
+        render_row_by_fractions(row)

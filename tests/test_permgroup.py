@@ -16,7 +16,7 @@ from cheblink.cli import main, parse_subgroup
 
 from corpus import corpus, perm_group, psl27, EXPECTED_ORDERS
 from oracles import (closure_by_products, conjugates_by_every_element, coset_image_by_sets,
-                     powers_by_composition, subgroups_by_all_joins)
+                     group_by_composition, powers_by_composition, subgroups_by_all_joins)
 
 GROUPS = corpus()
 
@@ -523,3 +523,21 @@ def test_conjugacy_classes_build_only_generator_rows():
     assert g.order == 5040 and len(classes) == 15
     assert sum(len(c.members) for c in classes) == g.order
     assert cached_rows(g) <= 2 * len(g.generators)
+
+
+@pytest.mark.parametrize("degree, generators", [
+    (1, []), (1, ["()"]), (3, ["()", "(1 2)", "(1 2)"]), (5, ["(1 2 3 4 5)", "(1 2 3)"]),
+    (6, ["(1 2 3 4 5 6)", "(1 2)"]), (7, ["(1 2 3 4 5 6 7)", "(3 5)(6 7)"]),
+    (8, ["(1 2)(3 4)(5 6)(7 8)", "(1 3)(2 4)", "(5 7)(6 8)"]),
+])
+def test_generate_group_matches_the_composition_closure(degree, generators):
+    # closing image tuples keeps the elements, their order, their words and
+    # the generator indices of a closure over validated permutations
+    gens = [Permutation.parse(s, degree) for s in generators]
+    g = generate_group(gens, degree=degree)
+    elements, words = group_by_composition(gens, degree)
+    assert g.elements == tuple(elements)
+    assert [g.word_for(i) for i in range(g.order)] == words
+    assert g.generators == tuple(elements.index(p) for p in gens)
+    assert g.identity == elements.index(Permutation.identity(degree))
+    assert all(type(p) is Permutation for p in g.elements)

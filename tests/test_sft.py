@@ -17,7 +17,8 @@ from cheblink import sft
 from cheblink.sft import DP_STATE_CAP, LENGTH_CAP, DensityRow
 
 from corpus import corpus, psl27
-from oracles import brute_force_orbits, closed_path_totals_unpruned, realization_by_passes
+from oracles import (brute_force_orbits, closed_path_totals_unpruned, realization_by_passes,
+                     witnesses_by_enumeration)
 
 GROUPS = corpus()
 
@@ -760,3 +761,104 @@ def test_chebotarev_report_builds_no_row_or_fraction(monkeypatch):
     rows = rep.rows_at(LENGTH_CAP, types=True)
     assert built["DensityRow"] == len(rows) == len(rep.types) == 4
     assert sum(r.count for r in rows) == rep.total_counted
+
+
+def bundled_shift():
+    return bundled_a5()[0]
+
+
+def cyclic_label_shift():
+    """One state, loops x1, x1 x1 and x1 x1 x1 into A5: every holonomy is a
+    power of a 5-cycle, so the classes (2,2,1) and (3,1,1) have no orbit."""
+    hom = bundled_a5()[1]
+    return LabeledSFT(1, [SftEdge(0, 0, parse_word(w)) for w in ("x1", "x1 x1", "x1 x1 x1")],
+                      hom)
+
+
+@pytest.mark.parametrize("make", [bundled_shift, two_state_s3, golden_mean, full_shift_z2,
+                                  one_way_shift, chain_into_sink, a5_four_states, abelian_shift,
+                                  s6_shift, s3_two_transposition_loops, cyclic_label_shift])
+def test_witnesses_match_the_enumeration_oracle(make):
+    # each class's witness is the first orbit of that class in the stream
+    s = make()
+    for bound in range(1, 7):
+        assert realization_check(s, bound).class_witnesses == \
+            witnesses_by_enumeration(s, bound), bound
+
+
+@settings(max_examples=100)
+@given(small_shift_specs(), st.integers(1, 6))
+# the identity's first orbits come after the back tables' levels repeat
+@example(("v4", 1, [(0, 0, [-2]), (0, 0, [-1])]), 6)
+@example(("c6", 1, [(0, 0, [-1, -2]), (0, 0, [1])]), 6)
+def test_witnesses_match_the_enumeration_oracle_on_random_shifts(spec, bound):
+    s = shift_from_spec(spec)
+    assert realization_check(s, bound).class_witnesses == witnesses_by_enumeration(s, bound)
+
+
+@pytest.mark.parametrize("bound", [14, 200])
+def test_witness_search_work_bounded_on_cyclic_labels(bound, monkeypatch):
+    # the missing classes are pruned at every start edge, so the search makes
+    # the same two products at any bound, and its tables stop growing once
+    # their levels repeat; streaming the orbits makes 206,673 products at
+    # bound 12, about three times more per unit of bound
+    s = cyclic_label_shift()
+    g = s.hom.target
+    calls = Counter()
+    mul = g.mul
+
+    def counting(i, j):
+        calls["mul"] += 1
+        return mul(i, j)
+
+    extend = sft._BackTable.extend
+
+    def counting_extend(self, r):
+        made = extend(self, r)
+        calls["cells"] += made
+        return made
+
+    monkeypatch.setattr(g, "mul", counting)
+    monkeypatch.setattr(sft._BackTable, "extend", counting_extend)
+    rep = realization_check(s, bound)
+    assert rep.missing_classes == (1, 2) and not rep.passed
+    assert [w and w.edges for w in rep.class_witnesses] == [(1, 2), None, None, (0,), (1,)]
+    assert calls["mul"] <= 10
+    assert calls["cells"] <= 4 * len(s.edges) * g.order
+
+
+def test_realization_bound_over_the_length_cap_is_refused():
+    s, _ = bundled_a5()
+    with pytest.raises(ValueError, match=f"^bound {LENGTH_CAP + 1} exceeds the length cap"):
+        realization_check(s, LENGTH_CAP + 1)
+
+
+def test_witness_tables_over_the_cap_are_refused(monkeypatch):
+    # 4 states x D6 is a lift of 48 vertices; at bound 6 the tables of its
+    # missing classes hold 848 cells, past 48 x 6
+    g = GROUPS["d6"]
+    hom = GroupHom(Presentation(2, ()), g, (g.generators[0], g.generators[-1]))
+    e, x2 = parse_word(""), parse_word("x2")
+    s = LabeledSFT(4, [SftEdge(1, 0, e), SftEdge(0, 3, e), SftEdge(2, 3, e), SftEdge(3, 1, x2),
+                       SftEdge(1, 3, e), SftEdge(3, 2, x2), SftEdge(0, 0, e), SftEdge(3, 2, e)],
+                   hom)
+    assert realization_check(s, 6).class_witnesses == witnesses_by_enumeration(s, 6)
+    monkeypatch.setattr(sft, "DP_STATE_CAP", 48)
+    with pytest.raises(ValueError, match="tables pass 288 cells"):
+        realization_check(s, 6)
+
+
+@pytest.mark.parametrize("make", [golden_mean, two_state_s3, a5_four_states])
+def test_max_type_deviation_is_the_largest_row_deviation(make):
+    # compared by numerators over one denominator; with a skip the early
+    # cutoffs count nothing
+    s = make()
+    for skip in (0, 1):
+        rep = chebotarev_report(s, 8, skip=skip)
+        assert rep.max_type_deviation == max(r.deviation for r in rep.rows_at(8, types=True))
+    # a 3-cycle has no orbit up to length 2: every density is 0
+    w = parse_word("x1")
+    ring = LabeledSFT(3, [SftEdge(0, 1, w), SftEdge(1, 2, w), SftEdge(2, 0, w)], trivial_hom())
+    rep = chebotarev_report(ring, 2)
+    assert rep.total_counted == 0
+    assert rep.max_type_deviation == 1 == max(r.deviation for r in rep.rows_at(2, types=True))
