@@ -14,12 +14,11 @@ exactly the conjugates of the image that land in H.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .freewords import CyclicWord, GroupHom, Presentation, Word, cyclic_reduce, evaluate, format_letters
 from .permgroup import (CosetAction, FiniteGroup, Subgroup, class_index, class_types,
-                        conjugacy_classes, cycle_type, powers)
+                        conjugacy_classes, cycle_type, picker, powers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +74,7 @@ def _monodromy(cover: CoveringGraph, w: CyclicWord) -> tuple[int, ...]:
     """The loop's permutation m of the vertices (the lift from v ends at m[v]).
 
     The step maps compose right-to-left, like everything else in this
-    package, so each letter from the last is applied by one ``itemgetter``.
+    package, so each letter from the last is applied by one ``picker``.
     """
     letters, k = w.letters, cover.generator_count
     if not letters:
@@ -86,8 +85,7 @@ def _monodromy(cover: CoveringGraph, w: CyclicWord) -> tuple[int, ...]:
     m = None
     for l in reversed(letters):
         step = cover.steps[l - 1] if l > 0 else cover.steps_inv[-l - 1]
-        # on one vertex every step is (0,); a one-index itemgetter returns a bare item
-        m = step if m is None or len(m) == 1 else itemgetter(*m)(step)
+        m = step if m is None else picker(m)(step)
     return m
 
 
@@ -169,9 +167,8 @@ def _loop_monodromies(cover: CoveringGraph) -> Iterator[tuple[int, tuple[int, ..
     # trivial group: the constant loop closes over the single vertex
     yield g.identity, tuple(range(cover.vertex_count)) if w is None else _monodromy(cover, w)
     plan = _trace_plan(g)
-    # m composed with step k is m[step[v]] at each v; a one-index itemgetter
-    # returns a bare item, but on one vertex every map is (0,)
-    picks = [itemgetter(*s) if len(s) > 1 else tuple for s in cover.steps]
+    # m composed with step k is m[step[v]] at each v
+    picks = [picker(s) for s in cover.steps]
     path = [tuple(range(cover.vertex_count))] * (plan.height + 1)
     for z, depth, k in plan.walk:
         m = path[depth] = picks[k](path[depth - 1])

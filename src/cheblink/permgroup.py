@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 GENERATION_CAP = 10080
 # image slots one group holds, order times degree; `group classes` on a
@@ -180,6 +180,16 @@ def cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lens, reverse=True))
 
 
+def picker(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """seq -> the tuple of seq[i] for i in indices, in one call: an
+    ``itemgetter``, except that a one-index itemgetter returns a bare item,
+    so one index gets a function that returns a one-tuple."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
 class FiniteGroup:
     """A permutation group closed under composition, with canonical labels.
 
@@ -228,10 +238,7 @@ class FiniteGroup:
         """The products of every element with j on its right, by index."""
         row = self._rows[j]
         if row is None:
-            b = self._images[j]
-            # a one-index itemgetter returns a bare item; degree 1 has only
-            # the identity, so there the image tuple is its own product
-            pick = itemgetter(*b) if len(b) > 1 else tuple
+            pick = picker(self._images[j])
             row = tuple(map(self._position.__getitem__, map(pick, self._images)))
             if self._row_entries + len(row) <= ROW_CACHE_CAP:
                 self._rows[j] = row
@@ -324,10 +331,8 @@ def generate_group(generators: Sequence[Permutation], *,
         if g.degree != degree:
             raise ValueError("generators act on different numbers of points")
     _check_slots(degree)
-    # one itemgetter per generator k: q = p ∘ k has images p.images[k(x)];
-    # a one-index itemgetter returns a bare item, and degree 1 has only the
-    # identity, which its generators leave as it is
-    picks = [itemgetter(*g.images) if degree > 1 else tuple for g in gens]
+    # one picker per generator k: q = p ∘ k has images p.images[k(x)]
+    picks = [picker(g.images) for g in gens]
     ident = tuple(range(degree))
     words: dict[tuple[int, ...], tuple[int, ...]] = {ident: ()}
     frontier = [ident]

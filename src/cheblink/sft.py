@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from importlib.resources import files
 from itertools import accumulate, islice
 from math import gcd
-from operator import add, itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from operator import add
+from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence
 
 from .freewords import GroupHom, Word, evaluate, parse_hom_data, parse_word
-from .permgroup import (FiniteGroup, Subgroup, class_index, class_types, conjugacy_classes,
-                        cycle_type, load_json, power_classes)
+from .permgroup import (FiniteGroup, Subgroup, class_types, conjugacy_classes,
+                        cycle_type, load_json, picker, power_classes)
 
 DP_STATE_CAP = 65536  # the transfer DP and realization_check refuse above state_count * |G|
 SKIP_CAP = 10 ** 6    # chebotarev_report refuses to enumerate more skipped orbits
@@ -78,16 +79,24 @@ class LabeledSFT:
             into[e.dst].append(e.src)
         self.out_edges = tuple(tuple(o) for o in out)
         self.predecessors = tuple(tuple(p) for p in into)  # sources of the edges into each state
-        self._reach_cache: dict[int, list[list[bool]]] = {}
+        self._reach_cache: dict[int, list[list[Collection[int]]]] = {}
 
-    def _reach(self, target: int, upto: int) -> list[list[bool]]:
-        """reach[k][state]: is there a path of exactly k steps state -> target?"""
+    @cached_property
+    def _every(self) -> frozenset:
+        # `in` on a frozenset costs about a third of `in` on a range
+        return frozenset(range(self.hom.target.order))
+
+    def _reach(self, target: int, upto: int) -> list[list[Collection[int]]]:
+        """reach[k][state]: every element of the group when there is a path
+        of exactly k steps state -> target, and () when there is none."""
+        every = self._every
         tbl = self._reach_cache.get(target)
         if tbl is None:
-            tbl = self._reach_cache[target] = [[st == target for st in range(self.state_count)]]
+            tbl = self._reach_cache[target] = [[every if st == target else ()
+                                                for st in range(self.state_count)]]
         while len(tbl) <= upto:
             prev = tbl[-1]
-            tbl.append([any(prev[self.edge_dst[ei]] for ei in self.out_edges[st])
+            tbl.append([every if any(prev[self.edge_dst[ei]] for ei in self.out_edges[st]) else ()
                         for st in range(self.state_count)])
         return tbl
 
@@ -110,54 +119,78 @@ def _canonical_primitive(seq: list[int]) -> bool:
     return True
 
 
+def _cycles(s: LabeledSFT, length: int, e0: int,
+            allowed: Sequence[Sequence[Collection[int]]]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (edges, holonomy) for each canonical primitive cycle of this
+    length that starts with edge e0, in lexicographic order of the edges.
+
+    A depth-first search that takes only edges >= e0, since the canonical
+    rotation begins with the least edge on the orbit, and keeps a prefix
+    ending at state u with holonomy y and r steps left only when y lies in
+    ``allowed[r][u]``; a state whose allowed set is empty is passed over
+    before any product is formed.  The search runs on an explicit stack that
+    carries the label product of each prefix, so no length is too deep for
+    it, memory stays at O(length), and a closed path's product is formed
+    only once ``_canonical_primitive`` has kept it.
+    """
+    elem, dst = s.edge_elem, s.edge_dst
+    if elem[e0] not in allowed[length - 1][dst[e0]]:
+        return
+    if length == 1:
+        yield (e0,), elem[e0]
+        return
+    mul, out_edges = s.hom.target.mul, s.out_edges
+    # frame i tries the out-edges after the path seq[:i + 1], whose label
+    # product is prefix[i]
+    seq, prefix = [e0], [elem[e0]]
+    frames = [iter(out_edges[dst[e0]])]
+    while frames:
+        left = length - len(seq) - 1
+        level = allowed[left]
+        for ei in frames[-1]:
+            if ei < e0:
+                continue
+            here = level[dst[ei]]
+            if not here:
+                continue
+            if left:
+                y = mul(prefix[-1], elem[ei])
+                if y in here:
+                    seq.append(ei)
+                    prefix.append(y)
+                    frames.append(iter(out_edges[dst[ei]]))
+                    break
+                continue
+            seq.append(ei)
+            if _canonical_primitive(seq):
+                y = mul(prefix[-1], elem[ei])
+                if y in here:
+                    yield tuple(seq), y
+            seq.pop()
+        else:
+            frames.pop()
+            seq.pop()
+            prefix.pop()
+
+
 def enumerate_orbits(s: LabeledSFT, max_len: int) -> Iterator[Orbit]:
     """Stream primitive orbits of length <= max_len, shortest first, within
     a length in lexicographic order of the canonical edge sequence.
 
-    A depth-first search per (length, start edge) keeps memory at O(length);
-    branches are pruned by exact remaining-step reachability, and only edge
-    indices >= the start edge are allowed, since the canonical rotation
-    begins with the least edge on the orbit.  The search runs on an explicit
-    stack that carries the label product of each prefix, so no length is
-    too deep for it and an orbit's holonomy costs one multiplication.
+    One ``_cycles`` search per (length, start edge), pruned by exact
+    remaining-step reachability (``LabeledSFT._reach``), which allows every
+    holonomy at a state that reaches the start in the steps left and none
+    at any other.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     g = s.hom.target
+    conjugacy_classes(g)
+    class_of = g._class_of  # filled by conjugacy_classes
     for length in range(1, max_len + 1):
-        for e0 in range(len(s.edges)):
-            src0 = s.edge_src[e0]
-            if length == 1:
-                if s.edge_dst[e0] == src0:
-                    h = s.edge_elem[e0]
-                    yield Orbit(1, (e0,), h, class_index(g, h))
-                continue
-            reach = s._reach(src0, length - 1)
-            if not reach[length - 1][s.edge_dst[e0]]:
-                continue
-            # frame i tries the out-edges after the path seq[:i + 1], whose
-            # label product is prefix[i]
-            seq, prefix = [e0], [s.edge_elem[e0]]
-            frames = [iter(s.out_edges[s.edge_dst[e0]])]
-            while frames:
-                remaining = length - len(seq) - 1
-                for ei in frames[-1]:
-                    nst = s.edge_dst[ei]
-                    if ei < e0 or not reach[remaining][nst]:
-                        continue
-                    seq.append(ei)
-                    if remaining:
-                        prefix.append(g.mul(prefix[-1], s.edge_elem[ei]))
-                        frames.append(iter(s.out_edges[nst]))
-                        break
-                    if _canonical_primitive(seq):
-                        h = g.mul(prefix[-1], s.edge_elem[ei])
-                        yield Orbit(length, tuple(seq), h, class_index(g, h))
-                    seq.pop()
-                else:
-                    frames.pop()
-                    seq.pop()
-                    prefix.pop()
+        for e0, src0 in enumerate(s.edge_src):
+            for edges, h in _cycles(s, length, e0, s._reach(src0, length - 1)):
+                yield Orbit(length, edges, h, class_of[h])
 
 
 def orbit_list(s: LabeledSFT, max_len: int) -> list[Orbit]:
@@ -181,22 +214,15 @@ def _lift_moves(s: LabeledSFT) -> list[list[tuple[int, tuple[int, ...]]]]:
             for st in range(s.state_count)]
 
 
-def _translation(row: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
-    """vec -> the vector whose entry t is vec[row[t]], in one itemgetter call."""
-    # a one-index itemgetter returns a bare item; order 1 has only the
-    # identity, which moves nothing
-    return itemgetter(*row) if len(row) > 1 else tuple
-
-
 def _dense_moves(s: LabeledSFT) -> list[list[tuple[int, Callable[[list], Sequence[int]]]]]:
     """moves[state]: (destination, translation) per out-edge, for dense counts.
 
     A translation takes a state's counts as one vector indexed by element and
     returns the vector the edge's label moves them to, moved[y] =
-    vec[y·label⁻¹], by ``_translation`` over the label inverse's row.
+    vec[y·label⁻¹], by a ``picker`` over the label inverse's row.
     """
     g = s.hom.target
-    picks = {lab: _translation(g.right_row(g.inv(lab))) for lab in set(s.edge_elem)}
+    picks = {lab: picker(g.right_row(g.inv(lab))) for lab in set(s.edge_elem)}
     return [[(s.edge_dst[ei], picks[s.edge_elem[ei]]) for ei in s.out_edges[st]]
             for st in range(s.state_count)]
 
@@ -276,11 +302,7 @@ class _Transfer:
                 dense, turn = True, False
                 if self.dense_moves is None:
                     self.dense_moves = _dense_moves(s)
-                    # a one-index itemgetter returns a bare item, so a
-                    # one-member class reads a one-item slice instead
-                    self.class_picks = [itemgetter(*m) if len(m) > 1
-                                        else itemgetter(slice(m[0], m[0] + 1))
-                                        for m in (sorted(c.members) for c in self.classes)]
+                    self.class_picks = [picker(sorted(c.members)) for c in self.classes]
                 dense_moves = self.dense_moves
                 vecs = [None] * s.state_count
                 for st, dist in enumerate(cur):
@@ -386,18 +408,15 @@ def exact_counts(s: LabeledSFT, n: int) -> tuple[int, ...]:
     tr = _Transfer(s)
     tot = [0] * len(tr.classes)
     b = n // 2
-    if max(map(len, s.out_edges)) ** b <= len(s.edges):
-        # a walk holds at most d^b counts after b steps, d the largest
-        # out-degree; with no more counts than edges a step costs about its
-        # pass over the edges, which a meet does not spare
-        for s0 in range(s.state_count):
-            for _, cur, dense in tr.walk(s0, n, _back_distances(s, s0, n)):
-                pass
-            tr.read(cur[s0], dense, tot)
-        return tuple(tot)
     walks = [tr.walk(s0, n, _back_distances(s, s0, n)) for s0 in range(s.state_count)]
     at_b = [next(islice(walk, b, None)) for walk in walks]
-    table = None if any(dense for _, _, dense in at_b) else [cur for _, cur, _ in at_b]
+    # no table when a walk is dense at b, or when d^b <= |E|, d the largest
+    # out-degree: a walk holds at most d^b counts after b steps, and with no
+    # more counts than edges a step costs about its pass over the edges,
+    # which a meet does not spare
+    plain = (max(map(len, s.out_edges)) ** b <= len(s.edges)
+             or any(dense for _, _, dense in at_b))
+    table = None if plain else [cur for _, cur, _ in at_b]
     budget = b * len(s.edges) * tr.g.order
     for s0, (walk, step) in enumerate(zip(walks, at_b)):
         if table is not None:
@@ -650,14 +669,7 @@ def realization_check(s: LabeledSFT, bound: int) -> RealizationReport:
                 period = gcd(period, step - level[w])
     holonomy_order = order - level[:order].count(-1)
 
-    bwd = {0}
-    stack = [0]
-    while stack:
-        for a in s.predecessors[stack.pop()]:
-            if a not in bwd:
-                bwd.add(a)
-                stack.append(a)
-    connected = len(bwd) == n == len({u for u, _ in queue})
+    connected = max(_back_distances(s, 0, n - 1)) < n and len({u for u, _ in queue}) == n
 
     return RealizationReport(
         strongly_connected=connected,
@@ -714,13 +726,13 @@ def _class_witnesses(s: LabeledSFT, bound: int) -> tuple[Optional[Orbit], ...]:
     None, found by a search in the lift rather than by the stream.
 
     Loops give the length-1 witnesses.  For each longer length and each
-    class still missing, a depth-first search runs in the stream's order
-    (start edge, then lexicographic, edges >= the start edge) and keeps a
-    prefix with holonomy x at state u and r steps left only when x lies in
-    the class's ``_BackTable`` for the start state at (r, u); the first
-    canonical primitive path it completes is the stream's first orbit of
-    that class.  A class that no closed path reaches is pruned at every
-    start edge, so it costs only its tables: O(bound·|E|·|G|) each.
+    class still missing, the stream's own search, ``_cycles``, runs per start
+    edge with the levels of the class's ``_BackTable`` for the start state
+    as its prune table, so it keeps a prefix with holonomy x at state u and
+    r steps left only when x lies in that table at (r, u); the first cycle
+    it yields is the stream's first orbit of that class.  A class that no
+    closed path reaches is pruned at every start edge, so it costs only its
+    tables: O(bound·|E|·|G|) each.
 
     Raises ValueError once the tables' cells would pass
     DP_STATE_CAP × bound.
@@ -739,7 +751,6 @@ def _class_witnesses(s: LabeledSFT, bound: int) -> tuple[Optional[Orbit], ...]:
              for st in range(s.state_count)]
     tables: dict[tuple[int, int], _BackTable] = {}
     cells, cap = 0, DP_STATE_CAP * bound
-    mul, elem, dst, out_edges = g.mul, s.edge_elem, s.edge_dst, s.out_edges
     for length in range(2, bound + 1):
         for c, cls in enumerate(classes):
             if witnesses[c] is not None:
@@ -749,40 +760,14 @@ def _class_witnesses(s: LabeledSFT, bound: int) -> tuple[Optional[Orbit], ...]:
                 if back is None:
                     back = tables[c, s0] = _BackTable(moves, s0, cls.members)
                     cells += len(cls.members)
-                levels = back.levels
-                if len(levels) < length:
+                if len(back.levels) < length:
                     cells += back.extend(length - 1)
                     if cells > cap:
                         raise ValueError(f"the witness search's tables pass {cap} cells "
                                          f"(DP cap {DP_STATE_CAP} x bound {bound})")
-                if elem[e0] not in levels[length - 1][dst[e0]]:
-                    continue
-                # frame i tries the out-edges after the path seq[:i + 1],
-                # whose label product is prefix[i]
-                seq, prefix = [e0], [elem[e0]]
-                frames = [iter(out_edges[dst[e0]])]
-                while frames and witnesses[c] is None:
-                    left = length - len(seq) - 1
-                    for ei in frames[-1]:
-                        if ei < e0:
-                            continue
-                        y = mul(prefix[-1], elem[ei])
-                        if y not in levels[left][dst[ei]]:
-                            continue
-                        seq.append(ei)
-                        if left:
-                            prefix.append(y)
-                            frames.append(iter(out_edges[dst[ei]]))
-                            break
-                        if _canonical_primitive(seq):
-                            witnesses[c] = Orbit(length, tuple(seq), y, c)
-                            break
-                        seq.pop()
-                    else:
-                        frames.pop()
-                        seq.pop()
-                        prefix.pop()
-                if witnesses[c] is not None:
+                found = next(_cycles(s, length, e0, back.levels), None)
+                if found is not None:
+                    witnesses[c] = Orbit(length, *found, c)
                     break
         if None not in witnesses:
             break

@@ -254,7 +254,7 @@ def test_verify_artin_work_bounded(name, monkeypatch):
     # one loop, the identity's, is composed letter by letter; every other
     # one costs a single step map composed onto its parent's monodromy
     g = psl27() if name == "psl27" else GROUPS[name]
-    plain_monodromy, plain_itemgetter = covers._monodromy, covers.itemgetter
+    plain_monodromy, plain_picker = covers._monodromy, covers.picker
     monodromies = compositions = 0
     inside = False
 
@@ -267,8 +267,8 @@ def test_verify_artin_work_bounded(name, monkeypatch):
         finally:
             inside = False
 
-    def counting_itemgetter(*items):
-        get = plain_itemgetter(*items)
+    def counting_picker(indices):
+        get = plain_picker(indices)
 
         def counted(m):
             nonlocal compositions
@@ -277,14 +277,13 @@ def test_verify_artin_work_bounded(name, monkeypatch):
         return counted
 
     monkeypatch.setattr(covers, "_monodromy", counting_monodromy)
-    monkeypatch.setattr(covers, "itemgetter", counting_itemgetter)
+    monkeypatch.setattr(covers, "picker", counting_picker)
     for h in all_subgroups(g):
         monodromies = compositions = 0
         assert verify_artin(g, h).passed
         assert monodromies <= 1
         assert compositions <= g.order
-        if h.index > 1:  # on one vertex the maps are not itemgetters
-            assert compositions == g.order - 1
+        assert compositions == g.order - 1
 
 
 def test_component_bijection_pinned():

@@ -104,9 +104,18 @@ def test_full_shift_exact_counts():
 
 
 def test_orbits_match_brute_force():
+    # the stream, in its order, with each holonomy the product of its edge
+    # labels: witnesses_by_enumeration reads the stream, so this keeps the
+    # witness oracle anchored to a search that shares no code with it
     for s in (golden_mean(), full_shift_z2(), two_state_s3()):
-        got = {(o.length, o.edges) for o in enumerate_orbits(s, 6)}
-        assert got == brute_force_orbits(s, 6)
+        g = s.hom.target
+        orbits = list(enumerate_orbits(s, 6))
+        assert [(o.length, o.edges) for o in orbits] == sorted(brute_force_orbits(s, 6))
+        for o in orbits:
+            acc = g.identity
+            for ei in o.edges:
+                acc = g.mul(acc, s.edge_elem[ei])
+            assert o.holonomy == acc
 
 
 def test_orbit_canonical_form_and_holonomy():
@@ -796,6 +805,18 @@ def test_witnesses_match_the_enumeration_oracle_on_random_shifts(spec, bound):
     assert realization_check(s, bound).class_witnesses == witnesses_by_enumeration(s, bound)
 
 
+def count_muls(monkeypatch, g):
+    calls = Counter()
+    mul = g.mul
+
+    def counting(i, j):
+        calls["mul"] += 1
+        return mul(i, j)
+
+    monkeypatch.setattr(g, "mul", counting)
+    return calls
+
+
 @pytest.mark.parametrize("bound", [14, 200])
 def test_witness_search_work_bounded_on_cyclic_labels(bound, monkeypatch):
     # the missing classes are pruned at every start edge, so the search makes
@@ -804,13 +825,7 @@ def test_witness_search_work_bounded_on_cyclic_labels(bound, monkeypatch):
     # bound 12, about three times more per unit of bound
     s = cyclic_label_shift()
     g = s.hom.target
-    calls = Counter()
-    mul = g.mul
-
-    def counting(i, j):
-        calls["mul"] += 1
-        return mul(i, j)
-
+    calls = count_muls(monkeypatch, g)
     extend = sft._BackTable.extend
 
     def counting_extend(self, r):
@@ -818,13 +833,28 @@ def test_witness_search_work_bounded_on_cyclic_labels(bound, monkeypatch):
         calls["cells"] += made
         return made
 
-    monkeypatch.setattr(g, "mul", counting)
     monkeypatch.setattr(sft._BackTable, "extend", counting_extend)
     rep = realization_check(s, bound)
     assert rep.missing_classes == (1, 2) and not rep.passed
     assert [w and w.edges for w in rep.class_witnesses] == [(1, 2), None, None, (0,), (1,)]
     assert calls["mul"] <= 10
     assert calls["cells"] <= 4 * len(s.edges) * g.order
+
+
+def test_orbit_stream_work_pinned(monkeypatch):
+    # one product per kept prefix step, and a closed path's product only
+    # once it is canonical and primitive
+    s, _ = bundled_a5()
+    calls = count_muls(monkeypatch, s.hom.target)
+    assert sum(1 for _ in enumerate_orbits(s, 8)) == 1318
+    assert calls["mul"] <= 3205
+
+
+def test_witness_search_work_pinned(monkeypatch):
+    s, _ = bundled_a5()
+    calls = count_muls(monkeypatch, s.hom.target)
+    assert realization_check(s, 6).passed
+    assert calls["mul"] <= 70
 
 
 def test_realization_bound_over_the_length_cap_is_refused():
