@@ -10,6 +10,7 @@ row and redoing the subtraction reproduces the printed digits exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -77,6 +78,18 @@ def render_row(cutoff: int, key: str, count: int, total: int, size: int, order: 
     """
     dens, dev, target = rendered(count, total, size, order)
     return f"{cutoff}\t{key}\t{count}\t{dens}\t{target}\t{_digits(dev)}"
+
+
+@contextlib.contextmanager
+def _any_digits():
+    """Let the block print ints past CPython's 4300-digit limit, and put the limit back."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
 
 
 def _print_rows(report: DensityReport, *, types: bool) -> None:
@@ -207,25 +220,25 @@ def _cmd_a5(args) -> int:
         realization_bound=args.bound,
     )
     result = run_a5_experiment(cfg)
-    if args.format == "rows":
-        _print_rows(result.report, types=True)
-    else:
-        print(f"orbits counted: {result.total_counted} "
-              f"(length <= {cfg.max_len}, skip {cfg.skip}); "
-              f"subgroup of order {result.subgroup_order}, index {result.subgroup_index}")
-        print(f"{'type':<14} {'elements':>8} {'orbits':>8} {'density':>10} "
-              f"{'target':>8} {'deviation':>10}")
-        shown = 0
-        for r in result.rows:
-            tname = "(" + ",".join(map(str, r.dtype)) + ")"
-            dens, dev, target = rendered(r.density.numerator, r.density.denominator,
-                                         r.target.numerator, r.target.denominator)
-            shown = max(shown, dev)
-            print(f"{tname:<14} {r.element_count:>8} {r.orbit_count:>8} {dens:>10} "
-                  f"{target:>8} {_digits(dev):>10}")
-        verdict = "within" if result.within_tolerance else "OVER"
-        print(f"max deviation {_digits(shown)} — "
-              f"{verdict} tolerance {decimal_str(cfg.tolerance)}")
+    with _any_digits():
+        if args.format == "rows":
+            _print_rows(result.report, types=True)
+        else:
+            print(f"orbits counted: {result.total_counted} "
+                  f"(length <= {cfg.max_len}, skip {cfg.skip}); "
+                  f"subgroup of order {result.subgroup_order}, index {result.subgroup_index}")
+            print(f"{'type':<14} {'elements':>8} {'orbits':>8} {'density':>10} "
+                  f"{'target':>8} {'deviation':>10}")
+            keys, counts, sizes, total = result.report.tally(cfg.max_len, types=True)
+            shown = 0
+            for key, c, size in zip(keys, counts, sizes):
+                dens, dev, target = rendered(c, total, size, result.report.group_order)
+                shown = max(shown, dev)
+                print(f"{key.removeprefix('type:'):<14} {size:>8} {c:>8} {dens:>10} "
+                      f"{target:>8} {_digits(dev):>10}")
+            verdict = "within" if result.within_tolerance else "OVER"
+            print(f"max deviation {_digits(shown)} — "
+                  f"{verdict} tolerance {decimal_str(cfg.tolerance)}")
     if not result.within_tolerance:
         raise CheckFailed(
             f"max deviation {decimal_str(result.max_deviation)} exceeds "
@@ -323,18 +336,19 @@ def _cmd_sft_chebotarev(args) -> int:
     hom = load_hom_file(args.hom)
     s = load_sft_file(args.sft, hom)
     report = chebotarev_report(s, args.max_len, skip=args.skip)
-    if args.format == "rows":
-        _print_rows(report, types=False)
-        _print_rows(report, types=True)
-        return 0
-    g = hom.target
-    print(f"group order {g.order}; orbits counted: {report.total_counted} "
-          f"(length <= {report.max_len}, skip {report.skip})")
-    print(f"{'key':<28} {'count':>8} {'density':>10} {'target':>8} {'deviation':>10}")
-    for row in report.rows_at(report.max_len) + report.rows_at(report.max_len, types=True):
-        dens, dev, target = rendered(row.density.numerator, row.density.denominator,
-                                     row.target.numerator, row.target.denominator)
-        print(f"{row.key:<28} {row.count:>8} {dens:>10} {target:>8} {_digits(dev):>10}")
+    with _any_digits():
+        if args.format == "rows":
+            _print_rows(report, types=False)
+            _print_rows(report, types=True)
+            return 0
+        print(f"group order {report.group_order}; orbits counted: {report.total_counted} "
+              f"(length <= {report.max_len}, skip {report.skip})")
+        print(f"{'key':<28} {'count':>8} {'density':>10} {'target':>8} {'deviation':>10}")
+        for types in (False, True):
+            keys, counts, sizes, total = report.tally(report.max_len, types=types)
+            for key, c, size in zip(keys, counts, sizes):
+                dens, dev, target = rendered(c, total, size, report.group_order)
+                print(f"{key:<28} {c:>8} {dens:>10} {target:>8} {_digits(dev):>10}")
     return 0
 
 

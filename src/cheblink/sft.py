@@ -18,8 +18,8 @@ from fractions import Fraction
 from importlib.resources import files
 from itertools import accumulate, islice
 from math import gcd
-from operator import add
-from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence
+from operator import add, or_
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .freewords import GroupHom, Word, evaluate, parse_hom_data, parse_word
 from .permgroup import (FiniteGroup, Subgroup, class_types, conjugacy_classes,
@@ -79,25 +79,25 @@ class LabeledSFT:
             into[e.dst].append(e.src)
         self.out_edges = tuple(tuple(o) for o in out)
         self.predecessors = tuple(tuple(p) for p in into)  # sources of the edges into each state
-        self._reach_cache: dict[int, list[list[Collection[int]]]] = {}
+        self._reach_cache: dict[int, list[list[Optional[tuple[int, ...]]]]] = {}
 
     @cached_property
-    def _every(self) -> frozenset:
-        # `in` on a frozenset costs about a third of `in` on a range
-        return frozenset(range(self.hom.target.order))
+    def _every(self) -> tuple[int, ...]:
+        # every class bit set at every holonomy: one row that all states share
+        return (-1,) * self.hom.target.order
 
-    def _reach(self, target: int, upto: int) -> list[list[Collection[int]]]:
-        """reach[k][state]: every element of the group when there is a path
-        of exactly k steps state -> target, and () when there is none."""
+    def _reach(self, target: int, upto: int) -> list[list[Optional[tuple[int, ...]]]]:
+        """reach[k][state]: ``_every`` when there is a path of exactly k steps
+        state -> target, and None when there is none."""
         every = self._every
         tbl = self._reach_cache.get(target)
         if tbl is None:
-            tbl = self._reach_cache[target] = [[every if st == target else ()
+            tbl = self._reach_cache[target] = [[every if st == target else None
                                                 for st in range(self.state_count)]]
         while len(tbl) <= upto:
             prev = tbl[-1]
-            tbl.append([every if any(prev[self.edge_dst[ei]] for ei in self.out_edges[st]) else ()
-                        for st in range(self.state_count)])
+            tbl.append([every if any(prev[self.edge_dst[ei]] for ei in self.out_edges[st])
+                        else None for st in range(self.state_count)])
         return tbl
 
     def __repr__(self) -> str:
@@ -120,21 +120,24 @@ def _canonical_primitive(seq: list[int]) -> bool:
 
 
 def _cycles(s: LabeledSFT, length: int, e0: int,
-            allowed: Sequence[Sequence[Collection[int]]]) -> Iterator[tuple[tuple[int, ...], int]]:
+            allowed: Sequence[Sequence[Optional[Sequence[int]]]],
+            want: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (edges, holonomy) for each canonical primitive cycle of this
-    length that starts with edge e0, in lexicographic order of the edges.
+    length that starts with edge e0 and closes into a class of the bitmask
+    ``want``, in lexicographic order of the edges.
 
-    A depth-first search that takes only edges >= e0, since the canonical
-    rotation begins with the least edge on the orbit, and keeps a prefix
-    ending at state u with holonomy y and r steps left only when y lies in
-    ``allowed[r][u]``; a state whose allowed set is empty is passed over
-    before any product is formed.  The search runs on an explicit stack that
-    carries the label product of each prefix, so no length is too deep for
-    it, memory stays at O(length), and a closed path's product is formed
-    only once ``_canonical_primitive`` has kept it.
+    A depth-first search on edges >= e0, since the canonical rotation begins
+    with the least edge on the orbit.  It passes over a state u with r steps
+    left whose ``allowed[r][u]`` is None before forming any product, and
+    keeps a prefix ending there with holonomy y only when
+    ``allowed[r][u][y] & want``.  Its explicit stack carries each prefix's
+    label product, so no length is too deep for it, memory stays at
+    O(length), and a closed path's product is formed only once
+    ``_canonical_primitive`` has kept it.
     """
     elem, dst = s.edge_elem, s.edge_dst
-    if elem[e0] not in allowed[length - 1][dst[e0]]:
+    first = allowed[length - 1][dst[e0]]
+    if first is None or not first[elem[e0]] & want:
         return
     if length == 1:
         yield (e0,), elem[e0]
@@ -151,11 +154,11 @@ def _cycles(s: LabeledSFT, length: int, e0: int,
             if ei < e0:
                 continue
             here = level[dst[ei]]
-            if not here:
+            if here is None:
                 continue
             if left:
                 y = mul(prefix[-1], elem[ei])
-                if y in here:
+                if here[y] & want:
                     seq.append(ei)
                     prefix.append(y)
                     frames.append(iter(out_edges[dst[ei]]))
@@ -164,7 +167,7 @@ def _cycles(s: LabeledSFT, length: int, e0: int,
             seq.append(ei)
             if _canonical_primitive(seq):
                 y = mul(prefix[-1], elem[ei])
-                if y in here:
+                if here[y] & want:
                     yield tuple(seq), y
             seq.pop()
         else:
@@ -177,10 +180,9 @@ def enumerate_orbits(s: LabeledSFT, max_len: int) -> Iterator[Orbit]:
     """Stream primitive orbits of length <= max_len, shortest first, within
     a length in lexicographic order of the canonical edge sequence.
 
-    One ``_cycles`` search per (length, start edge), pruned by exact
-    remaining-step reachability (``LabeledSFT._reach``), which allows every
-    holonomy at a state that reaches the start in the steps left and none
-    at any other.
+    One ``_cycles`` search per (length, start edge), wanting every class, on
+    exact remaining-step reachability (``LabeledSFT._reach``): every class
+    bit set at a state that reaches the start in the steps left, else None.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -189,7 +191,7 @@ def enumerate_orbits(s: LabeledSFT, max_len: int) -> Iterator[Orbit]:
     class_of = g._class_of  # filled by conjugacy_classes
     for length in range(1, max_len + 1):
         for e0, src0 in enumerate(s.edge_src):
-            for edges, h in _cycles(s, length, e0, s._reach(src0, length - 1)):
+            for edges, h in _cycles(s, length, e0, s._reach(src0, length - 1), -1):
                 yield Orbit(length, edges, h, class_of[h])
 
 
@@ -642,7 +644,7 @@ def realization_check(s: LabeledSFT, bound: int) -> RealizationReport:
 
     Each class's witness is the first orbit of that class in
     ``enumerate_orbits(s, bound)``, found by ``_class_witnesses`` in the
-    lift without listing the orbits before it.
+    lift, on the same moves, without listing the orbits before it.
 
     Raises ValueError for a bound below 1 or above LENGTH_CAP, or a lift
     over the DP cap."""
@@ -676,26 +678,24 @@ def realization_check(s: LabeledSFT, bound: int) -> RealizationReport:
         period=period if connected else None,
         holonomy_generates=holonomy_order == order,
         holonomy_order=holonomy_order,
-        class_witnesses=_class_witnesses(s, bound),
+        class_witnesses=_class_witnesses(s, bound, moves),
         bound=bound,
     )
 
 
 class _BackTable:
-    """levels[r][u]: the holonomies x at state u that some r-step path
-    u -> s0 closes into one class, a frozenset per state.
+    """levels[r][u]: None when no r-step path leads from state u to s0, else
+    per holonomy x the bitmask of the classes such a path closes x into.
 
-    Level 0 is the class at s0; x lies in level r at u when x·z lies in
-    level r - 1 at v for an edge u -> v labelled z; ``moves[u]`` holds
-    (v, the right-multiplication row of z⁻¹) per out-edge.  Each level follows
-    from the one before, so once a level repeats an earlier one the rest
-    repeat with them: they are appended as references, and no new level is
-    computed.
+    Level 0 at s0 is 1 << the class of x.  Level r at u is the OR, over u's
+    out-edges u -> v in the lift's ``moves``, of level r - 1 at v read
+    through the label's right-multiplication row.  Once a level repeats an
+    earlier one the rest repeat with them, and are appended as references.
     """
 
-    def __init__(self, moves, s0: int, members: frozenset):
-        level = [frozenset()] * len(moves)
-        level[s0] = members
+    def __init__(self, moves, s0: int, class_of: Sequence[int]):
+        level = [None] * len(moves)
+        level[s0] = tuple(1 << c for c in class_of)
         self.moves = moves
         self.levels = [level]
         self.seen = {tuple(level): 0}  # each level computed -> its index
@@ -709,68 +709,59 @@ class _BackTable:
                 levels.append(levels[-self.period])
                 continue
             prev = levels[-1]
-            level = [frozenset().union(*[map(row.__getitem__, prev[v])
-                                         for v, row in out if prev[v]])
-                     for out in self.moves]
+            level = [None] * len(prev)
+            for u, out in enumerate(self.moves):
+                for v, row in out:
+                    if prev[v] is not None:
+                        moved, acc = picker(row)(prev[v]), level[u]
+                        level[u] = moved if acc is None else tuple(map(or_, acc, moved))
             first = self.seen.setdefault(tuple(level), len(levels))
             if first < len(levels):
                 self.period = len(levels) - first
                 continue
             levels.append(level)
-            added += sum(map(len, level))
+            added += sum(map(len, filter(None, level)))
         return added
 
 
-def _class_witnesses(s: LabeledSFT, bound: int) -> tuple[Optional[Orbit], ...]:
+def _class_witnesses(s: LabeledSFT, bound: int, moves) -> tuple[Optional[Orbit], ...]:
     """The first orbit of ``enumerate_orbits(s, bound)`` in each class, or
-    None, found by a search in the lift rather than by the stream.
+    None, found by a search in the lift on its ``moves``, not by the stream.
 
-    Loops give the length-1 witnesses.  For each longer length and each
-    class still missing, the stream's own search, ``_cycles``, runs per start
-    edge with the levels of the class's ``_BackTable`` for the start state
-    as its prune table, so it keeps a prefix with holonomy x at state u and
-    r steps left only when x lies in that table at (r, u); the first cycle
-    it yields is the stream's first orbit of that class.  A class that no
-    closed path reaches is pruned at every start edge, so it costs only its
-    tables: O(bound·|E|·|G|) each.
-
-    Raises ValueError once the tables' cells would pass
-    DP_STATE_CAP × bound.
+    Loops give the length-1 witnesses.  For each longer length and start
+    edge the stream's own search, ``_cycles``, runs on the start state's
+    ``_BackTable`` wanting the classes still missing.  The first cycle it
+    yields is the stream's first orbit of its class, as no cycle of another
+    missing class comes before it; that bit is cleared and the search starts
+    again at the same edge.  A class no closed path reaches is pruned at
+    every start edge, at the cost of the tables alone: O(bound·|E|·|G|)
+    each.  Raises ValueError once the cells of the levels the tables compute
+    would pass DP_STATE_CAP × bound.
     """
-    g = s.hom.target
-    classes = conjugacy_classes(g)
-    class_of = g._class_of
-    witnesses: list[Optional[Orbit]] = [None] * len(classes)
+    witnesses: list[Optional[Orbit]] = [None] * len(conjugacy_classes(s.hom.target))
+    class_of = s.hom.target._class_of
     for e0, h in enumerate(s.edge_elem):
         if s.edge_dst[e0] == s.edge_src[e0] and witnesses[class_of[h]] is None:
             witnesses[class_of[h]] = Orbit(1, (e0,), h, class_of[h])
-    if None not in witnesses or bound < 2:
-        return tuple(witnesses)
-    rows = {lab: g.right_row(g.inv(lab)) for lab in set(s.edge_elem)}
-    moves = [[(s.edge_dst[ei], rows[s.edge_elem[ei]]) for ei in s.out_edges[st]]
-             for st in range(s.state_count)]
-    tables: dict[tuple[int, int], _BackTable] = {}
+    want = sum(1 << c for c, w in enumerate(witnesses) if w is None)
+    tables: dict[int, _BackTable] = {}
     cells, cap = 0, DP_STATE_CAP * bound
     for length in range(2, bound + 1):
-        for c, cls in enumerate(classes):
-            if witnesses[c] is not None:
-                continue
-            for e0, s0 in enumerate(s.edge_src):
-                back = tables.get((c, s0))
-                if back is None:
-                    back = tables[c, s0] = _BackTable(moves, s0, cls.members)
-                    cells += len(cls.members)
-                if len(back.levels) < length:
-                    cells += back.extend(length - 1)
-                    if cells > cap:
-                        raise ValueError(f"the witness search's tables pass {cap} cells "
-                                         f"(DP cap {DP_STATE_CAP} x bound {bound})")
-                found = next(_cycles(s, length, e0, back.levels), None)
-                if found is not None:
-                    witnesses[c] = Orbit(length, *found, c)
-                    break
-        if None not in witnesses:
-            break
+        for e0, s0 in enumerate(s.edge_src):
+            if not want:
+                return tuple(witnesses)
+            back = tables.get(s0)
+            if back is None:
+                back = tables[s0] = _BackTable(moves, s0, class_of)
+            if len(back.levels) < length:
+                cells += back.extend(length - 1)
+                if cells > cap:
+                    raise ValueError(f"the witness search's tables pass {cap} cells "
+                                     f"(DP cap {DP_STATE_CAP} x bound {bound})")
+            while want and (found := next(_cycles(s, length, e0, back.levels, want), None)):
+                edges, h = found
+                witnesses[class_of[h]] = Orbit(length, edges, h, class_of[h])
+                want &= ~(1 << class_of[h])
     return tuple(witnesses)
 
 

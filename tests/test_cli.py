@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -400,7 +401,8 @@ def test_density_path_builds_no_coset_action(monkeypatch, capsys):
     ["a5", "--max-len", "40"],
 ])
 def test_text_output_builds_rows_only_at_max_len(command, monkeypatch):
-    # the text table reads one cutoff, so no other cutoff's rows are built
+    # the text tables read the report's integer tally at one cutoff: the only
+    # rows built are the a5 result's, at max_len
     cutoffs = []
     make = sft.DensityRow
 
@@ -410,7 +412,7 @@ def test_text_output_builds_rows_only_at_max_len(command, monkeypatch):
 
     monkeypatch.setattr(sft, "DensityRow", row)
     assert main(command) == 0
-    assert set(cutoffs) == {40}
+    assert set(cutoffs) == ({40} if command[0] == "a5" else set())
 
 
 def test_a5_defaults(capsys):
@@ -791,6 +793,64 @@ def test_rows_build_as_many_fractions_at_any_max_len(monkeypatch, capsys):
         capsys.readouterr()
         per_len.append(len(built))
     assert per_len[0] == per_len[1] > 0
+
+
+def test_digit_limit_is_lifted_inside_the_block_only():
+    # the helper puts back whatever limit it found
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return  # this Python has no limit to lift
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        with cli._any_digits():
+            assert sys.get_int_max_str_digits() == 0
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+SIXTEEN_LOOPS = {"states": 1, "edges": [
+    {"from": 0, "to": 0, "label": w} for w in (
+        "x1", "x2", "x1 x2", "x2 x1", "x1 x1", "x2 x2", "x1^-1", "x2^-1", "x1 x2 x1",
+        "x2 x1 x2", "x1 x1 x2", "x1 x2 x2", "x2 x1 x1", "x2 x2 x1", "x1^-1 x2", "x2^-1 x1")]}
+
+
+def test_counts_past_the_int_digit_limit_reach_the_output(tmp_path, monkeypatch):
+    # sixteen loops into A5: at length 3600 the counts pass the 4300 decimal
+    # digits that CPython's str() refuses by default; both formats print them
+    # whole and leave the limit as it was.  The report is computed once and
+    # handed to both commands, whose time is then the printing
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    shift = write(tmp_path, "loops.json", SIXTEEN_LOOPS)
+    hom = str(DATA / "a5_hom.json")
+    report = chebotarev_report(sft.load_sft_file(shift, bundled_a5()[1]), 3600)
+    assert max(report.counts[-1]).bit_length() > 4300 * 3.33
+    with cli._any_digits():
+        want = {key: str(c) for types in (False, True)
+                for key, c in zip(*report.tally(3600, types=types)[:2])}
+
+    def reported(s, max_len, *, skip):
+        assert (s.state_count, len(s.edges), max_len, skip) == (1, 16, 3600, 0)
+        return report
+
+    monkeypatch.setattr(cli, "chebotarev_report", reported)
+    for fmt in ("text", "rows"):
+        out = tmp_path / f"{fmt}.txt"
+        with out.open("w") as f, contextlib.redirect_stdout(f):
+            assert main(["sft", "chebotarev", "--sft", shift, "--hom", hom,
+                         "--max-len", "3600", "--format", fmt]) == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        got = {}
+        with out.open() as f:
+            for line in f:
+                if fmt == "text" and line.startswith(("class:", "type:")):
+                    key, count = line.rsplit(None, 4)[:2]
+                    got[key] = count
+                elif fmt == "rows" and line.startswith("3600\t"):
+                    _, key, count = line.split("\t")[:3]
+                    got[key] = count
+        out.unlink()
+        assert got == want, fmt
 
 
 @st.composite

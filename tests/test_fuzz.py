@@ -101,6 +101,13 @@ def run(argv):
 @example('{"states": 2, "edges": [[0, 1]]}')
 @example('{"states": 2, "edges": [{"from": 0, "to": 1, "label": 1}]}')
 @example("{not json")
+# a two-state cycle, a sink with a loop and an isolated state, one state of loops
+@example('{"states": 2, "edges": [{"from": 0, "to": 1, "label": "x1"}, '
+         '{"from": 1, "to": 0, "label": "x2"}, {"from": 1, "to": 1, "label": "x1 x2"}]}')
+@example('{"states": 3, "edges": [{"from": 0, "to": 1, "label": "x1"}, '
+         '{"from": 1, "to": 1, "label": "x2"}]}')
+@example('{"states": 1, "edges": [{"from": 0, "to": 0, "label": "x1"}, '
+         '{"from": 0, "to": 0, "label": ""}]}')
 def test_cli_ends_cleanly_on_any_file(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "input.json")
@@ -109,7 +116,8 @@ def test_cli_ends_cleanly_on_any_file(text):
                      ["cover", "decompose", "--hom", path, "--subgroup", "whole",
                       "--word", "x1"],
                      ["sft", "orbits", "--sft", path, "--hom", A5_HOM, "--max-len", "2"],
-                     ["sft", "orbits", "--sft", A5_SHIFT, "--hom", path, "--max-len", "2"]):
+                     ["sft", "orbits", "--sft", A5_SHIFT, "--hom", path, "--max-len", "2"],
+                     ["sft", "realization", "--sft", path, "--hom", A5_HOM, "--bound", "4"]):
             code, err = run(argv)
             assert code in (0, 1, 2), (argv, code)
             assert err.count("\n") <= 1, (argv, err)

@@ -788,9 +788,10 @@ def cyclic_label_shift():
                                   one_way_shift, chain_into_sink, a5_four_states, abelian_shift,
                                   s6_shift, s3_two_transposition_loops, cyclic_label_shift])
 def test_witnesses_match_the_enumeration_oracle(make):
-    # each class's witness is the first orbit of that class in the stream
+    # each class's witness is the first orbit of that class in the stream; at
+    # bound 8 the searches restart after each witness on longer cycles
     s = make()
-    for bound in range(1, 7):
+    for bound in [*range(1, 7), *([8] if make in (a5_four_states, s6_shift) else [])]:
         assert realization_check(s, bound).class_witnesses == \
             witnesses_by_enumeration(s, bound), bound
 
@@ -841,6 +842,30 @@ def test_witness_search_work_bounded_on_cyclic_labels(bound, monkeypatch):
     assert calls["cells"] <= 4 * len(s.edges) * g.order
 
 
+def test_witness_search_keeps_one_table_per_start_state(monkeypatch):
+    # the a5-density pool's shape (4 states, out-degree 3, A5) at bound 8:
+    # one back table per start state, and one search per (length, start edge)
+    # plus one more after each witness it finds there
+    s = a5_four_states()
+    tables, searches = [], []
+    init, cycles = sft._BackTable.__init__, sft._cycles
+
+    def counting_init(self, moves, s0, class_of):
+        tables.append(s0)
+        init(self, moves, s0, class_of)
+
+    def counting_cycles(s, length, e0, allowed, want):
+        searches.append((length, e0))
+        return cycles(s, length, e0, allowed, want)
+
+    monkeypatch.setattr(sft._BackTable, "__init__", counting_init)
+    monkeypatch.setattr(sft, "_cycles", counting_cycles)
+    rep = realization_check(s, 8)
+    assert rep.passed
+    assert len(tables) == len(set(tables)) <= s.state_count
+    assert len(searches) <= len(set(searches)) + len(rep.class_witnesses)
+
+
 def test_orbit_stream_work_pinned(monkeypatch):
     # one product per kept prefix step, and a closed path's product only
     # once it is canonical and primitive
@@ -864,8 +889,8 @@ def test_realization_bound_over_the_length_cap_is_refused():
 
 
 def test_witness_tables_over_the_cap_are_refused(monkeypatch):
-    # 4 states x D6 is a lift of 48 vertices; at bound 6 the tables of its
-    # missing classes hold 848 cells, past 48 x 6
+    # 4 states x D6 is a lift of 48 vertices; at bound 6 the back tables of
+    # its start states compute 732 cells, past 48 x 6
     g = GROUPS["d6"]
     hom = GroupHom(Presentation(2, ()), g, (g.generators[0], g.generators[-1]))
     e, x2 = parse_word(""), parse_word("x2")
