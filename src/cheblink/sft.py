@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from importlib.resources import files
 from itertools import accumulate, islice
@@ -27,7 +26,7 @@ from .permgroup import (FiniteGroup, Subgroup, class_types, conjugacy_classes,
 
 DP_STATE_CAP = 65536  # the transfer DP and realization_check refuse above state_count * |G|
 SKIP_CAP = 10 ** 6    # chebotarev_report refuses to enumerate more skipped orbits
-LENGTH_CAP = 4096     # exact_counts and chebotarev_report refuse longer paths: a count's
+LENGTH_CAP = 4096     # every count and orbit search refuses longer paths: a count's
                       # bits grow with the length, so the DP's memory grows as length^2
 
 
@@ -79,26 +78,6 @@ class LabeledSFT:
             into[e.dst].append(e.src)
         self.out_edges = tuple(tuple(o) for o in out)
         self.predecessors = tuple(tuple(p) for p in into)  # sources of the edges into each state
-        self._reach_cache: dict[int, list[list[Optional[tuple[int, ...]]]]] = {}
-
-    @cached_property
-    def _every(self) -> tuple[int, ...]:
-        # every class bit set at every holonomy: one row that all states share
-        return (-1,) * self.hom.target.order
-
-    def _reach(self, target: int, upto: int) -> list[list[Optional[tuple[int, ...]]]]:
-        """reach[k][state]: ``_every`` when there is a path of exactly k steps
-        state -> target, and None when there is none."""
-        every = self._every
-        tbl = self._reach_cache.get(target)
-        if tbl is None:
-            tbl = self._reach_cache[target] = [[every if st == target else None
-                                                for st in range(self.state_count)]]
-        while len(tbl) <= upto:
-            prev = tbl[-1]
-            tbl.append([every if any(prev[self.edge_dst[ei]] for ei in self.out_edges[st])
-                        else None for st in range(self.state_count)])
-        return tbl
 
     def __repr__(self) -> str:
         return (f"<LabeledSFT: {self.state_count} states, {len(self.edges)} edges, "
@@ -130,10 +109,11 @@ def _cycles(s: LabeledSFT, length: int, e0: int,
     with the least edge on the orbit.  It passes over a state u with r steps
     left whose ``allowed[r][u]`` is None before forming any product, and
     keeps a prefix ending there with holonomy y only when
-    ``allowed[r][u][y] & want``.  Its explicit stack carries each prefix's
-    label product, so no length is too deep for it, memory stays at
-    O(length), and a closed path's product is formed only once
-    ``_canonical_primitive`` has kept it.
+    ``allowed[r][u][y] & want``: the stream's reach levels want every
+    class, a ``_BackTable``'s levels the witnesses still missing.  Its
+    explicit stack carries each prefix's label product, so no length is too
+    deep for it, memory stays at O(length), and a closed path's product is
+    formed only once ``_canonical_primitive`` has kept it.
     """
     elem, dst = s.edge_elem, s.edge_dst
     first = allowed[length - 1][dst[e0]]
@@ -181,17 +161,31 @@ def enumerate_orbits(s: LabeledSFT, max_len: int) -> Iterator[Orbit]:
     a length in lexicographic order of the canonical edge sequence.
 
     One ``_cycles`` search per (length, start edge), wanting every class, on
-    exact remaining-step reachability (``LabeledSFT._reach``): every class
-    bit set at a state that reaches the start in the steps left, else None.
+    the start state's exact-step reach levels, kept only while the stream
+    runs: every class bit set at a state with a path of exactly k steps to
+    the start, else None.  Raises ValueError at the first ``next()`` for
+    max_len below 1 or above LENGTH_CAP.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
+    if max_len > LENGTH_CAP:
+        raise ValueError(f"max_len {max_len} exceeds the length cap {LENGTH_CAP}")
     g = s.hom.target
     conjugacy_classes(g)
     class_of = g._class_of  # filled by conjugacy_classes
+    every = (-1,) * g.order  # every class bit at every holonomy: one row all states share
+    states = range(s.state_count)
+    reach: dict[int, list] = {}  # start state -> its levels
     for length in range(1, max_len + 1):
         for e0, src0 in enumerate(s.edge_src):
-            for edges, h in _cycles(s, length, e0, s._reach(src0, length - 1), -1):
+            levels = reach.get(src0)
+            if levels is None:  # first met at length 1, where level 0 is all it needs
+                levels = reach[src0] = [[every if st == src0 else None for st in states]]
+            elif len(levels) < length:
+                prev = levels[-1]
+                levels.append([every if any(prev[s.edge_dst[ei]] for ei in s.out_edges[st])
+                               else None for st in states])
+            for edges, h in _cycles(s, length, e0, levels, -1):
                 yield Orbit(length, edges, h, class_of[h])
 
 
@@ -229,28 +223,6 @@ def _dense_moves(s: LabeledSFT) -> list[list[tuple[int, Callable[[list], Sequenc
             for st in range(s.state_count)]
 
 
-def _paths_into(counts: Sequence[list], s0: int) -> tuple[tuple[int, ...], ...]:
-    """The paths into s0 that every start's walk holds at one step, as three
-    tuples: the starts v, the label products x of the paths v -> s0 and the
-    number of paths of each.  counts[v] is the walk from v at that step."""
-    starts: list[int] = []
-    keys: list[int] = []
-    paths: list[int] = []
-    for v, cur in enumerate(counts):
-        here = cur[s0]
-        if here:
-            starts += [v] * len(here)
-            keys += here
-            paths += here.values()
-    return tuple(starts), tuple(keys), tuple(paths)
-
-
-def _meet_classes(g: FiniteGroup, x: int) -> Sequence[int]:
-    """classes[y]: the class of y·x, the holonomy of a forward path to y
-    closed by a path of label product x."""
-    return g.class_row(x)
-
-
 def _back_distances(s: LabeledSFT, s0: int, max_n: int) -> list[int]:
     """back[state]: fewest steps from the state to s0, above max_n when
     there is no path of at most max_n steps; one breadth-first search over
@@ -281,7 +253,7 @@ class _Transfer:
         self.class_of = g._class_of  # filled by conjugacy_classes
         self.dense_moves = self.class_picks = None  # built at the first switch to dense counts
 
-    def walk(self, s0: int, max_n: int, back: Sequence[int]) -> Iterator[tuple[int, list, bool]]:
+    def walk(self, s0: int, max_n: int) -> Iterator[tuple[int, list, bool]]:
         """Yield (n, counts, dense) after each step n = 0..max_n of the walk
         from (s0, identity).
 
@@ -290,10 +262,11 @@ class _Transfer:
         Once the dicts fill a quarter of states x G they turn into lists at
         the start of the next step, and each edge then moves a whole list
         with one translation (``_dense_moves``).  Step n skips every edge
-        into a state whose ``back`` exceeds the max_n - n steps left: a count
-        there reaches s0 only along a longer path.
+        into a state whose ``_back_distances`` to s0 exceeds the max_n - n
+        steps left: a count there reaches s0 only along a longer path.
         """
         s, g, moves = self.s, self.g, self.moves
+        back = _back_distances(s, s0, max_n)
         cells = s.state_count * g.order
         cur: list = [{} for _ in range(s.state_count)]
         cur[s0][g.identity] = 1
@@ -353,18 +326,20 @@ class _Transfer:
             for el, c in here.items():
                 tot[class_of[el]] += c
 
-    def meet(self, cur, table: tuple, tot: list[int]) -> None:
+    def meet(self, cur, table: Sequence[list], s0: int, tot: list[int]) -> None:
         """Add into tot the classes of the closed paths that pair a sparse
-        forward count at (v, y) with a table count at (v, x): y·x, read pair
-        by pair from ``_meet_classes``."""
-        g = self.g
-        for v, x, cb in zip(*table):
-            here = cur[v]
-            if not here:
+        forward count at (v, y) with the paths v -> s0 of label product x,
+        which the walk from v holds at table[v][s0]: y·x, read pair by pair
+        from the group's ``class_row(x)``."""
+        class_row = self.g.class_row
+        for here, counts in zip(cur, table):
+            paths = counts[s0]
+            if not (here and paths):
                 continue
-            classes = _meet_classes(g, x)
-            for y, c in here.items():
-                tot[classes[y]] += c * cb
+            for x, cb in paths.items():
+                classes = class_row(x)
+                for y, c in here.items():
+                    tot[classes[y]] += c * cb
 
 
 def _closed_path_totals(s: LabeledSFT, max_n: int) -> list[list[int]]:
@@ -378,7 +353,7 @@ def _closed_path_totals(s: LabeledSFT, max_n: int) -> list[list[int]]:
     tr = _Transfer(s)
     totals = [[0] * len(tr.classes) for _ in range(max_n + 1)]
     for s0 in range(s.state_count):
-        for n, cur, dense in tr.walk(s0, max_n, _back_distances(s, s0, max_n)):
+        for n, cur, dense in tr.walk(s0, max_n):
             tr.read(cur[s0], dense, totals[n])
     return totals
 
@@ -397,11 +372,11 @@ def exact_counts(s: LabeledSFT, n: int) -> tuple[int, ...]:
     of the walk from s0 after n - b steps times a count of paths v -> s0
     with label product x, in the class of y·x.  If any walk is dense at b,
     every start walks to the end.  Otherwise each start steps on to n - b
-    and meets the paths into it while its counts are still sparse and the
-    pairs to read number at most b·|E|·|G|/4, the lookups of b dense steps
-    by the walk's quarter rule; else it too walks to the end.  When the
-    largest out-degree to the power b is at most |E|, every start walks to
-    the end and no table is made.
+    and meets the paths into it, read where the walks hold them, while its
+    counts are still sparse and the pairs to read number at most
+    b·|E|·|G|/4, the lookups of b dense steps by the walk's quarter rule;
+    else it too walks to the end.  When the largest out-degree to the power
+    b is at most |E|, every start walks to the end and no table is made.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -410,7 +385,7 @@ def exact_counts(s: LabeledSFT, n: int) -> tuple[int, ...]:
     tr = _Transfer(s)
     tot = [0] * len(tr.classes)
     b = n // 2
-    walks = [tr.walk(s0, n, _back_distances(s, s0, n)) for s0 in range(s.state_count)]
+    walks = [tr.walk(s0, n) for s0 in range(s.state_count)]
     at_b = [next(islice(walk, b, None)) for walk in walks]
     # no table when a walk is dense at b, or when d^b <= |E|, d the largest
     # out-degree: a walk holds at most d^b counts after b steps, and with no
@@ -427,7 +402,7 @@ def exact_counts(s: LabeledSFT, n: int) -> tuple[int, ...]:
             _, cur, dense = step
             if not dense and 4 * sum(len(here) * len(paths[s0])
                                      for here, paths in zip(cur, table)) <= budget:
-                tr.meet(cur, _paths_into(table, s0), tot)
+                tr.meet(cur, table, s0, tot)
                 continue
         for step in walk:
             pass

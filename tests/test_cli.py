@@ -672,6 +672,43 @@ def test_length_over_cap_is_input_error(tmp_path):
         assert "length cap" in proc.stderr
 
 
+# Arguments that a counting command must refuse.  A5 and A5HOM are the
+# bundled shift and hom, RING a shift whose lift passes DP_STATE_CAP and S3 a
+# hom onto S3.
+COUNTING_REFUSALS = [
+    ["--sft", "A5", "--max-len", "0"],
+    ["--sft", "A5", "--max-len", "4097"],
+    ["--sft", "A5", "--max-len", "30", "--skip", "1000001"],
+    ["--sft", "A5", "--max-len", "6", "--skip", "196"],
+    ["--sft", "RING", "--max-len", "3"],
+]
+A5_REFUSALS = [(["--subgroup", "stab:9"], 2), (["--bound", "0"], 2), (["--bound", "4097"], 2),
+               (["--hom", "S3"], 1), (["--bound", "1"], 1)]
+REFUSALS = (
+    [(["a5", *args, "--format", fmt], 2) for args in COUNTING_REFUSALS
+     for fmt in ("text", "rows")]
+    + [(["sft", "chebotarev", "--hom", "A5HOM", *args, "--format", fmt], 2)
+       for args in COUNTING_REFUSALS for fmt in ("text", "rows")]
+    + [(["a5", "--max-len", "6", *args, "--format", fmt], code) for args, code in A5_REFUSALS
+       for fmt in ("text", "rows")]
+    + [(["sft", "orbits", "--sft", "A5", "--hom", "A5HOM", "--max-len", "4097"], 2)])
+
+
+@pytest.mark.parametrize("argv, code", REFUSALS,
+                         ids=lambda a: " ".join(a) if isinstance(a, list) else str(a))
+def test_refusal_comes_before_the_first_output_line(tmp_path, capsys, argv, code):
+    # rows are printed as they are rendered, so every cap and gate must be
+    # checked first
+    paths = {"A5": str(DATA / "a5_full_shift.json"), "A5HOM": str(DATA / "a5_hom.json"),
+             "RING": write(tmp_path, "ring.json", {"states": 1100, "edges": [
+                 {"from": i, "to": (i + 1) % 1100, "label": "x1"} for i in range(1100)]}),
+             "S3": write(tmp_path, "s3.json", S3_HOM)}
+    assert main([paths.get(a, a) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1, err
+
+
 def test_quotient_search_on_a_thousand_strands(tmp_path, capsys):
     # one search level per strand: deeper than the interpreter's recursion limit
     target = write(tmp_path, "trivial.json", {"degree": 1, "generators": []})

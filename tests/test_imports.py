@@ -1,5 +1,6 @@
 """Modules of the package import only public names from one another, and
-only names they use.
+only names they use, and every private module-level name is read by the
+package itself, not by the tests alone.
 
 A private helper such as ``permgroup._conjugations`` stays behind its
 module's public functions (``conjugates``), so one module alone knows how
@@ -8,6 +9,7 @@ imports are the public API.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cheblink"
@@ -76,3 +78,53 @@ def test_unused_import_is_caught(tmp_path):
                     "    from math import gcd\n"
                     "    return plus(accumulate(xs), islice(xs, 2))\n")
     assert unused_imports(path) == [(2, "os"), (3, "chain"), (4, "mul"), (6, "gcd")]
+
+
+def private_names_without_a_caller(paths):
+    """(module, name) for each module-level private name, a function, class
+    or assignment, that no module of ``paths`` reads outside the name's own
+    definition: a helper kept only as a seam for tests is caught."""
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in paths}
+
+    def reads(node):
+        return Counter(n.id for n in ast.walk(node)
+                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+    read = sum(map(reads, trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [(module, name) for name in names
+                      if name.startswith("_") and not name.endswith("__")
+                      and read[name] == reads(node)[name]]
+    return sorted(found)
+
+
+def test_private_names_have_a_caller():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    assert private_names_without_a_caller(paths) == []
+
+
+def test_private_name_without_a_caller_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text("_CAP = 1\n"
+                                   "_SEAM: int = 2\n"
+                                   "def _helper(n):\n"
+                                   "    return _helper(n - 1) if n else _CAP\n"
+                                   "class _Row(tuple):\n"
+                                   "    pass\n"
+                                   "def _adapter(g, x):\n"
+                                   "    return g._row(x)\n"
+                                   "__all__ = ['run']\n")
+    (tmp_path / "b.py").write_text("from .a import _Row\n"
+                                   "def run(g):\n"
+                                   "    return _Row(g._adapter)\n")
+    assert private_names_without_a_caller(sorted(tmp_path.glob("*.py"))) == [
+        ("a.py", "_SEAM"), ("a.py", "_adapter"), ("a.py", "_helper")]

@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cheblink import (CosetAction, GroupHom, LabeledSFT, Presentation, SftEdge,
+from cheblink import (CosetAction, FiniteGroup, GroupHom, LabeledSFT, Presentation, SftEdge,
                       Subgroup, all_subgroups, bundled_a5, chebotarev_report, class_index,
                       conjugacy_classes, conjugates, cycle_type, enumerate_orbits,
                       exact_counts, parse_hom_data, parse_sft_data, parse_word,
@@ -522,9 +523,10 @@ def count_transfer_work(monkeypatch):
     """Count the transfer DP's work at its seams: one per row lookup of a
     sparse step (``_lift_moves``, which the unpruned oracle reads too), |G|
     per vector a dense step moves (``_dense_moves``), and the meet's work:
-    one per pair it reads (``_meet_classes``) and one per entry a table
-    reads off the walks (``_paths_into``).  Returns the counter
-    [sparse lookups, dense translations, meet reads, table entries]."""
+    one per pair it reads (``FiniteGroup.class_row``) and one per entry of
+    the paths into the start it reads off each walk (``_Transfer.meet``).
+    Returns the counter [sparse lookups, dense translations, meet reads,
+    table entries]."""
     work = [0, 0, 0, 0]
 
     def counting_row(at):
@@ -540,21 +542,20 @@ def count_transfer_work(monkeypatch):
             return pick(vec)
         return moved
 
-    def counted_table(counts, s0):
-        table = paths_into(counts, s0)
-        work[3] += len(table[0])
-        return table
+    def counted_meet(tr, cur, table, s0, tot):
+        work[3] += sum(len(counts[s0]) for here, counts in zip(cur, table) if here)
+        return meet(tr, cur, table, s0, tot)
 
     step_row, meet_row = counting_row(0), counting_row(2)
-    lift_moves, dense_moves, paths_into = sft._lift_moves, sft._dense_moves, sft._paths_into
-    meet_classes = sft._meet_classes
+    lift_moves, dense_moves = sft._lift_moves, sft._dense_moves
+    meet, class_row = sft._Transfer.meet, FiniteGroup.class_row
     monkeypatch.setattr(sft, "_lift_moves", lambda s: [
         [(dst, step_row(row)) for dst, row in m] for m in lift_moves(s)])
     monkeypatch.setattr(sft, "_dense_moves", lambda s: [
         [(dst, counted(pick, s.hom.target.order, 1)) for dst, pick in m]
         for m in dense_moves(s)])
-    monkeypatch.setattr(sft, "_paths_into", counted_table)
-    monkeypatch.setattr(sft, "_meet_classes", lambda g, w: meet_row(meet_classes(g, w)))
+    monkeypatch.setattr(sft._Transfer, "meet", counted_meet)
+    monkeypatch.setattr(FiniteGroup, "class_row", lambda g, x: meet_row(class_row(g, x)))
     return work
 
 
@@ -886,6 +887,26 @@ def test_realization_bound_over_the_length_cap_is_refused():
     s, _ = bundled_a5()
     with pytest.raises(ValueError, match=f"^bound {LENGTH_CAP + 1} exceeds the length cap"):
         realization_check(s, LENGTH_CAP + 1)
+
+
+def test_orbit_stream_over_the_length_cap_is_refused():
+    # refused at the first next(), before a reach level is grown
+    s, _ = bundled_a5()
+    with pytest.raises(ValueError, match=f"^max_len {LENGTH_CAP + 1} exceeds the length cap"):
+        next(enumerate_orbits(s, LENGTH_CAP + 1))
+
+
+@pytest.mark.parametrize("make", [bundled_shift, a5_four_states])
+def test_no_call_leaves_state_on_the_shift(make):
+    # the stream's reach levels, the DP's walks and the witness tables live
+    # in the call; only the group keeps rows
+    s = make()
+    before = {name: copy.deepcopy(v) for name, v in vars(s).items() if name != "hom"}
+    assert sum(1 for _ in enumerate_orbits(s, 6))
+    exact_counts(s, 12)
+    chebotarev_report(s, 8)
+    realization_check(s, 6)
+    assert {name: v for name, v in vars(s).items() if name != "hom"} == before
 
 
 def test_witness_tables_over_the_cap_are_refused(monkeypatch):
