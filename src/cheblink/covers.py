@@ -4,16 +4,23 @@ A homomorphism from a presented group onto a finite permutation group, plus
 a subgroup H of the target, determines a cover whose vertices are the right
 cosets of H.  A loop (cyclic word) lifts to a disjoint union of closed
 paths; the multiset of their lengths, divided by the loop length, is the
-loop's decomposition type.  ``verify_artin`` traces every element's loop
-and checks that this always equals the cycle type of the loop's image in the
-coset action, as Artin's formula gives it from the permutation character,
-and ``verify_component_bijection`` checks that degree-1 components are
-exactly the conjugates of the image that land in H.
+loop's decomposition type.  ``verify_artin`` checks that this always
+equals the cycle type of the loop's image in the coset action, as Artin's
+formula gives it from the permutation character, and
+``verify_component_bijection`` checks that degree-1 components are exactly
+the conjugates of the image that land in H.
+
+Both checks read one trace per subgroup, kept on its coset action and made
+by whichever check runs first: every element's loop is traced once, by one
+walk of the group's word tree, and the trace keeps each element's cycle type
+and fixed cosets, not its monodromy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 from typing import Iterator, NamedTuple, Optional
 
 from .freewords import CyclicWord, GroupHom, Presentation, Word, cyclic_reduce, evaluate, format_letters
@@ -45,7 +52,7 @@ def build_cover(hom: GroupHom, h: Subgroup) -> CoveringGraph:
     g = hom.target
     if h.group is not g:
         raise ValueError("subgroup belongs to a different group than the hom's target")
-    act = CosetAction(g, h)
+    act = h.action
     return CoveringGraph(
         generator_count=len(hom.images),
         vertex_count=act.degree,
@@ -175,6 +182,42 @@ def _loop_monodromies(cover: CoveringGraph) -> Iterator[tuple[int, tuple[int, ..
         yield z, m
 
 
+class _CosetTrace(NamedTuple):
+    """What both cover checks read for one subgroup H; kept on its coset
+    action, so it is O(|G|) per subgroup: no monodromy is kept."""
+
+    # per element, the cycle type of its loop's monodromy, one tuple object
+    # per distinct type
+    types: tuple[tuple[int, ...], ...]
+    # per element, the cosets its loop's monodromy fixes; by Burnside these
+    # number |G| in all, since the action is transitive
+    fixed: tuple[tuple[int, ...], ...]
+    # the conjugacy classes that meet H
+    meets: frozenset
+
+
+def _coset_trace(h: Subgroup) -> _CosetTrace:
+    """The trace of every element's loop through the cover of g/h, made on
+    first use by one ``_loop_monodromies`` walk and kept on ``h.action``."""
+    act = h.action
+    if act._trace is None:
+        g = h.group
+        n = act.degree
+        types = [None] * g.order
+        fixed = [()] * g.order
+        interned = {}
+        cover = build_cover(GroupHom(Presentation(len(g.generators), ()), g, g.generators), h)
+        for z, m in _loop_monodromies(cover):
+            t = cycle_type(m)
+            types[z] = interned.setdefault(t, t)
+            if t[-1] == 1:  # the type lists fixed points last, as 1s
+                fixed[z] = tuple(compress(range(n), map(eq, m, range(n))))
+        conjugacy_classes(g)  # fills g._class_of
+        act._trace = _CosetTrace(tuple(types), tuple(fixed),
+                                 frozenset(g._class_of[m] for m in h.members))
+    return act._trace
+
+
 @dataclass(frozen=True)
 class ArtinMismatch:
     element: int
@@ -204,24 +247,24 @@ def verify_artin(g: FiniteGroup, h: Subgroup) -> ArtinReport:
     decomposition type against the cycle type Artin's formula gives.
 
     The expected side is one cycle type per conjugacy class, derived from
-    the permutation character of g/h (``class_types``).  The trace side
-    walks the tree of recorded words once, so each element's monodromy is
-    its parent's composed with one step map; only the identity's loop
-    x1^ord is composed letter by letter.  ``CosetAction.image`` is called
-    only for the step maps.
+    the permutation character of g/h (``class_types``).  The trace side is
+    the subgroup's kept trace: its walk of the tree of recorded words makes
+    each element's monodromy its parent's composed with one step map, and
+    only the identity's loop x1^ord is composed letter by letter.
+    ``CosetAction.image`` is called only for the step maps.
     """
-    cover = build_cover(GroupHom(Presentation(len(g.generators), ()), g, g.generators), h)
+    if h.group is not g:
+        raise ValueError("subgroup belongs to a different group")
+    traced_types = _coset_trace(h).types
     types = class_types(g, h)
     class_of = g._class_of  # filled by class_types
     mismatches = []
-    for z, m in _loop_monodromies(cover):
+    for z, traced in enumerate(traced_types):
         expected = types[class_of[z]]
-        traced = cycle_type(m)
         if traced != expected:
             w = _loop_word_for(g, z)
             word_str = format_letters(w.letters) if w is not None else ""
             mismatches.append(ArtinMismatch(z, word_str, expected, traced))
-    mismatches.sort(key=lambda m: m.element)
     return ArtinReport(
         group_order=g.order,
         subgroup_order=len(h),
@@ -260,28 +303,34 @@ def verify_component_bijection(cover: CoveringGraph, w: CyclicWord | Word) -> Bi
     """Check that degree-1 components of the lift carry conjugates of the
     loop's image into the subgroup, and that such a conjugate forces one.
 
-    Some conjugate of the image lies in the subgroup exactly when the
-    image's class meets it, so that is read off the class: no conjugator is
-    searched for."""
+    The loop's monodromy is the coset-action image of the loop's image z,
+    whatever the hom, so its fixed points (the degree-1 components) and its
+    cycle type are read from the subgroup's kept trace at z.  The holonomies
+    are group products, formed here, so the two directions still compare
+    computations made independently.  Some conjugate of z lies in the
+    subgroup exactly when z's class meets it, which the trace also keeps: no
+    conjugator is searched for."""
     if isinstance(w, Word):
         w = cyclic_reduce(w)
+    if not w.letters:
+        raise ValueError("the empty loop has no decomposition type")
     g = cover.hom.target
     h = cover.subgroup
     act = cover.action
     z = evaluate(cover.hom, w)
-    m = _monodromy(cover, w)
-    cls = conjugacy_classes(g)[class_index(g, z)].members
+    trace = _coset_trace(h)
+    ci = class_index(g, z)
+    cls = conjugacy_classes(g)[ci].members
     checks = []
-    # the degree-1 components are the monodromy's fixed points
-    for v in [v for v, u in enumerate(m) if u == v]:
+    for v in trace.fixed[z]:
         r = act.reps[v]
         hol = g.mul(g.mul(r, z), g.inv(r))
         checks.append(ComponentCheck(v, hol, hol in h.members, hol in cls))
-    meets = not cls.isdisjoint(h.members)
+    meets = ci in trace.meets
     return BijectionReport(
         word=w,
         image=z,
-        decomposition_type=cycle_type(m),
+        decomposition_type=trace.types[z],
         degree_one_checks=tuple(checks),
         class_meets_subgroup=meets,
         direction1_ok=all(c.in_subgroup and c.in_class for c in checks),

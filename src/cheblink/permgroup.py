@@ -543,6 +543,15 @@ class Subgroup:
             raise ValueError("member set not closed under composition")
         self.group = group
         self.members = members
+        self._action = None
+
+    @property
+    def action(self) -> "CosetAction":
+        """The group's action on this subgroup's right cosets, built on first
+        use and kept, so every cover of one subgroup shares it."""
+        if self._action is None:
+            self._action = CosetAction(self.group, self)
+        return self._action
 
     @classmethod
     def generated(cls, group: FiniteGroup, indices: Iterable[int]) -> "Subgroup":
@@ -663,9 +672,9 @@ class CosetAction:
         if any(c is None for c in coset_of):
             raise ValueError("generators do not generate the group")
         self.group = group
-        self.subgroup = subgroup
         self.reps = tuple(reps)
         self.coset_of = tuple(coset_of)
+        self._trace = None  # what both cover checks read; filled by covers
 
     @property
     def degree(self) -> int:

@@ -19,6 +19,7 @@ TRIAL_DIVISION_CAP = 2 ** 24  # _least_prime_factor trial-divides no further
 # Miller–Rabin with the primes up to 41 as bases decides primality below this
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_LIMIT = 3317044064679887385961981
+TOKEN_SHOWN = 40  # characters of a bad matrix token quoted in the error
 
 
 class IntMatrix:
@@ -541,7 +542,8 @@ def load_matrix_file(path) -> IntMatrix:
                 try:
                     rows[-1].append(int(tok))
                 except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: {tok!r} is not an integer") from None
+                    shown = tok if len(tok) <= TOKEN_SHOWN else tok[:TOKEN_SHOWN] + "..."
+                    raise ValueError(f"{path}: line {lineno}: {shown!r} is not an integer") from None
     if not rows:
         raise ValueError("matrix file has no rows")
     return IntMatrix(rows)

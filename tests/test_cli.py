@@ -2,10 +2,12 @@ import contextlib
 import hashlib
 import json
 import os
+import random
 import resource
 import shutil
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
@@ -86,6 +88,37 @@ def test_snf_non_integer_token_names_file_line_and_token(tmp_path, capsys):
     path = write(tmp_path, "m.txt", "# a comment\n2 4\n6 x\n")
     assert main(["snf", path]) == 2
     assert capsys.readouterr().err == f"error: {path}: line 3: 'x' is not an integer\n"
+
+
+def test_snf_prints_entries_past_the_int_digit_limit(tmp_path, capsys):
+    # a random 24x24 matrix with entries in [-9, 9]: u and v reach entries of
+    # tens of thousands of bits, which str() refuses past 4300 digits
+    rng = random.Random(1)
+    path = write(tmp_path, "m.txt", "".join(
+        " ".join(str(rng.randint(-9, 9)) for _ in range(24)) + "\n" for _ in range(24)))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["snf", path]) == 0
+    assert capsys.readouterr().out.endswith("u @ s @ v == input: True\n")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_snf_reads_an_entry_past_the_int_digit_limit(tmp_path, capsys):
+    with cli._any_digits():
+        n = int("7" * 4999 + "0")
+        path = write(tmp_path, "m.txt", f"{n} 0\n0 2\n")
+        want = f"invariant factors [2, {n}]"
+    assert main(["snf", path]) == 0
+    out = capsys.readouterr().out
+    assert want in out and out.endswith("u @ s @ v == input: True\n")
+
+
+def test_snf_quotes_a_prefix_of_a_long_bad_token(tmp_path, capsys):
+    path = write(tmp_path, "m.txt", "1 " + "x" * 10_000 + "\n")
+    assert main(["snf", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: line 1: 'xxx")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
 
 
 def test_generic_check(capsys):
@@ -213,6 +246,24 @@ def test_cover_verify_artin_work_within_default_budget(name, degree, generators,
     g = parse_group_data({"degree": degree, "generators": generators})
     assert g.order * sum(h.index for h in all_subgroups(g)) == work
     assert work <= cli.ARTIN_WORK_BUDGET
+
+
+def test_cover_verify_artin_holds_one_subgroup_at_a_time(tmp_path, capsys, monkeypatch):
+    # each subgroup keeps its coset action and trace, so the command lets
+    # every subgroup go once it is checked
+    plain = cli.verify_artin
+    checked = []
+
+    def verify(g, h):
+        assert all(ref() is None for ref in checked)
+        checked.append(weakref.ref(h))
+        return plain(g, h)
+
+    monkeypatch.setattr(cli, "verify_artin", verify)
+    grp = write(tmp_path, "s4.json", {"degree": 4, "generators": ["(1 2 3 4)", "(1 2)"]})
+    assert main(["cover", "verify-artin", "--group", grp, "--all-subgroups"]) == 0
+    assert "all 30 subgroup(s) verified" in capsys.readouterr().out
+    assert len(checked) == 30
 
 
 def test_cover_verify_artin_needs_spec(tmp_path, capsys):

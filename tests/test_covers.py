@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cheblink import (CosetAction, GroupHom, Permutation, Presentation, Subgroup,
+from cheblink import (CosetAction, GroupHom, Permutation, Presentation, Subgroup, Word,
                       all_subgroups, build_cover, class_index, class_types, conjugacy_classes,
                       covers, cycle_type, cyclic_reduce, decompose_loop,
-                      evaluate, generate_group, parse_word, reduce,
+                      evaluate, generate_group, generated_set, parse_word, reduce,
                       verify_artin, verify_component_bijection)
 from cheblink.covers import (BijectionReport, Component, ComponentCheck,
-                             LiftResult, _loop_monodromies,
+                             LiftResult, _coset_trace, _loop_monodromies,
                              _loop_word_for, _monodromy)
 
 from corpus import corpus, psl27
@@ -195,7 +195,8 @@ def test_verify_artin_reports_one_wrong_trace(name, sub, z):
     # the cycle type of the element's own coset-action image as expected
     g = GROUPS[name]
     subs = [h for h in subgroups_of(name) if h.index > 1]
-    h = subs[sub % len(subs)]
+    # a fresh subgroup: a trace kept on a cached one would hide the patch
+    h = Subgroup(g, subs[sub % len(subs)].members)
     z %= g.order
     plain_monodromies = covers._loop_monodromies
     plain_image = CosetAction.image
@@ -320,6 +321,37 @@ def test_component_bijection_exhaustive_s4():
             assert rep.passed, (len(h), z)
 
 
+def bijection_by_full_scan(cover, w):
+    """The bijection report from permutations: the loop's image composed
+    along the hom's images letter by letter, its degree-1 components the
+    fixed points of its coset-action image, and holonomies and classes
+    composed and scanned for."""
+    g, h, act = cover.hom.target, cover.subgroup, cover.action
+    image = Permutation.identity(g.degree)
+    for l in w.letters:
+        x = g.elements[cover.hom.images[abs(l) - 1]]
+        image = image * (x if l > 0 else x.inverse())
+    y = g.index[image]
+    perm = act.image(y)
+    checks = []
+    for v in range(act.degree):
+        if perm[v] == v:
+            r = g.elements[act.reps[v]]
+            hol = g.index[r * image * r.inverse()]
+            in_class = conjugator_by_full_scan(g, y, {hol}) is not None
+            checks.append(ComponentCheck(v, hol, hol in h.members, in_class))
+    meets = conjugator_by_full_scan(g, y, h.members) is not None
+    return BijectionReport(
+        word=w,
+        image=y,
+        decomposition_type=cycle_type(perm),
+        degree_one_checks=tuple(checks),
+        class_meets_subgroup=meets,
+        direction1_ok=all(c.in_subgroup and c.in_class for c in checks),
+        direction2_ok=not meets or bool(checks),
+    )
+
+
 def test_bijection_report_matches_full_scan_oracle():
     # degree-1 components are the fixed points of the loop's coset-action
     # image; holonomies and images are composed from the permutations
@@ -327,34 +359,49 @@ def test_bijection_report_matches_full_scan_oracle():
         hom = free_hom(g)
         for h in all_subgroups(g):
             cover = build_cover(hom, h)
-            act = cover.action
             for z in range(g.order):
                 w = _loop_word_for(g, z)
                 if w is None:
                     continue
-                image = Permutation.identity(g.degree)
-                for l in w.letters:
-                    image = image * g.elements[g.generators[l - 1]]
-                y = g.index[image]
-                perm = act.image(y)
-                checks = []
-                for v in range(act.degree):
-                    if perm[v] == v:
-                        r = g.elements[act.reps[v]]
-                        hol = g.index[r * image * r.inverse()]
-                        in_class = conjugator_by_full_scan(g, y, {hol}) is not None
-                        checks.append(ComponentCheck(v, hol, hol in h.members, in_class))
-                meets = conjugator_by_full_scan(g, y, h.members) is not None
                 rep = verify_component_bijection(cover, w)
-                assert rep == BijectionReport(
-                    word=w,
-                    image=y,
-                    decomposition_type=cycle_type(perm),
-                    degree_one_checks=tuple(checks),
-                    class_meets_subgroup=meets,
-                    direction1_ok=all(c.in_subgroup and c.in_class for c in checks),
-                    direction2_ok=not meets or bool(checks),
-                ), (name, len(h), z)
+                assert rep == bijection_by_full_scan(cover, w), (name, len(h), z)
+
+
+@pytest.mark.parametrize("name", ["s3", "q8", "a4", "s4"])
+def test_bijection_report_on_other_homs_matches_full_scan_oracle(name):
+    # the trace is made from the group's own generators, and a loop is read
+    # at its image: covers whose hom images are the generators reordered, or
+    # generate a proper subgroup, give the full-scan report on every loop
+    # word and its inverse
+    g = GROUPS[name]
+    a, b = g.generators
+    homs = [GroupHom(Presentation(2, ()), g, (b, a)),
+            GroupHom(Presentation(2, ()), g, (a, g.mul(a, a)))]
+    assert len(generated_set(g, homs[1].images)) < g.order
+    words = [_loop_word_for(g, z) for z in range(g.order)]
+    words += [cyclic_reduce(Word(tuple(-l for l in reversed(w.letters)))) for w in words]
+    for h in all_subgroups(g):
+        for hom in homs:
+            cover = build_cover(hom, h)
+            for w in words:
+                assert verify_component_bijection(cover, w) == bijection_by_full_scan(cover, w), \
+                    (len(h), hom.images, w)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS) + ["psl27"])
+def test_coset_trace_is_read_off_the_coset_images(name):
+    # one type object per distinct cycle type, fixed cosets that number |G|
+    # in all (Burnside, for a transitive action), and the classes meeting H
+    g = psl27() if name == "psl27" else GROUPS[name]
+    for h in all_subgroups(g):
+        trace = _coset_trace(h)
+        assert _coset_trace(h) is trace
+        images = [h.action.image(z) for z in range(g.order)]
+        assert list(trace.types) == [cycle_type(m) for m in images]
+        assert len({id(t) for t in trace.types}) == len(set(trace.types))
+        assert list(trace.fixed) == [tuple(v for v, u in enumerate(m) if u == v) for m in images]
+        assert sum(map(len, trace.fixed)) == g.order
+        assert trace.meets == {class_index(g, m) for m in h.members}
 
 
 def test_component_bijection_work_bounded(monkeypatch):
@@ -377,6 +424,39 @@ def test_component_bijection_work_bounded(monkeypatch):
     reports = [verify_component_bijection(c, w) for c in covers for w in words]
     assert len(reports) == 59 * 60 and all(r.passed for r in reports)
     assert calls <= 30_000
+
+
+@pytest.mark.parametrize("name", ["a5", "psl27"])
+def test_both_cover_checks_share_one_trace(name, monkeypatch):
+    # verify_artin, build_cover and a bijection check on every element's loop
+    # build one coset action and walk the word tree once; the bijection check
+    # composes no monodromy and takes no cycle type of its own
+    g = psl27() if name == "psl27" else GROUPS[name]
+    counts = dict.fromkeys(("actions", "walks", "monodromies", "types"), 0)
+    plain_init, plain_walk = CosetAction.__init__, covers._loop_monodromies
+    plain_monodromy, plain_cycle_type = covers._monodromy, covers.cycle_type
+
+    def counted(key, f):
+        def call(*args):
+            counts[key] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(CosetAction, "__init__", counted("actions", plain_init))
+    monkeypatch.setattr(covers, "_loop_monodromies", counted("walks", plain_walk))
+    monkeypatch.setattr(covers, "_monodromy", counted("monodromies", plain_monodromy))
+    monkeypatch.setattr(covers, "cycle_type", counted("types", plain_cycle_type))
+    hom = free_hom(g)
+    words = [_loop_word_for(g, z) for z in range(g.order)]
+    for h in all_subgroups(g):
+        counts.update(dict.fromkeys(counts, 0))
+        assert verify_artin(g, h).passed
+        cover = build_cover(hom, h)
+        types = counts["types"]
+        assert all(verify_component_bijection(cover, w).passed for w in words)
+        assert counts["types"] == types
+        assert (counts["actions"], counts["walks"]) == (1, 1), len(h)
+        assert counts["monodromies"] <= 1
 
 
 @functools.cache
@@ -422,7 +502,8 @@ def test_lift_matches_vertex_walk_oracle(name, sub, words):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covers, "_loop_monodromies", these_loops)
-        report = verify_artin(g, h)
+        # a fresh subgroup, whose trace is made from these loops
+        report = verify_artin(g, Subgroup(g, h.members))
     assert report.checked == g.order
     expected = [cycle_type(cover.action.image(z)) for z in range(g.order)]
     traced = list(expected)
