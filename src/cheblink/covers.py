@@ -13,19 +13,18 @@ the conjugates of the image that land in H.
 Both checks read one trace per subgroup, kept on its coset action and made
 by whichever check runs first: every element's loop is traced once, by one
 walk of the group's word tree, and the trace keeps each element's cycle type
-and fixed cosets, not its monodromy.
+and fixed cosets, not its monodromy.  Both are read off the monodromy in one
+pass over its cycles, which lists the fixed cosets as it meets them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import eq
 from typing import Iterator, NamedTuple, Optional
 
 from .freewords import CyclicWord, GroupHom, Presentation, Word, cyclic_reduce, evaluate, format_letters
-from .permgroup import (CosetAction, FiniteGroup, Subgroup, class_index, class_types,
-                        conjugacy_classes, cycle_type, picker, powers)
+from .permgroup import (CosetAction, FiniteGroup, Subgroup, class_types, conjugacy_classes,
+                        picker, powers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +104,8 @@ def decompose_loop(cover: CoveringGraph, w: CyclicWord | Word) -> LiftResult:
     monodromy orbits of the canonical rotation specifically (a different
     rotation would permute the fiber by a conjugate).  The loop's monodromy
     on the vertices is composed once from the step maps, and the components
-    are its cycles, each started at its least vertex.
+    are its cycles, each started at its least vertex; the type is their
+    degrees in decreasing order.
     """
     if isinstance(w, Word):
         w = cyclic_reduce(w)
@@ -121,7 +121,7 @@ def decompose_loop(cover: CoveringGraph, w: CyclicWord | Word) -> LiftResult:
             u = m[u]
         if fiber:
             comps.append(Component(frozenset(fiber), len(fiber)))
-    return LiftResult(tuple(comps), cycle_type(m))
+    return LiftResult(tuple(comps), tuple(sorted((c.degree for c in comps), reverse=True)))
 
 
 def _loop_word_for(g: FiniteGroup, z: int) -> Optional[CyclicWord]:
@@ -182,12 +182,39 @@ def _loop_monodromies(cover: CoveringGraph) -> Iterator[tuple[int, tuple[int, ..
         yield z, m
 
 
+def _cycle_walk(m: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(cycle type, fixed points) of the image tuple m, by one walk of its
+    cycles: the type lists the cycle lengths in decreasing order, fixed
+    points last as 1s, like ``cycle_type``.
+
+    The walk runs over a list copy of m and overwrites each point it passes
+    with -1, so a point is read once more at most; fixed points go to their
+    own list, and only the lengths above 1 are sorted.
+    """
+    m = list(m)
+    fixed = []
+    lens = []
+    for v, u in enumerate(m):
+        if u == v:
+            fixed.append(v)
+        elif u >= 0:
+            m[v] = -1
+            n = 1
+            while u != v:
+                m[u], u = -1, m[u]
+                n += 1
+            lens.append(n)
+    lens.sort(reverse=True)
+    return tuple(lens) + (1,) * len(fixed), tuple(fixed)
+
+
 class _CosetTrace(NamedTuple):
     """What both cover checks read for one subgroup H; kept on its coset
     action, so it is O(|G|) per subgroup: no monodromy is kept."""
 
     # per element, the cycle type of its loop's monodromy, one tuple object
-    # per distinct type
+    # per distinct type; taken by ``_cycle_walk`` in the same pass as
+    # the fixed cosets
     types: tuple[tuple[int, ...], ...]
     # per element, the cosets its loop's monodromy fixes; by Burnside these
     # number |G| in all, since the action is transitive
@@ -198,20 +225,18 @@ class _CosetTrace(NamedTuple):
 
 def _coset_trace(h: Subgroup) -> _CosetTrace:
     """The trace of every element's loop through the cover of g/h, made on
-    first use by one ``_loop_monodromies`` walk and kept on ``h.action``."""
+    first use by one ``_loop_monodromies`` walk and kept on ``h.action``;
+    each monodromy is passed over once, by ``_cycle_walk``."""
     act = h.action
     if act._trace is None:
         g = h.group
-        n = act.degree
         types = [None] * g.order
-        fixed = [()] * g.order
+        fixed = [None] * g.order
         interned = {}
         cover = build_cover(GroupHom(Presentation(len(g.generators), ()), g, g.generators), h)
         for z, m in _loop_monodromies(cover):
-            t = cycle_type(m)
+            t, fixed[z] = _cycle_walk(m)
             types[z] = interned.setdefault(t, t)
-            if t[-1] == 1:  # the type lists fixed points last, as 1s
-                fixed[z] = tuple(compress(range(n), map(eq, m, range(n))))
         conjugacy_classes(g)  # fills g._class_of
         act._trace = _CosetTrace(tuple(types), tuple(fixed),
                                  frozenset(g._class_of[m] for m in h.members))
@@ -316,23 +341,20 @@ def verify_component_bijection(cover: CoveringGraph, w: CyclicWord | Word) -> Bi
         raise ValueError("the empty loop has no decomposition type")
     g = cover.hom.target
     h = cover.subgroup
-    act = cover.action
     z = evaluate(cover.hom, w)
     trace = _coset_trace(h)
-    ci = class_index(g, z)
-    cls = conjugacy_classes(g)[ci].members
+    class_of = g._class_of  # filled by the trace
+    ci = class_of[z]
+    members, reps, mul, inv = h.members, cover.action.reps, g.mul, g.inv
     checks = []
+    direction1 = True
     for v in trace.fixed[z]:
-        r = act.reps[v]
-        hol = g.mul(g.mul(r, z), g.inv(r))
-        checks.append(ComponentCheck(v, hol, hol in h.members, hol in cls))
+        r = reps[v]
+        hol = mul(mul(r, z), inv(r))
+        in_subgroup = hol in members
+        in_class = class_of[hol] == ci
+        direction1 = direction1 and in_subgroup and in_class
+        checks.append(ComponentCheck(v, hol, in_subgroup, in_class))
     meets = ci in trace.meets
-    return BijectionReport(
-        word=w,
-        image=z,
-        decomposition_type=trace.types[z],
-        degree_one_checks=tuple(checks),
-        class_meets_subgroup=meets,
-        direction1_ok=all(c.in_subgroup and c.in_class for c in checks),
-        direction2_ok=not meets or bool(checks),
-    )
+    return BijectionReport(w, z, trace.types[z], tuple(checks), meets,
+                           direction1, not meets or bool(checks))

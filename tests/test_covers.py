@@ -11,7 +11,7 @@ from cheblink import (CosetAction, GroupHom, Permutation, Presentation, Subgroup
                       evaluate, generate_group, generated_set, parse_word, reduce,
                       verify_artin, verify_component_bijection)
 from cheblink.covers import (BijectionReport, Component, ComponentCheck,
-                             LiftResult, _coset_trace, _loop_monodromies,
+                             LiftResult, _coset_trace, _cycle_walk, _loop_monodromies,
                              _loop_word_for, _monodromy)
 
 from corpus import corpus, psl27
@@ -388,6 +388,15 @@ def test_bijection_report_on_other_homs_matches_full_scan_oracle(name):
                     (len(h), hom.images, w)
 
 
+@given(st.integers(1, 64).flatmap(lambda n: st.permutations(range(n))))
+@example(list(range(7)))            # the identity
+@example([1, 0, 3, 2, 5, 4, 7, 6])  # a fixed-point-free involution
+@example([1, 2, 3, 4, 5, 0])        # one full cycle
+def test_cycle_walk_matches_cycle_type_and_fixed_scan(images):
+    m = tuple(images)
+    assert _cycle_walk(m) == (cycle_type(m), tuple(v for v in range(len(m)) if m[v] == v))
+
+
 @pytest.mark.parametrize("name", sorted(GROUPS) + ["psl27"])
 def test_coset_trace_is_read_off_the_coset_images(name):
     # one type object per distinct cycle type, fixed cosets that number |G|
@@ -429,12 +438,13 @@ def test_component_bijection_work_bounded(monkeypatch):
 @pytest.mark.parametrize("name", ["a5", "psl27"])
 def test_both_cover_checks_share_one_trace(name, monkeypatch):
     # verify_artin, build_cover and a bijection check on every element's loop
-    # build one coset action and walk the word tree once; the bijection check
-    # composes no monodromy and takes no cycle type of its own
+    # build one coset action and walk the word tree once; verify_artin passes
+    # over each element's monodromy once, and the bijection check composes no
+    # monodromy and walks no cycles of its own
     g = psl27() if name == "psl27" else GROUPS[name]
-    counts = dict.fromkeys(("actions", "walks", "monodromies", "types"), 0)
+    counts = dict.fromkeys(("actions", "walks", "monodromies", "cycle walks"), 0)
     plain_init, plain_walk = CosetAction.__init__, covers._loop_monodromies
-    plain_monodromy, plain_cycle_type = covers._monodromy, covers.cycle_type
+    plain_monodromy, plain_cycle_walk = covers._monodromy, covers._cycle_walk
 
     def counted(key, f):
         def call(*args):
@@ -445,16 +455,16 @@ def test_both_cover_checks_share_one_trace(name, monkeypatch):
     monkeypatch.setattr(CosetAction, "__init__", counted("actions", plain_init))
     monkeypatch.setattr(covers, "_loop_monodromies", counted("walks", plain_walk))
     monkeypatch.setattr(covers, "_monodromy", counted("monodromies", plain_monodromy))
-    monkeypatch.setattr(covers, "cycle_type", counted("types", plain_cycle_type))
+    monkeypatch.setattr(covers, "_cycle_walk", counted("cycle walks", plain_cycle_walk))
     hom = free_hom(g)
     words = [_loop_word_for(g, z) for z in range(g.order)]
     for h in all_subgroups(g):
         counts.update(dict.fromkeys(counts, 0))
         assert verify_artin(g, h).passed
+        assert counts["cycle walks"] == g.order, len(h)
         cover = build_cover(hom, h)
-        types = counts["types"]
         assert all(verify_component_bijection(cover, w).passed for w in words)
-        assert counts["types"] == types
+        assert counts["cycle walks"] == g.order, len(h)
         assert (counts["actions"], counts["walks"]) == (1, 1), len(h)
         assert counts["monodromies"] <= 1
 
