@@ -205,7 +205,8 @@ class FiniteGroup:
     row is kept while the rows kept by this group hold at most
     ``ROW_CACHE_CAP`` entries in all.  Past that, every product on an
     uncached row is formed alone and nothing is kept, so memory stays
-    bounded at every order.
+    bounded at every order.  Class rows and conjugation rows are kept under
+    the same cap.
     """
 
     def __init__(self, degree, elements, generator_perms, words):
@@ -221,6 +222,7 @@ class FiniteGroup:
         self._row_entries = 0
         self._single_products = [0] * len(self.elements)
         self._class_rows: list[Sequence[int] | None] = [None] * len(self.elements)
+        self._conjugation_rows: list[tuple[int, ...] | None] = [None] * len(self.elements)
         self._left_rows: dict[int, tuple[int, ...]] = {}  # generator -> its left-multiplication row
         self._inv = None
         self._conjugations = None
@@ -238,12 +240,12 @@ class FiniteGroup:
         """The products of every element with j on its right, by index."""
         row = self._rows[j]
         if row is None:
-            pick = picker(self._images[j])
-            row = tuple(map(self._position.__getitem__, map(pick, self._images)))
-            if self._row_entries + len(row) <= ROW_CACHE_CAP:
-                self._rows[j] = row
-                self._row_entries += len(row)
+            row = self._keep(self._rows, j, self._product_row(j))
         return row
+
+    def _product_row(self, j: int) -> tuple[int, ...]:
+        pick = picker(self._images[j])
+        return tuple(map(self._position.__getitem__, map(pick, self._images)))
 
     def mul(self, i: int, j: int) -> int:
         row = self._rows[j]
@@ -277,7 +279,7 @@ class FiniteGroup:
         cr = self._class_rows[j]
         if cr is None:  # the identity's
             conjugacy_classes(self)
-            cr = self._keep_class_row(j, self._class_of)
+            cr = self._keep(self._class_rows, j, self._class_bytes(self._class_of))
         for j in reversed(chain):
             a = self.generators[self._words[j][-1] - 1]
             left = self._left_rows.get(a)
@@ -285,15 +287,42 @@ class FiniteGroup:
                 # a·i is the inverse of i⁻¹·a⁻¹
                 row = self.right_row(self.inv(a))
                 left = self._left_rows[a] = itemgetter(*itemgetter(*self._inv)(row))(self._inv)
-            cr = self._keep_class_row(j, itemgetter(*left)(cr))
+            cr = self._keep(self._class_rows, j, self._class_bytes(itemgetter(*left)(cr)))
         return cr
 
-    def _keep_class_row(self, j: int, classes: Sequence[int]) -> Sequence[int]:
-        cr = bytes(classes) if len(self._classes) <= 256 else tuple(classes)
-        if self._row_entries + len(cr) <= ROW_CACHE_CAP:
-            self._class_rows[j] = cr
-            self._row_entries += len(cr)
-        return cr
+    def _class_bytes(self, classes: Sequence[int]) -> Sequence[int]:
+        return bytes(classes) if len(self._classes) <= 256 else tuple(classes)
+
+    def conjugation_row(self, c: int) -> tuple[int, ...]:
+        """The index of c·y·c⁻¹ for every element y: ``conjugation_row(c)[y]
+        == mul(mul(c, y), inv(c))``.  Counts |G| entries against
+        ``ROW_CACHE_CAP`` and is kept while the kept rows fit, like a class
+        row; past that it is built and dropped."""
+        return self.kept_conjugation_row(c) or self._conjugation_map(c)
+
+    def kept_conjugation_row(self, c: int) -> tuple[int, ...] | None:
+        """c's conjugation row when the group keeps it, built now if it
+        still fits under ``ROW_CACHE_CAP``; None, with nothing built, when
+        it does not."""
+        row = self._conjugation_rows[c]
+        if row is None and self._row_entries + len(self._rows) <= ROW_CACHE_CAP:
+            row = self._keep(self._conjugation_rows, c, self._conjugation_map(c))
+        return row
+
+    def _conjugation_map(self, c: int) -> tuple[int, ...]:
+        # three picker passes over r = c⁻¹'s right row, which is not kept:
+        # r[y] = y·c⁻¹, and the inverse of r[inv(r[y])] = c·y⁻¹·c⁻¹ is c·y·c⁻¹
+        ci = self.inv(c)
+        r = self._rows[ci] or self._product_row(ci)
+        inv = self._inv
+        return picker(picker(picker(r)(inv))(r))(inv)
+
+    def _keep(self, cache: list, j: int, row: Sequence[int]) -> Sequence[int]:
+        """Keep row as cache[j] when the kept rows still fit the cap."""
+        if self._row_entries + len(row) <= ROW_CACHE_CAP:
+            cache[j] = row
+            self._row_entries += len(row)
+        return row
 
     def inv(self, i: int) -> int:
         if self._inv is None:
@@ -356,17 +385,13 @@ def generate_group(generators: Sequence[Permutation], *,
 
 
 def _conjugations(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """One index tuple per generator k, sending each element y to k^-1 y k.
+    """One index tuple per generator k, sending each element y to k^-1 y k:
+    the conjugation map of k^-1, built on k's right row.
 
-    Built on the generators' rows only, and kept on the group.
+    Kept on the group, outside the row cache.
     """
     if g._conjugations is None:
-        maps = []
-        for k in g.generators:
-            row, inv = g.right_row(k), g.inv
-            # (y^-1 k)^-1 k == k^-1 y k
-            maps.append(tuple(row[inv(row[inv(y)])] for y in range(g.order)))
-        g._conjugations = tuple(maps)
+        g._conjugations = tuple(g._conjugation_map(g.inv(k)) for k in g.generators)
     return g._conjugations
 
 

@@ -330,13 +330,15 @@ def generic_check(p: Presentation, classes: Sequence[Word]) -> GenericityResult:
     return GenericityResult(False, factors, prime, witness, sf, stacked)
 
 
-def _search_plan(p: Presentation) -> list[tuple[int, list[Word]]]:
+def _search_plan(p: Presentation) -> list[tuple[int, Optional[Word], list[Word]]]:
     """The order in which quotient_search picks generator images.
 
-    One (generator, relators) pair per search position: the 1-based
+    One (generator, pin, relators) triple per search position: the 1-based
     generator whose image that position chooses, and the relators checked
-    there, those whose last generator in the order it is.  A generator is
-    pinned at its position when it occurs exactly once in one of them.
+    there, those whose last generator in the order it is.  The generator is
+    pinned at its position when it occurs exactly once in one of them; pin
+    is the first such relator, which fixes the image, and relators holds
+    the others.  Otherwise pin is None.
 
     The order is built from the back.  Each position takes the
     highest-numbered generator left that occurs exactly once in a relator
@@ -367,16 +369,33 @@ def _search_plan(p: Presentation) -> list[tuple[int, list[Word]]]:
             plain -= 1
         x = forced or plain
         left[x] = False
+        pin = None
         checks = []
         for i in holders[x]:
             if not assigned[i]:
                 assigned[i] = True
-                checks.append(p.relators[i])
+                if pin is None and counts[i][x] == 1:
+                    pin = p.relators[i]
+                else:
+                    checks.append(p.relators[i])
                 for y, m in counts[i].items():
                     once[y] -= m == 1
-        plan.append((x, checks))
+        plan.append((x, pin, checks))
     plan.reverse()
     return plan
+
+
+class _ProductRow:
+    """c·y·c⁻¹ for every y by two products each: a conjugation row the
+    target does not keep, read like one."""
+
+    __slots__ = ("mul", "c", "ci")
+
+    def __init__(self, mul, c: int, ci: int):
+        self.mul, self.c, self.ci = mul, c, ci
+
+    def __getitem__(self, y: int) -> int:
+        return self.mul(self.mul(self.c, y), self.ci)
 
 
 def quotient_search(p: Presentation, target: FiniteGroup, *,
@@ -395,21 +414,28 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
     back, a generator goes last when it occurs exactly once in a relator on
     the generators before it, and otherwise the numbering decides.
 
-    Each node compiles its relators once: the letters on the images already
-    chosen are multiplied out, leaving a few fixed elements between the
+    A node compiles a relator by multiplying out the letters on the images
+    already chosen, which leaves a few fixed elements between the
     occurrences of the new generator x, so a candidate costs about one
-    product per occurrence.  A relator with one occurrence reads
-    a x^(±1) b = 1 and forces x = (b a)^(∓1); the node then tries only that
+    product per occurrence.  The pinning relator reads a x^(±1) b = 1 and
+    forces x = (b a)^(∓1); the node compiles it at once and tries only that
     image, when it is among the candidates it would have tried anyway.
+    Every other relator is compiled by the first candidate that passes the
+    relators before it, and kept for the node's later candidates, so a node
+    whose candidates all fail the first relator compiles no other.
 
     With ``dedup_conjugacy`` only the lexicographically least hom of each
     conjugation orbit is kept, and the rest are pruned during the backtrack:
     a tuple t is least among its conjugates exactly when each t[k] is least
-    in its orbit under conjugation by the joint centralizer of t[:k] (the
-    whole target for k = 0).  So the first image runs over the class
-    representatives, a later candidate is skipped as soon as an element of
-    the running centralizer conjugates it lower, and the centralizer is
-    narrowed to the elements commuting with each chosen image.
+    in its orbit under conjugation by the joint centralizer of t[:k].  The
+    node keeps the ``conjugation_row`` of each nontrivial element of that
+    centralizer.  A candidate is skipped as soon as one of the rows maps it
+    lower, and the next node keeps the rows that fix the chosen image.
+    While the centralizer is the whole target (at the first position, and
+    after central images only), the least members of the orbits are the
+    class representatives, so those are the candidates, and the centralizer
+    of the one chosen is read off the fixed points of its own row: no node
+    builds a row for every element.
 
     The order changes only the walk, never the answer.  Every hom is found
     whatever the order, and is reported as its images of x1, x2, ...  Under
@@ -425,46 +451,90 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
         raise ValueError(
             f"{g.order}^{n} candidate image tuples exceed the budget of {budget}")
     plan = _search_plan(p)
-    relabelled = [x for x, _ in plan] != list(range(1, n + 1))
+    relabelled = [x for x, _, _ in plan] != list(range(1, n + 1))
 
     images = [g.identity] * n
     results: list[GroupHom] = []
     ident = g.identity
     mul, inv = g.mul, g.inv
+    conjugation_row, kept_conjugation_row = g.conjugation_row, g.kept_conjugation_row
     X, X_INV = -1, -2  # markers for the new image and its inverse
+    if dedup_conjugacy:
+        classes = conjugacy_classes(g)
+        reps = [c.representative for c in classes]
+        central = {c.representative for c in classes if len(c.members) == 1}
+        centralizers: dict[int, list] = {}  # class representative -> its rows
 
-    def compile_relator(w: Word, new: int) -> tuple[bool, tuple[int, ...]]:
-        # w with the images chosen so far multiplied out, rotated to start
-        # at its first letter on the generator numbered new (a conjugate, so
-        # it holds exactly when w does): (neg, factors) holds for x when
-        # x^(-1 if neg else 1) times the factors is the identity, a factor
-        # being an element or a marker
+    def split(w: Word, new: int) -> tuple[bool, tuple]:
+        # w rotated to start at its first letter on the generator numbered
+        # new (a conjugate, so it holds exactly when w does): whether that
+        # letter is an inverse, and the letters after it as markers for the
+        # new generator and tuples of the letters between them
         letters = w.letters
         start = next(i for i, l in enumerate(letters) if abs(l) == new)
-        letters = letters[start:] + letters[:start]
-        factors: list[int] = []
-        run = ident
-        for l in letters[1:]:
+        letters = letters[start + 1:] + letters[:start]
+        parts: list = []
+        run: list[int] = []
+        for l in letters:
             if abs(l) == new:
-                if run != ident:
-                    factors.append(run)
-                    run = ident
-                factors.append(X if l > 0 else X_INV)
+                if run:
+                    parts.append(tuple(run))
+                    run = []
+                parts.append(X if l > 0 else X_INV)
             else:
+                run.append(l)
+        if run:
+            parts.append(tuple(run))
+        return w.letters[start] < 0, tuple(parts)
+
+    def compile_relator(parts: tuple) -> tuple[int, ...]:
+        # split's parts with the images chosen so far multiplied out, each
+        # factor an element or a marker: with neg from split, the relator
+        # holds for x when x^(-1 if neg else 1) times the factors is the
+        # identity
+        factors: list[int] = []
+        for part in parts:
+            if isinstance(part, int):  # a marker
+                factors.append(part)
+                continue
+            run = ident
+            for l in part:
                 e = images[l - 1] if l > 0 else inv(images[-l - 1])
                 run = e if run == ident else mul(run, e)
-        if run != ident:
-            factors.append(run)
-        return letters[0] < 0, tuple(factors)
+            if run != ident:
+                factors.append(run)
+        return tuple(factors)
 
-    def holds(checks, x: int, xi: int) -> bool:
-        for neg, factors in checks:
+    def holds(checks: list, relators: list, x: int) -> bool:
+        # checks[j] is relators[j] compiled, with whether it needs x's
+        # inverse, or None until a candidate reaches it
+        xi = None
+        for j, check in enumerate(checks):
+            if check is None:
+                neg, parts = relators[j]
+                factors = compile_relator(parts)
+                check = checks[j] = (neg, factors, neg or X_INV in factors)
+            neg, factors, needs_inv = check
+            if needs_inv and xi is None:
+                xi = inv(x)
             acc = xi if neg else x
             for f in factors:
                 acc = mul(acc, f if f >= 0 else x if f == X else xi)
             if acc != ident:
                 return False
         return True
+
+    def centralizer_rows(r: int) -> Optional[list]:
+        # the rows of the nontrivial elements commuting with the class
+        # representative r, the fixed points of r's row; None when r is central
+        if r in central:
+            return None
+        rows = centralizers.get(r)
+        if rows is None:
+            row = conjugation_row(r)
+            rows = centralizers[r] = [kept_conjugation_row(c) or _ProductRow(mul, c, inv(c))
+                                      for c in range(g.order) if row[c] == c and c != ident]
+        return rows
 
     def finish() -> None:
         if surjective_only and len(generated_set(g, images)) != g.order:
@@ -474,53 +544,54 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
             t = min(conjugates(g, t))
         results.append(GroupHom._trusted(p, g, t))
 
-    def level(k: int, cent: list[int]):
+    def level(k: int, cent: Optional[list]):
         # the frame choosing the image of generator plan[k][0]: its
-        # candidates, the relator checks they must pass, whether those need
-        # the inverse, and cent, the nontrivial elements centralizing the
-        # images chosen so far (dedup only)
-        if dedup_conjugacy and k == 0:
-            cands = [c.representative for c in conjugacy_classes(g)]
-        else:
-            cands = range(g.order)
-        checks = []
-        forced = None
-        new, relators = plan[k]
-        for neg, factors in (compile_relator(r, new) for r in relators):
-            if forced is None and all(f >= 0 for f in factors):
-                # x^(±1) b = 1 has the one solution x = b^(∓1)
-                b = factors[0] if factors else ident
-                forced = b if neg else inv(b)
-            else:
-                checks.append((neg, factors))
-        if forced is not None:
+        # candidates, the relators checked there and the checks compiled
+        # from them so far, and cent, the conjugation rows of the nontrivial
+        # elements centralizing the images chosen so far, None when that
+        # centralizer is the whole target (dedup only)
+        pin, relators = steps[k]
+        cands = reps if dedup_conjugacy and cent is None else range(g.order)
+        if pin is not None:
+            # x^(±1) b = 1 has the one solution x = b^(∓1)
+            neg, parts = pin
+            factors = compile_relator(parts)
+            b = factors[0] if factors else ident
+            forced = b if neg else inv(b)
             cands = [forced] if forced in cands else []
-        need_inv = any(neg or X_INV in factors for neg, factors in checks)
-        return iter(cands), checks, need_inv, cent
+        return iter(cands), [None] * len(relators), relators, cent
 
     if n == 0:
         finish()
         return results
+    # the plan's relators, each split at its position's generator once
+    steps = [(None if pin is None else split(pin, x), [split(w, x) for w in relators])
+             for x, pin, relators in plan]
     # depth-first on an explicit stack, one frame per chosen image, so a
     # braid on any number of strands is searched without recursion
-    stack = [level(0, [x for x in range(g.order) if x != g.identity])]
+    stack = [level(0, None)]
     while stack:
         k = len(stack) - 1
-        cands, checks, need_inv, cent = stack[-1]
+        cands, checks, relators, cent = stack[-1]
         x = plan[k][0] - 1
         for cand in cands:
             images[x] = cand
-            if not holds(checks, cand, inv(cand) if need_inv else cand):
+            if checks and not holds(checks, relators, cand):
                 continue
-            if dedup_conjugacy and k and any(mul(mul(c, cand), inv(c)) < cand for c in cent):
-                continue
+            if cent is not None:
+                moved = [row[cand] for row in cent]
+                if min(moved, default=cand) < cand:
+                    continue
             if k + 1 == n:
                 finish()
                 continue
-            if dedup_conjugacy:
-                stack.append(level(k + 1, [c for c in cent if mul(c, cand) == mul(cand, c)]))
+            if not dedup_conjugacy:
+                nxt = None
+            elif cent is None:
+                nxt = centralizer_rows(cand)
             else:
-                stack.append(level(k + 1, cent))
+                nxt = [row for row, y in zip(cent, moved) if y == cand]
+            stack.append(level(k + 1, nxt))
             break
         else:
             stack.pop()

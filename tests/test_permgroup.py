@@ -500,6 +500,27 @@ def test_class_rows_match_products(monkeypatch, cap_rows):
             assert g._row_entries <= permgroup.ROW_CACHE_CAP
 
 
+@pytest.mark.parametrize("cap_rows", [None, 2])
+def test_conjugation_rows_match_products(monkeypatch, cap_rows):
+    # under a cap of two rows' entries the conjugation rows that do not fit
+    # are built and dropped, and kept_conjugation_row builds none
+    for name, g in GROUPS.items():
+        g = fresh(g)
+        if cap_rows is not None:
+            monkeypatch.setattr(permgroup, "ROW_CACHE_CAP", cap_rows * g.order)
+        for c in range(g.order):
+            expected = [g.mul(g.mul(c, y), g.inv(c)) for y in range(g.order)]
+            assert list(g.conjugation_row(c)) == expected, (name, c)
+            kept = g.kept_conjugation_row(c)
+            assert kept is None or list(kept) == expected, (name, c)
+            assert g._row_entries <= permgroup.ROW_CACHE_CAP
+        kept = [c for c in range(g.order) if g._conjugation_rows[c] is not None]
+        assert len(kept) == g.order if cap_rows is None else len(kept) <= cap_rows
+        # the generators' conjugation maps are the rows of their inverses
+        assert permgroup._conjugations(g) == tuple(
+            tuple(g.conjugation_row(g.inv(k))) for k in g.generators)
+
+
 def test_class_rows_of_more_than_256_classes():
     # too many classes for a byte each
     g = perm_group(300, "(" + " ".join(map(str, range(1, 301))) + ")")

@@ -255,15 +255,29 @@ def test_quotient_search_dedup_matches_least_conjugate_oracle():
 
 
 def counted_products(monkeypatch, g):
-    """Count g.mul calls from here on; the count is in the returned list."""
+    """Count g.mul calls from here on, and each read of a conjugation row
+    of g as one product too, so that products moved into rows still count;
+    the count is in the returned list."""
     calls = [0]
     plain_mul = g.mul
+    plain_row, plain_kept_row = g.conjugation_row, g.kept_conjugation_row
+
+    class CountingRow(tuple):
+        def __getitem__(self, y):
+            calls[0] += 1
+            return tuple.__getitem__(self, y)
 
     def counting_mul(i, j):
         calls[0] += 1
         return plain_mul(i, j)
 
+    def counting_kept_row(c):
+        row = plain_kept_row(c)
+        return None if row is None else CountingRow(row)
+
     monkeypatch.setattr(g, "mul", counting_mul)
+    monkeypatch.setattr(g, "conjugation_row", lambda c: CountingRow(plain_row(c)))
+    monkeypatch.setattr(g, "kept_conjugation_row", counting_kept_row)
     return calls
 
 
@@ -293,20 +307,23 @@ def test_quotient_search_forced_image_work_bounded(monkeypatch):
 
 def test_search_plan_puts_a_pinned_generator_last():
     # r1 = x1^-1 x2 x3 x2 x3 x2^-1 x3^-1 x2^-1 meets x1 once; no relator
-    # meets x2 or x3 once, so x1 goes last and x3 before it, and r3, on x2
-    # and x3 only, is checked there
+    # meets x2 or x3 once, so x1 goes last, pinned by r1, and x3 before it,
+    # and r3, on x2 and x3 only, is checked there
     p = braid_presentation(parse_braid("3:s2 s1 s2^-1 s1^-1 s2 s2"))
     r1, r2, r3 = p.relators
-    assert _search_plan(p) == [(2, []), (3, [r3]), (1, [r1, r2])]
-    # the relator x3^-1 x1 pins x3: the order stays x1, x2, x3
+    assert _search_plan(p) == [(2, None, []), (3, None, [r3]), (1, r1, [r2])]
+    # the relator x3^-1 x1, the last of the three, pins x3: the order stays
+    # x1, x2, x3
     knot = braid_presentation(parse_braid("3:s1^-1 s2 s1 s2^-1 s2^-1 s2^-1"))
-    assert [x for x, _ in _search_plan(knot)] == [1, 2, 3]
+    k1, k2, k3 = knot.relators
+    assert _search_plan(knot) == [(1, None, []), (2, None, []), (3, k3, [k1, k2])]
     # a split link: from the back x2 is pinned, so it goes last, though it
     # is pinned in the order x1, x2, x3 as well
     split = braid_presentation(parse_braid("3:s1"))
-    assert _search_plan(split) == [(1, []), (3, []), (2, list(split.relators[:2]))]
+    assert _search_plan(split) == [(1, None, []), (3, None, []),
+                                   (2, split.relators[0], [split.relators[1]])]
     # no relator at all: the numbering decides
-    assert _search_plan(Presentation(3, ())) == [(1, []), (2, []), (3, [])]
+    assert _search_plan(Presentation(3, ())) == [(1, None, []), (2, None, []), (3, None, [])]
 
 
 def test_quotient_search_forcing_order_work_bounded(monkeypatch):
@@ -319,6 +336,62 @@ def test_quotient_search_forcing_order_work_bounded(monkeypatch):
     homs = quotient_search(p, a5, surjective_only=True, dedup_conjugacy=True)
     assert len(homs) == 2
     assert calls[0] <= 27459 // 4, calls
+
+
+def test_quotient_search_all_relators_last_work_bounded(monkeypatch):
+    # all three relators of this benchmark knot sit at the last position,
+    # where x2 is pinned; the search compiled every relator at each node and
+    # conjugated by products, 4995 products here
+    knot = braid_presentation(parse_braid("3:s1 s2 s1^-1 s2 s2 s1"))
+    assert [len(relators) + (pin is not None) for _, pin, relators in _search_plan(knot)] == \
+        [0, 0, 3]
+    a5 = GROUPS["a5"]
+    calls = counted_products(monkeypatch, a5)
+    homs = quotient_search(knot, a5, surjective_only=True, dedup_conjugacy=True)
+    assert len(homs) == 2
+    assert calls[0] <= 1954, calls
+
+
+def test_quotient_search_dedup_past_the_row_cap(monkeypatch):
+    # with room for two rows, most centralizer elements conjugate by
+    # products instead of rows, and the kept homs stay the same
+    monkeypatch.setattr(permgroup, "ROW_CACHE_CAP", 2 * 24)
+    for text in ("2:s1 s1 s1", "3:s1 s2 s1^-1 s2 s2 s1", "3:s1 s1 s2 s2"):
+        p = braid_presentation(parse_braid(text))
+        s4 = perm_group(4, "(1 2 3 4)", "(1 2)")
+        reps = quotient_search(p, s4, dedup_conjugacy=True)
+        assert s4._row_entries <= 2 * 24
+        expected = least_conjugate_homs(s4, quotient_search(p, s4))
+        assert [h.images for h in reps] == [h.images for h in expected], text
+
+
+# the trefoil's homs onto S7 up to conjugacy, as the search that conjugated
+# by products found them, and the two of them that are surjective
+TREFOIL_S7_HOMS = [
+    (0, 0), (1, 1), (1, 2), (3, 3), (3, 11), (7, 7), (7, 25), (7, 314), (9, 9), (9, 10),
+    (9, 320), (27, 27), (27, 123), (27, 419), (27, 1811), (33, 33), (33, 52), (33, 199),
+    (127, 127), (127, 316), (127, 727), (129, 129), (129, 130), (129, 322), (129, 729),
+    (129, 730), (147, 147), (147, 181), (147, 987), (153, 153), (153, 220), (153, 380),
+    (153, 1108), (153, 1229), (747, 747), (753, 753), (753, 772), (753, 1915), (849, 849),
+    (849, 850), (849, 1031), (873, 873), (873, 1339), (873, 1340)]
+TREFOIL_S7_SURJECTIONS = [(753, 1915), (849, 1031)]
+
+
+def test_quotient_search_onto_s7_up_to_conjugacy(monkeypatch):
+    # 15 classes for the first image, then 5040 candidates for the second:
+    # only the centralizer of each class representative gets rows, under
+    # the cap, and the first image's centralizer is read off its own row.
+    # Conjugating by products made 528920 products here
+    s7 = perm_group(7, "(1 2 3 4 5 6 7)", "(1 2)")
+    trefoil = braid_presentation(parse_braid("2:s1 s1 s1"))
+    calls = counted_products(monkeypatch, s7)
+    homs = quotient_search(trefoil, s7, dedup_conjugacy=True)
+    assert calls[0] <= 433225, calls
+    assert s7._row_entries <= permgroup.ROW_CACHE_CAP
+    assert [h.images for h in homs] == TREFOIL_S7_HOMS
+    assert [h.images for h in homs if h.is_surjective()] == TREFOIL_S7_SURJECTIONS
+    surjections = quotient_search(trefoil, s7, surjective_only=True, dedup_conjugacy=True)
+    assert [h.images for h in surjections] == TREFOIL_S7_SURJECTIONS
 
 
 @st.composite
