@@ -192,6 +192,19 @@ def test_cover_decompose(tmp_path, capsys):
     assert "decomposition type: (5,)" in out
 
 
+def test_cover_decompose_golden(capsys):
+    # every subgroup spec against every word, on the bundled A5 hom; the
+    # whole output, byte for byte, as captured before the cover kept only
+    # its hom and subgroup
+    out = []
+    for spec in ("stab:5", "trivial", "whole", "(1 2 3)"):
+        for word in ("x1", "x2 x1^-1", "x1 x2 x1^-1 x2^-1", "x2^-1 x2^-1 x1"):
+            assert main(["cover", "decompose", "--hom", str(DATA / "a5_hom.json"),
+                         "--subgroup", spec, "--word", word]) == 0
+            out.append(f"# --subgroup {spec} --word {word}\n" + capsys.readouterr().out)
+    assert "".join(out) == (GOLDEN / "cover_decompose_a5.txt").read_text()
+
+
 def test_cover_verify_artin(tmp_path, capsys):
     grp = write(tmp_path, "s4.json",
                 {"degree": 4, "generators": ["(1 2 3 4)", "(1 2)"]})
