@@ -280,7 +280,7 @@ def _cmd_cover_decompose(args) -> int:
         raise ValueError(f"word {args.word!r} is trivial after cyclic reduction")
     lift = decompose_loop(cover, w)
     z = evaluate(hom, w)
-    print(f"cover on {cover.vertex_count} vertices (subgroup order {len(h)})")
+    print(f"cover on {h.index} vertices (subgroup order {len(h)})")
     print(f"loop {format_letters(w.letters)} maps to {hom.target.elements[z].cycle_string()}")
     print(f"decomposition type: {lift.decomposition_type}")
     for i, comp in enumerate(lift.components):
@@ -289,13 +289,10 @@ def _cmd_cover_decompose(args) -> int:
 
 
 def _cmd_cover_verify_artin(args) -> int:
+    if bool(args.subgroup) == args.all_subgroups:
+        raise ValueError("give exactly one of --subgroup SPEC and --all-subgroups")
     g = load_group_file(args.group)
-    if args.all_subgroups:
-        subs = all_subgroups(g)
-    elif args.subgroup:
-        subs = [parse_subgroup(g, args.subgroup)]
-    else:
-        raise ValueError("give --subgroup SPEC or --all-subgroups")
+    subs = all_subgroups(g) if args.all_subgroups else [parse_subgroup(g, args.subgroup)]
     work = g.order * sum(h.index for h in subs)
     if work > ARTIN_WORK_BUDGET:
         raise ValueError(f"tracing {len(subs)} subgroup(s) of a group of order {g.order} "

@@ -22,45 +22,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from .freewords import CyclicWord, GroupHom, Presentation, Word, cyclic_reduce, evaluate, format_letters
-from .permgroup import (CosetAction, FiniteGroup, Subgroup, class_types, conjugacy_classes,
-                        picker, powers)
+from .freewords import CyclicWord, GroupHom, Word, cyclic_reduce, evaluate, format_letters
+from .permgroup import (FiniteGroup, Subgroup, class_types, conjugacy_classes, cycles, picker,
+                        powers)
 
 
 @dataclass(frozen=True, eq=False)
 class CoveringGraph:
-    """A cover of the rose, realized on coset labels.
+    """A cover of the rose, realized on coset labels: the hom and a
+    subgroup H of its target.
 
-    Vertex 0 is the subgroup H itself (the basepoint fiber over the wedge
-    point contains it); ``steps[k-1][v]`` moves vertex v along the monodromy
-    of generator x_k (the coset map Hx -> H x g_k^{-1}), and ``steps_inv``
-    is the inverse walk.
+    Vertex v is coset v of ``subgroup.action``, vertex 0 being H itself
+    (the basepoint fiber over the wedge point contains it), and each loop
+    moves the vertices by the coset-action image of the loop's image.
     """
 
-    generator_count: int
-    vertex_count: int
-    steps: tuple[tuple[int, ...], ...]
-    steps_inv: tuple[tuple[int, ...], ...]
     hom: GroupHom
     subgroup: Subgroup
-    action: CosetAction
 
 
 def build_cover(hom: GroupHom, h: Subgroup) -> CoveringGraph:
-    """Covering graph of the rose determined by ``hom`` and the subgroup ``h``."""
-    g = hom.target
-    if h.group is not g:
+    """Covering graph of the rose determined by ``hom`` and the subgroup
+    ``h``; builds h's coset action, which every loop of the cover reads."""
+    if h.group is not hom.target:
         raise ValueError("subgroup belongs to a different group than the hom's target")
-    act = h.action
-    return CoveringGraph(
-        generator_count=len(hom.images),
-        vertex_count=act.degree,
-        steps=tuple(act.image(x) for x in hom.images),
-        steps_inv=tuple(act.image(g.inv(x)) for x in hom.images),
-        hom=hom,
-        subgroup=h,
-        action=act,
-    )
+    h.action  # built and kept on h
+    return CoveringGraph(hom, h)
 
 
 class Component(NamedTuple):
@@ -77,22 +64,12 @@ class LiftResult:
 
 
 def _monodromy(cover: CoveringGraph, w: CyclicWord) -> tuple[int, ...]:
-    """The loop's permutation m of the vertices (the lift from v ends at m[v]).
-
-    The step maps compose right-to-left, like everything else in this
-    package, so each letter from the last is applied by one ``picker``.
-    """
-    letters, k = w.letters, cover.generator_count
-    if not letters:
+    """The loop's permutation m of the vertices (the lift from v ends at
+    m[v]): the coset-action image of the loop's image, since the action is
+    a homomorphism."""
+    if not w.letters:
         raise ValueError("the empty loop has no decomposition type")
-    for l in letters:
-        if abs(l) > k:
-            raise ValueError(f"letter {l} outside x1..x{k}")
-    m = None
-    for l in reversed(letters):
-        step = cover.steps[l - 1] if l > 0 else cover.steps_inv[-l - 1]
-        m = step if m is None else picker(m)(step)
-    return m
+    return cover.subgroup.action.image(evaluate(cover.hom, w))
 
 
 def decompose_loop(cover: CoveringGraph, w: CyclicWord | Word) -> LiftResult:
@@ -103,25 +80,14 @@ def decompose_loop(cover: CoveringGraph, w: CyclicWord | Word) -> LiftResult:
     loop's conjugacy class, while the component vertex sets are the
     monodromy orbits of the canonical rotation specifically (a different
     rotation would permute the fiber by a conjugate).  The loop's monodromy
-    on the vertices is composed once from the step maps, and the components
-    are its cycles, each started at its least vertex; the type is their
-    degrees in decreasing order.
+    is the coset-action image of its image, and the components are its
+    ``cycles``, in order of least vertex; the type is their degrees in
+    decreasing order.
     """
     if isinstance(w, Word):
         w = cyclic_reduce(w)
-    m = _monodromy(cover, w)
-    visited = [False] * cover.vertex_count
-    comps = []
-    for v0 in range(cover.vertex_count):
-        fiber = []
-        u = v0
-        while not visited[u]:
-            visited[u] = True
-            fiber.append(u)
-            u = m[u]
-        if fiber:
-            comps.append(Component(frozenset(fiber), len(fiber)))
-    return LiftResult(tuple(comps), tuple(sorted((c.degree for c in comps), reverse=True)))
+    comps = tuple(Component(frozenset(c), len(c)) for c in cycles(_monodromy(cover, w)))
+    return LiftResult(comps, tuple(sorted((c.degree for c in comps), reverse=True)))
 
 
 def _loop_word_for(g: FiniteGroup, z: int) -> Optional[CyclicWord]:
@@ -160,23 +126,20 @@ def _trace_plan(g: FiniteGroup) -> _TracePlan:
     return g._trace_plan
 
 
-def _loop_monodromies(cover: CoveringGraph) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(z, monodromy of z's loop) for every element z of the cover's group.
+def _loop_monodromies(h: Subgroup) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(z, monodromy of z's loop) for every element z, on the cosets of h.
 
-    The identity's loop is composed by ``_monodromy``.  Every other loop is
-    word_for(z), its parent's word with one more letter, so its monodromy is
-    its parent's composed with one step map; the walk keeps one monodromy
-    per depth on the current path.  The cover must be of the tautological
-    hom, whose images are the group's generators.
+    z's loop is word_for(z), its parent's word with one more letter, so its
+    monodromy is its parent's composed with that generator's coset-action
+    image; the walk keeps one monodromy per depth on the current path, from
+    the identity's, which moves no coset.
     """
-    g = cover.hom.target
-    w = _loop_word_for(g, g.identity)
-    # trivial group: the constant loop closes over the single vertex
-    yield g.identity, tuple(range(cover.vertex_count)) if w is None else _monodromy(cover, w)
+    g, act = h.group, h.action
     plan = _trace_plan(g)
-    # m composed with step k is m[step[v]] at each v
-    picks = [picker(s) for s in cover.steps]
-    path = [tuple(range(cover.vertex_count))] * (plan.height + 1)
+    # m composed with generator k's image is m[image[v]] at each v
+    picks = [picker(act.image(k)) for k in g.generators]
+    path = [tuple(range(act.degree))] * (plan.height + 1)
+    yield g.identity, path[0]
     for z, depth, k in plan.walk:
         m = path[depth] = picks[k](path[depth - 1])
         yield z, m
@@ -233,8 +196,7 @@ def _coset_trace(h: Subgroup) -> _CosetTrace:
         types = [None] * g.order
         fixed = [None] * g.order
         interned = {}
-        cover = build_cover(GroupHom(Presentation(len(g.generators), ()), g, g.generators), h)
-        for z, m in _loop_monodromies(cover):
+        for z, m in _loop_monodromies(h):
             t, fixed[z] = _cycle_walk(m)
             types[z] = interned.setdefault(t, t)
         conjugacy_classes(g)  # fills g._class_of
@@ -274,9 +236,9 @@ def verify_artin(g: FiniteGroup, h: Subgroup) -> ArtinReport:
     The expected side is one cycle type per conjugacy class, derived from
     the permutation character of g/h (``class_types``).  The trace side is
     the subgroup's kept trace: its walk of the tree of recorded words makes
-    each element's monodromy its parent's composed with one step map, and
-    only the identity's loop x1^ord is composed letter by letter.
-    ``CosetAction.image`` is called only for the step maps.
+    each element's monodromy its parent's composed with one generator's
+    coset-action image, and ``CosetAction.image`` is called only for the
+    generators.
     """
     if h.group is not g:
         raise ValueError("subgroup belongs to a different group")
@@ -345,7 +307,7 @@ def verify_component_bijection(cover: CoveringGraph, w: CyclicWord | Word) -> Bi
     trace = _coset_trace(h)
     class_of = g._class_of  # filled by the trace
     ci = class_of[z]
-    members, reps, mul, inv = h.members, cover.action.reps, g.mul, g.inv
+    members, reps, mul, inv = h.members, h.action.reps, g.mul, g.inv
     checks = []
     direction1 = True
     for v in trace.fixed[z]:

@@ -11,17 +11,18 @@ Conventions, fixed once and used everywhere downstream:
   inversion is what makes a *right* coset space carry a left action), and
   cosets are labeled breadth-first from H along the edges v -> v.g^{-1},
   generators taken in input order;
-* a map the library computes on points or cosets (a coset-action image, a
-  cover step, a loop's monodromy) is a 0-based tuple of images, and
-  ``cycle_type`` takes one.  ``Permutation`` objects, which validate their
-  images, are built only where cycle text is parsed or printed and for
-  ``FiniteGroup.elements``.
+* a map the library computes on points or cosets (a coset-action image,
+  which is also a loop's monodromy in a cover) is a 0-based tuple of
+  images, and ``cycles`` and ``cycle_type`` take one.  ``Permutation``
+  objects, which validate their images, are built only where cycle text is
+  parsed or printed and for ``FiniteGroup.elements``.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -118,22 +119,7 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 0-based, each starting at its least point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            seen[start] = True
-            if self.images[start] == start:
-                continue
-            cyc = [start]
-            x = self.images[start]
-            while x != start:
-                seen[x] = True
-                cyc.append(x)
-                x = self.images[x]
-            out.append(tuple(cyc))
-        return out
+        return [c for c in cycles(self.images) if len(c) > 1]
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -162,22 +148,28 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     return Permutation(ia[x] for x in b.images)
 
 
+def cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every cycle of an image tuple, fixed points included, each starting
+    at its least point, in order of that point."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if not seen[start]:
+            cyc = [start]
+            seen[start] = True
+            x = images[start]
+            while x != start:
+                seen[x] = True
+                cyc.append(x)
+                x = images[x]
+            out.append(tuple(cyc))
+    return out
+
+
 def cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
     """Cycle lengths of an image tuple in decreasing order, fixed points
     included as 1s."""
-    seen = [False] * len(images)
-    lens = []
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        n = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            n += 1
-            x = images[x]
-        lens.append(n)
-    return tuple(sorted(lens, reverse=True))
+    return tuple(sorted(map(len, cycles(images)), reverse=True))
 
 
 def picker(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -739,12 +731,19 @@ def parse_group_data(data: dict) -> FiniteGroup:
 
 
 def load_json(path):
-    """The JSON value in a file; nesting too deep to parse raises ValueError."""
+    """The JSON value in a file; nesting too deep to parse, or an integer
+    past CPython's int digit limit, raises ValueError naming the file."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
+        except ValueError as e:
+            if isinstance(e, (json.JSONDecodeError, UnicodeDecodeError)):
+                raise
+            # the only other ValueError json raises is int()'s digit limit
+            raise ValueError(f"{path}: a JSON integer has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def load_group_file(path) -> FiniteGroup:

@@ -10,7 +10,8 @@ homs themselves by evaluating every relator on every image tuple,
 canonical rotations by comparing per-letter key tuples, conjugators by
 composing permutations for every element of the group, a shift's
 connectivity, period and holonomy from separate passes over its base graph,
-a loop's lift by walking each vertex through every letter, a coset
+a loop's lift by walking each vertex through every letter, a
+permutation's orbits by following it from each point not yet reached, a coset
 action's images from cosets held as sets of permutations, a braid
 closure's relators by substituting each letter's automorphism into every
 image, first letter first, closed-path totals by pushing every count
@@ -325,17 +326,20 @@ def realization_by_passes(s):
 def lift_by_vertex_walk(cover, letters):
     """The components of a loop's lift to ``cover``, and its decomposition type.
 
+    Each letter's step map is the coset-action image of its generator's
+    image, or of that image's inverse, so the loop's image is never formed.
     From each vertex not yet reached, walks one step map per letter, last
     letter first (the maps compose right to left), one full word at a time
     until the walk is back at its start; the vertices the walk stopped at
     form one component.  Returns ((vertex frozenset, degree), ...) in order
     of least vertex, and the degrees in decreasing order.
     """
-    steps, steps_inv = cover.steps, cover.steps_inv
-    walk = [steps[l - 1] if l > 0 else steps_inv[-l - 1] for l in reversed(letters)]
-    visited = [False] * cover.vertex_count
+    g, act, images = cover.hom.target, cover.subgroup.action, cover.hom.images
+    walk = [act.image(images[l - 1] if l > 0 else g.inv(images[-l - 1]))
+            for l in reversed(letters)]
+    visited = [False] * act.degree
     comps = []
-    for v0 in range(cover.vertex_count):
+    for v0 in range(act.degree):
         if visited[v0]:
             continue
         visited[v0] = True
@@ -350,6 +354,25 @@ def lift_by_vertex_walk(cover, letters):
             fiber.append(u)
         comps.append((frozenset(fiber), len(fiber)))
     return tuple(comps), tuple(sorted((d for _, d in comps), reverse=True))
+
+
+def orbits(p):
+    """The orbits of the image tuple p, each listed from its least point by
+    following p, in order of that point."""
+    seen = [False] * len(p)
+    out = []
+    for v in range(len(p)):
+        if seen[v]:
+            continue
+        cyc = [v]
+        seen[v] = True
+        u = p[v]
+        while u != v:
+            seen[u] = True
+            cyc.append(u)
+            u = p[u]
+        out.append(cyc)
+    return out
 
 
 def coset_image_by_sets(g, h, z):

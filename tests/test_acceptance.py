@@ -85,7 +85,7 @@ def test_criterion_3_component_bijection_both_directions():
                 if w is None:
                     # trivial group: the only loop is constant and the
                     # single vertex is a degree-one component tautologically
-                    assert g.order == 1 and cover.vertex_count == 1
+                    assert g.order == 1 and cover.subgroup.index == 1
                     continue
                 rep = verify_component_bijection(cover, w)
                 assert rep.passed, (name, len(h), z)

@@ -285,6 +285,17 @@ def test_cover_verify_artin_needs_spec(tmp_path, capsys):
     assert main(["cover", "verify-artin", "--group", grp]) == 2
 
 
+def test_cover_verify_artin_refuses_both_specs(tmp_path, capsys):
+    # once, the subgroup was dropped and all 30 subgroups were verified
+    grp = write(tmp_path, "s4.json",
+                {"degree": 4, "generators": ["(1 2 3 4)", "(1 2)"]})
+    assert main(["cover", "verify-artin", "--group", grp, "--subgroup", "stab:1",
+                 "--all-subgroups"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give exactly one of --subgroup SPEC and --all-subgroups\n"
+
+
 def test_sft_orbits(tmp_path, capsys):
     sft = write(tmp_path, "gm.json", GOLDEN_MEAN)
     hom = write(tmp_path, "hom.json", TRIVIAL_HOM)
@@ -714,6 +725,24 @@ def test_oversized_input_is_input_error(tmp_path, capsys, command, data):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "cap" in captured.err or "nested" in captured.err
+
+
+@pytest.mark.parametrize("command, text", [
+    (["group", "classes"], '{"degree": %s, "generators": []}'),
+    (["cover", "decompose", "--subgroup", "whole", "--word", "x1", "--hom"],
+     '{"degree": %s, "images": ["(1 2)"]}'),
+    (["sft", "orbits", "--max-len", "2", "--hom", str(DATA / "a5_hom.json"), "--sft"],
+     '{"states": %s, "edges": []}'),
+], ids=["group", "hom", "sft"])
+def test_integer_past_digit_limit_is_input_error(tmp_path, capsys, command, text):
+    # CPython refuses int() of more than 4300 digits by default; the error
+    # names the file instead of advising a change to the interpreter
+    path = write(tmp_path, "big.json", text % ("7" * 5000))
+    assert main(command + [path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+    assert "digits" in captured.err and "set_int_max_str_digits" not in captured.err
 
 
 def test_length_over_cap_is_input_error(tmp_path):

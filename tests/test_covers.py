@@ -15,7 +15,7 @@ from cheblink.covers import (BijectionReport, Component, ComponentCheck,
                              _loop_word_for, _monodromy)
 
 from corpus import corpus, psl27
-from oracles import conjugator_by_full_scan, lift_by_vertex_walk
+from oracles import conjugator_by_full_scan, lift_by_vertex_walk, orbits
 
 GROUPS = corpus()
 
@@ -32,15 +32,17 @@ def a5_cover():
 
 def test_build_cover_shape():
     cover = a5_cover()
-    assert cover.vertex_count == 5
-    assert cover.generator_count == 2
-    for step in cover.steps + cover.steps_inv:
-        assert sorted(step) == list(range(5))
+    g, h = cover.hom.target, cover.subgroup
+    assert h.index == 5
+    assert len(cover.hom.images) == 2
+    for x in cover.hom.images:
+        for step in (h.action.image(x), h.action.image(g.inv(x))):
+            assert sorted(step) == list(range(5))
 
 
 def test_cover_checks_build_no_permutation(monkeypatch):
-    # coset images, steps and monodromies are image tuples; a fresh group
-    # has not yet cached its inverses
+    # coset images, generator images and monodromies are image tuples; a
+    # fresh group has not yet cached its inverses
     g = generate_group([Permutation.parse("(1 2 3 4 5)", 5), Permutation.parse("(1 2 3)", 5)])
     h = Subgroup.point_stabilizer(g, 4)
 
@@ -49,8 +51,9 @@ def test_cover_checks_build_no_permutation(monkeypatch):
 
     monkeypatch.setattr(Permutation, "__init__", refuse)
     cover = build_cover(free_hom(g), h)
-    assert all(type(step) is tuple for step in cover.steps + cover.steps_inv)
-    assert all(type(cover.action.image(z)) is tuple for z in range(g.order))
+    steps = [h.action.image(y) for x in cover.hom.images for y in (x, g.inv(x))]
+    assert all(type(step) is tuple for step in steps)
+    assert all(type(h.action.image(z)) is tuple for z in range(g.order))
     assert verify_artin(g, h).passed
     assert verify_component_bijection(cover, parse_word("x1 x2")).passed
 
@@ -76,19 +79,23 @@ def test_decompose_rejects_trivial_loops():
 def test_loop_direction_regression():
     # the three images multiply to the identity in word order but to a
     # 3-cycle in reversed order; a trace that walked the letters forward
-    # through the step maps would report (3,) here
+    # through the generators' coset images would report (3,) here
     gens = [Permutation.parse(s, 4) for s in ["(3 4)", "(2 3)", "(2 3 4)"]]
     g = generate_group(gens)
     assert g.order == 6
     hom = GroupHom(Presentation(3, ()), g, tuple(g.index[p] for p in gens))
     cover = build_cover(hom, Subgroup.point_stabilizer(g, 1))
-    assert cover.vertex_count == 3
+    assert cover.subgroup.index == 3
 
     w = parse_word("x1 x2 x3")
     assert evaluate(hom, w) == g.identity
     assert decompose_loop(cover, w).decomposition_type == (1, 1, 1)
     assert decompose_loop(cover, parse_word("x3 x2 x1")).decomposition_type \
         == (3,)
+    # the monodromy applies the last letter's step first, and is not its
+    # inverse, which has the same cycles
+    s1, s2, s3 = (cover.subgroup.action.image(x) for x in hom.images)
+    assert _monodromy(cover, parse_word("x3 x2 x1")) == tuple(s3[s2[s1[v]]] for v in range(3))
 
 
 def test_decomposition_matches_coset_cycles_on_random_words():
@@ -114,24 +121,7 @@ def test_decomposition_matches_coset_cycles_on_random_words():
             # the vertex sets are the monodromy orbits of the canonical form
             canon = act.image(evaluate(hom, cyclic_reduce(w)))
             assert {c.vertices for c in lift.components} == \
-                {frozenset(cyc) for cyc in _orbits(canon)}
-
-
-def _orbits(p):
-    seen = [False] * len(p)
-    out = []
-    for v in range(len(p)):
-        if seen[v]:
-            continue
-        cyc = [v]
-        seen[v] = True
-        u = p[v]
-        while u != v:
-            seen[u] = True
-            cyc.append(u)
-            u = p[u]
-        out.append(cyc)
-    return out
+                {frozenset(cyc) for cyc in orbits(canon)}
 
 
 def test_component_degrees_sum_to_index():
@@ -205,8 +195,8 @@ def test_verify_artin_reports_one_wrong_trace(name, sub, z):
     def swap_first_two(m):
         return (m[1], m[0]) + m[2:]
 
-    def one_wrong_monodromy(cover):
-        for y, m in plain_monodromies(cover):
+    def one_wrong_monodromy(h):
+        for y, m in plain_monodromies(h):
             yield y, swap_first_two(m) if y == z else m
 
     def counting_image(self, y):
@@ -218,7 +208,7 @@ def test_verify_artin_reports_one_wrong_trace(name, sub, z):
         mp.setattr(covers, "_loop_monodromies", one_wrong_monodromy)
         mp.setattr(CosetAction, "image", counting_image)
         report = verify_artin(g, h)
-    # the step maps and their inverses, and nothing for the expected side
+    # the generators' images, and nothing for the expected side
     assert images <= 2 * len(g.generators)
     assert report.checked == g.order
     image = CosetAction(g, h).image(z)
@@ -242,18 +232,16 @@ def test_loop_monodromies_are_coset_images(name):
     # the coset action is a homomorphism and each loop's word evaluates to
     # its element, so the one-pass trace gives every element's image itself
     g = psl27() if name == "psl27" else GROUPS[name]
-    hom = free_hom(g)
     for h in all_subgroups(g):
-        cover = build_cover(hom, h)
-        traced = dict(_loop_monodromies(cover))
+        traced = dict(_loop_monodromies(h))
         assert len(traced) == g.order
-        assert traced == {z: cover.action.image(z) for z in range(g.order)}, len(h)
+        assert traced == {z: h.action.image(z) for z in range(g.order)}, len(h)
 
 
 @pytest.mark.parametrize("name", ["s4", "a5", "psl27"])
 def test_verify_artin_work_bounded(name, monkeypatch):
-    # one loop, the identity's, is composed letter by letter; every other
-    # one costs a single step map composed onto its parent's monodromy
+    # no loop is composed letter by letter; every loop but the identity's
+    # costs one generator's coset image composed onto its parent's monodromy
     g = psl27() if name == "psl27" else GROUPS[name]
     plain_monodromy, plain_picker = covers._monodromy, covers.picker
     monodromies = compositions = 0
@@ -326,7 +314,8 @@ def bijection_by_full_scan(cover, w):
     along the hom's images letter by letter, its degree-1 components the
     fixed points of its coset-action image, and holonomies and classes
     composed and scanned for."""
-    g, h, act = cover.hom.target, cover.subgroup, cover.action
+    g, h = cover.hom.target, cover.subgroup
+    act = h.action
     image = Permutation.identity(g.degree)
     for l in w.letters:
         x = g.elements[cover.hom.images[abs(l) - 1]]
@@ -483,7 +472,7 @@ def subgroups_of(name):
 @settings(max_examples=100)
 def test_lift_matches_vertex_walk_oracle(name, sub, words):
     # random reduced words with inverse letters: the loop words that
-    # verify_artin traces are positive, so steps_inv gets covered only here
+    # verify_artin traces are positive, so inverse letters are covered only here
     g = GROUPS[name]
     subs = subgroups_of(name)
     h = subs[sub % len(subs)]
@@ -507,7 +496,7 @@ def test_lift_matches_vertex_walk_oracle(name, sub, words):
     # verify_artin compares whatever monodromy it is handed for each
     # element, so hand it these loops' monodromies: a mismatch reports the
     # traced type, and a match means it equals the expected one
-    def these_loops(cover):
+    def these_loops(_):
         return ((z, _monodromy(cover, loops[z % len(loops)])) for z in range(g.order))
 
     with pytest.MonkeyPatch.context() as mp:
@@ -515,7 +504,7 @@ def test_lift_matches_vertex_walk_oracle(name, sub, words):
         # a fresh subgroup, whose trace is made from these loops
         report = verify_artin(g, Subgroup(g, h.members))
     assert report.checked == g.order
-    expected = [cycle_type(cover.action.image(z)) for z in range(g.order)]
+    expected = [cycle_type(h.action.image(z)) for z in range(g.order)]
     traced = list(expected)
     for m in report.mismatches:
         assert m.expected == expected[m.element]

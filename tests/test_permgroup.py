@@ -16,7 +16,8 @@ from cheblink.cli import main, parse_subgroup
 
 from corpus import corpus, perm_group, psl27, EXPECTED_ORDERS
 from oracles import (closure_by_products, conjugates_by_every_element, coset_image_by_sets,
-                     group_by_composition, powers_by_composition, subgroups_by_all_joins)
+                     group_by_composition, orbits, powers_by_composition,
+                     subgroups_by_all_joins)
 
 GROUPS = corpus()
 
@@ -47,6 +48,24 @@ def test_compose_applies_right_factor_first():
 def test_cycle_type_sorted_with_fixed_points():
     assert cycle_type(Permutation.parse("(1 2)(3 4 5)", 6).images) == (3, 2, 1)
     assert cycle_type(Permutation.identity(4).images) == (1, 1, 1, 1)
+
+
+@given(st.integers(1, 64).flatmap(lambda n: st.permutations(range(n))))
+@example(list(range(7)))            # the identity
+@example([1, 0, 3, 2, 5, 4, 7, 6])  # a fixed-point-free involution
+@example([1, 2, 3, 4, 5, 0])        # one full cycle
+@settings(max_examples=100)
+def test_cycles_partition_the_points_in_order_of_least_point(images):
+    m = tuple(images)
+    cycles = permgroup.cycles(m)
+    assert sorted(v for c in cycles for v in c) == list(range(len(m)))
+    for c in cycles:
+        assert [m[v] for v in c] == list(c[1:] + c[:1])  # each point maps to the next
+        assert c[0] == min(c)
+    assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
+    assert [set(c) for c in cycles] == [set(o) for o in orbits(m)]
+    assert cycle_type(m) == tuple(sorted(map(len, cycles), reverse=True))
+    assert Permutation(m).cycles() == [c for c in cycles if len(c) > 1]
 
 
 def test_inverse_and_call():
