@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import sys
@@ -543,7 +542,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # devnull so the interpreter's last flush has nowhere to fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -731,8 +731,9 @@ def parse_group_data(data: dict) -> FiniteGroup:
 
 
 def load_json(path):
-    """The JSON value in a file; nesting too deep to parse, or an integer
-    past CPython's int digit limit, raises ValueError naming the file."""
+    """The JSON value in a file; text that does not decode or parse, nesting
+    too deep to parse, or an integer past CPython's int digit limit, raises
+    a one-line ValueError naming the file."""
     with open(path) as fh:
         try:
             return json.load(fh)
@@ -740,7 +741,7 @@ def load_json(path):
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
         except ValueError as e:
             if isinstance(e, (json.JSONDecodeError, UnicodeDecodeError)):
-                raise
+                raise ValueError(f"{path}: {e}") from None
             # the only other ValueError json raises is int()'s digit limit
             raise ValueError(f"{path}: a JSON integer has more than "
                              f"{sys.get_int_max_str_digits()} digits") from None

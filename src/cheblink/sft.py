@@ -84,20 +84,6 @@ class LabeledSFT:
                 f"group of order {self.hom.target.order}>")
 
 
-def _canonical_primitive(seq: list[int]) -> bool:
-    """Is this the unique canonical rotation of a primitive cycle?
-
-    Rejects any rotation that is lexicographically smaller (a different
-    representative) or equal (a proper power).  Only rotations starting with
-    the least edge need checking, and the DFS guarantees seq[0] is least.
-    """
-    e0 = seq[0]
-    for i in range(1, len(seq)):
-        if seq[i] == e0 and seq[i:] + seq[:i] <= seq:
-            return False
-    return True
-
-
 def _cycles(s: LabeledSFT, length: int, e0: int,
             allowed: Sequence[Sequence[Optional[Sequence[int]]]],
             want: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -105,15 +91,18 @@ def _cycles(s: LabeledSFT, length: int, e0: int,
     length that starts with edge e0 and closes into a class of the bitmask
     ``want``, in lexicographic order of the edges.
 
-    A depth-first search on edges >= e0, since the canonical rotation begins
-    with the least edge on the orbit.  It passes over a state u with r steps
-    left whose ``allowed[r][u]`` is None before forming any product, and
-    keeps a prefix ending there with holonomy y only when
-    ``allowed[r][u][y] & want``: the stream's reach levels want every
-    class, a ``_BackTable``'s levels the witnesses still missing.  Its
-    explicit stack carries each prefix's label product, so no length is too
-    deep for it, memory stays at O(length), and a closed path's product is
-    formed only once ``_canonical_primitive`` has kept it.
+    Such a cycle's canonical rotation is a Lyndon word over the edge
+    indices, so the depth-first search keeps only prenecklaces
+    (Fredricksen–Kessler–Maiorana): a prefix of period p passes over an
+    edge below the one p steps back, keeps p on an equal edge and takes the
+    new length as p on a larger one, and a closed path is kept exactly when
+    p equals its length.  It passes over a state u with r steps left whose
+    ``allowed[r][u]`` is None before forming any product, and keeps a prefix
+    ending there with holonomy y only when ``allowed[r][u][y] & want``: the
+    stream's reach levels want every class, a ``_BackTable``'s levels the
+    witnesses still missing.  Its explicit stack carries each prefix's label
+    product and period, so no length is too deep for it, memory stays at
+    O(length), and a closed path's product is formed only once it is kept.
     """
     elem, dst = s.edge_elem, s.edge_dst
     first = allowed[length - 1][dst[e0]]
@@ -124,14 +113,15 @@ def _cycles(s: LabeledSFT, length: int, e0: int,
         return
     mul, out_edges = s.hom.target.mul, s.out_edges
     # frame i tries the out-edges after the path seq[:i + 1], whose label
-    # product is prefix[i]
-    seq, prefix = [e0], [elem[e0]]
+    # product is prefix[i]; p is seq's period, and each push saves the old p
+    seq, prefix, period, p = [e0], [elem[e0]], [1], 1
     frames = [iter(out_edges[dst[e0]])]
     while frames:
         left = length - len(seq) - 1
         level = allowed[left]
+        low = seq[-p]
         for ei in frames[-1]:
-            if ei < e0:
+            if ei < low:
                 continue
             here = level[dst[ei]]
             if here is None:
@@ -141,24 +131,27 @@ def _cycles(s: LabeledSFT, length: int, e0: int,
                 if here[y] & want:
                     seq.append(ei)
                     prefix.append(y)
+                    period.append(p)
+                    if ei > low:
+                        p = len(seq)
                     frames.append(iter(out_edges[dst[ei]]))
                     break
                 continue
-            seq.append(ei)
-            if _canonical_primitive(seq):
+            if ei > low:  # the period becomes the length
                 y = mul(prefix[-1], elem[ei])
                 if here[y] & want:
-                    yield tuple(seq), y
-            seq.pop()
+                    yield (*seq, ei), y
         else:
             frames.pop()
             seq.pop()
             prefix.pop()
+            p = period.pop()
 
 
 def enumerate_orbits(s: LabeledSFT, max_len: int) -> Iterator[Orbit]:
     """Stream primitive orbits of length <= max_len, shortest first, within
-    a length in lexicographic order of the canonical edge sequence.
+    a length in lexicographic order of the canonical edge sequence: the
+    orbits are the Lyndon words over the edge indices that close a path.
 
     One ``_cycles`` search per (length, start edge), wanting every class, on
     the start state's exact-step reach levels, kept only while the stream
@@ -703,25 +696,22 @@ def _class_witnesses(s: LabeledSFT, bound: int, moves) -> tuple[Optional[Orbit],
     """The first orbit of ``enumerate_orbits(s, bound)`` in each class, or
     None, found by a search in the lift on its ``moves``, not by the stream.
 
-    Loops give the length-1 witnesses.  For each longer length and start
-    edge the stream's own search, ``_cycles``, runs on the start state's
-    ``_BackTable`` wanting the classes still missing.  The first cycle it
-    yields is the stream's first orbit of its class, as no cycle of another
-    missing class comes before it; that bit is cleared and the search starts
-    again at the same edge.  A class no closed path reaches is pruned at
-    every start edge, at the cost of the tables alone: O(bound·|E|·|G|)
-    each.  Raises ValueError once the cells of the levels the tables compute
-    would pass DP_STATE_CAP × bound.
+    For each length from 1 and each start edge the stream's own search,
+    ``_cycles``, runs on the start state's ``_BackTable`` wanting the
+    classes still missing.  The first cycle it yields is the stream's first
+    orbit of its class, as no cycle of another missing class comes before
+    it; that bit is cleared and the search starts again at the same edge.
+    At length 1 it yields the loops, on the tables' level 0 alone.  A class
+    no closed path reaches is pruned at every start edge, at the cost of the
+    tables alone: O(bound·|E|·|G|) each.  Raises ValueError once the cells
+    of the levels the tables compute would pass DP_STATE_CAP × bound.
     """
     witnesses: list[Optional[Orbit]] = [None] * len(conjugacy_classes(s.hom.target))
     class_of = s.hom.target._class_of
-    for e0, h in enumerate(s.edge_elem):
-        if s.edge_dst[e0] == s.edge_src[e0] and witnesses[class_of[h]] is None:
-            witnesses[class_of[h]] = Orbit(1, (e0,), h, class_of[h])
-    want = sum(1 << c for c, w in enumerate(witnesses) if w is None)
+    want = (1 << len(witnesses)) - 1
     tables: dict[int, _BackTable] = {}
     cells, cap = 0, DP_STATE_CAP * bound
-    for length in range(2, bound + 1):
+    for length in range(1, bound + 1):
         for e0, s0 in enumerate(s.edge_src):
             if not want:
                 return tuple(witnesses)

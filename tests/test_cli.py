@@ -90,6 +90,12 @@ def test_snf_non_integer_token_names_file_line_and_token(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: line 3: 'x' is not an integer\n"
 
 
+def test_snf_ragged_row_names_file_and_both_lines(tmp_path, capsys):
+    path = write(tmp_path, "m.txt", "# a comment\n2 4 6\n\n6 8\n")
+    assert main(["snf", path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 4: 2 entries, line 2 has 3\n"
+
+
 def test_snf_prints_entries_past_the_int_digit_limit(tmp_path, capsys):
     # a random 24x24 matrix with entries in [-9, 9]: u and v reach entries of
     # tens of thousands of bits, which str() refuses past 4300 digits
@@ -743,6 +749,21 @@ def test_integer_past_digit_limit_is_input_error(tmp_path, capsys, command, text
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
     assert "digits" in captured.err and "set_int_max_str_digits" not in captured.err
+
+
+@pytest.mark.parametrize("command, data", [
+    (["group", "classes"], b"\xff\xfe{\x00}\x00"),  # UTF-16 text
+    (["sft", "orbits", "--max-len", "2", "--hom", str(DATA / "a5_hom.json"), "--sft"],
+     b'{"states": 1, "edges": [{"from": 0, "to'),
+], ids=["group-not-utf8", "sft-truncated"])
+def test_unreadable_json_names_the_file(tmp_path, capsys, command, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert main(command + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert sum(str(path) in line for line in captured.err.splitlines()) == 1
 
 
 def test_length_over_cap_is_input_error(tmp_path):
