@@ -251,7 +251,7 @@ def _cmd_group_classes(args) -> int:
     print(f"group of order {g.order} on {g.degree} points; {len(classes)} classes")
     for i, c in enumerate(classes):
         rep = g.elements[c.representative]
-        t = "(" + ",".join(map(str, cycle_type(rep.images))) + ")"
+        t = "(" + ",".join(map(str, cycle_type(rep))) + ")"
         print(f"class {i}: size {len(c.members):>4}  type {t:<12} rep {rep.cycle_string()}")
     return 0
 

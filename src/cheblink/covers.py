@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .freewords import CyclicWord, GroupHom, Word, cyclic_reduce, evaluate, format_letters
-from .permgroup import (FiniteGroup, Subgroup, class_types, conjugacy_classes, cycles, picker,
-                        powers)
+from .permgroup import FiniteGroup, Subgroup, class_types, cycles, picker, powers
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +198,8 @@ def _coset_trace(h: Subgroup) -> _CosetTrace:
         for z, m in _loop_monodromies(h):
             t, fixed[z] = _cycle_walk(m)
             types[z] = interned.setdefault(t, t)
-        conjugacy_classes(g)  # fills g._class_of
         act._trace = _CosetTrace(tuple(types), tuple(fixed),
-                                 frozenset(g._class_of[m] for m in h.members))
+                                 frozenset(g.class_of[m] for m in h.members))
     return act._trace
 
 
@@ -244,7 +242,7 @@ def verify_artin(g: FiniteGroup, h: Subgroup) -> ArtinReport:
         raise ValueError("subgroup belongs to a different group")
     traced_types = _coset_trace(h).types
     types = class_types(g, h)
-    class_of = g._class_of  # filled by class_types
+    class_of = g.class_of
     mismatches = []
     for z, traced in enumerate(traced_types):
         expected = types[class_of[z]]
@@ -305,7 +303,7 @@ def verify_component_bijection(cover: CoveringGraph, w: CyclicWord | Word) -> Bi
     h = cover.subgroup
     z = evaluate(cover.hom, w)
     trace = _coset_trace(h)
-    class_of = g._class_of  # filled by the trace
+    class_of = g.class_of
     ci = class_of[z]
     members, reps, mul, inv = h.members, h.action.reps, g.mul, g.inv
     checks = []

@@ -11,11 +11,11 @@ Conventions, fixed once and used everywhere downstream:
   inversion is what makes a *right* coset space carry a left action), and
   cosets are labeled breadth-first from H along the edges v -> v.g^{-1},
   generators taken in input order;
-* a map the library computes on points or cosets (a coset-action image,
-  which is also a loop's monodromy in a cover) is a 0-based tuple of
-  images, and ``cycles`` and ``cycle_type`` take one.  ``Permutation``
-  objects, which validate their images, are built only where cycle text is
-  parsed or printed and for ``FiniteGroup.elements``.
+* a ``Permutation`` is its tuple of 0-based images, validated when built
+  and equal to the plain tuple; cycle notation, 1-based, is for text.  A
+  map the library computes on points or cosets (a coset-action image, which
+  is also a loop's monodromy in a cover) is a plain image tuple, and
+  ``cycles`` and ``cycle_type`` take either.
 """
 
 from __future__ import annotations
@@ -45,23 +45,21 @@ SUBGROUP_JOIN_BUDGET = 1 << 25
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-class Permutation:
-    """A permutation of {0, ..., n-1} stored as its tuple of images."""
+class Permutation(tuple):
+    """A permutation of {0, ..., n-1}: the tuple of its images."""
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images: Iterable[int]):
+    def __new__(cls, images: Iterable[int]):
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
-        self.images = images
+        return tuple.__new__(cls, images)
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
         """Wrap an image tuple known to be a permutation, unchecked."""
-        p = object.__new__(cls)
-        p.images = images
-        return p
+        return tuple.__new__(cls, images)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -70,22 +68,12 @@ class Permutation:
     @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[int]], degree: int) -> "Permutation":
         """Build from 0-based cycles, e.g. [(0, 1, 2)] for the 1-based (1 2 3)."""
-        images = list(range(degree))
-        seen = set()
-        for cyc in cycles:
-            for p in cyc:
-                if not 0 <= p < degree:
-                    raise ValueError(f"point {p} outside 0..{degree - 1}")
-                if p in seen:
-                    raise ValueError(f"point {p} repeated across cycles")
-                seen.add(p)
-            for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
-                images[a] = b
-        return cls(images)
+        return cls(_cycle_map(cycles, degree, 0))
 
     @classmethod
     def parse(cls, text: str, degree: int) -> "Permutation":
-        """Parse 1-based cycle notation: "(1 2 3)(4 5)"; "()" is the identity."""
+        """Parse 1-based cycle notation: "(1 2 3)(4 5)"; "()" is the identity.
+        A bad point is named as written, with the text."""
         s = text.strip().replace(",", " ")
         if s in ("", "()"):
             return cls.identity(degree)
@@ -93,33 +81,47 @@ class Permutation:
             raise ValueError(f"bad cycle notation: {text!r}")
         cycles = []
         for part in _CYCLE_RE.findall(s):
-            toks = part.split()
-            if toks:
-                cycles.append(tuple(int(t) - 1 for t in toks))
-        return cls.from_cycles(cycles, degree)
+            cyc = []
+            for t in part.split():
+                try:
+                    cyc.append(int(t))
+                except ValueError:
+                    raise ValueError(f"bad cycle notation {text!r}: point {t!r} is not "
+                                     f"an integer in 1..{degree}") from None
+            if cyc:
+                cycles.append(cyc)
+        try:
+            images = _cycle_map(cycles, degree, 1)
+        except ValueError as e:
+            raise ValueError(f"bad cycle notation {text!r}: {e}") from None
+        return cls(images)
+
+    @property
+    def images(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def __call__(self, point: int) -> int:
-        return self.images[point]
+        return self[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, j in enumerate(self):
             inv[j] = i
         return Permutation(inv)
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return all(i == j for i, j in enumerate(self))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 0-based, each starting at its least point."""
-        return [c for c in cycles(self.images) if len(c) > 1]
+        return [c for c in cycles(self) if len(c) > 1]
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -127,25 +129,32 @@ class Permutation:
             return "()"
         return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycs)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
-
     def __repr__(self) -> str:
         return f"Permutation.parse({self.cycle_string()!r}, {self.degree})"
+
+
+def _cycle_map(cycles: Iterable[Sequence[int]], degree: int, base: int) -> list[int]:
+    """The 0-based image list of cycles written on the points base..base+degree-1;
+    a point outside them or met twice raises ValueError naming it as written."""
+    images = list(range(degree))
+    seen = set()
+    for cyc in cycles:
+        for p in cyc:
+            if not base <= p < base + degree:
+                raise ValueError(f"point {p} outside {base}..{base + degree - 1}")
+            if p in seen:
+                raise ValueError(f"point {p} repeated across cycles")
+            seen.add(p)
+        for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
+            images[a - base] = b - base
+    return images
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """compose(a, b) applies b first: compose(a, b)(x) == a(b(x))."""
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    ia = a.images
-    return Permutation(ia[x] for x in b.images)
+    return Permutation(map(a.__getitem__, b))
 
 
 def cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
@@ -166,9 +175,9 @@ def cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
-    """Cycle lengths of an image tuple in decreasing order, fixed points
-    included as 1s."""
+def cycle_type(images: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths of an image tuple or a ``Permutation`` in decreasing
+    order, fixed points included as 1s."""
     return tuple(sorted(map(len, cycles(images)), reverse=True))
 
 
@@ -186,7 +195,8 @@ class FiniteGroup:
     """A permutation group closed under composition, with canonical labels.
 
     Elements are indexed 0..order-1 in lexicographic order of their image
-    tuples (identity first).  ``word_for(i)`` returns a shortest word in the
+    tuples (identity first), and ``index`` maps an element, or its plain
+    image tuple, to its index.  ``word_for(i)`` returns a shortest word in the
     generators (1-based positive letters) evaluating to element i, recorded
     during the generating closure; the identity's word is empty.
 
@@ -208,8 +218,6 @@ class FiniteGroup:
         self.generators = tuple(self.index[g] for g in generator_perms)
         self._words = tuple(tuple(w) for w in words)
         self.identity = self.index[Permutation.identity(degree)]
-        self._images = tuple(p.images for p in self.elements)
-        self._position = {t: i for i, t in enumerate(self._images)}
         self._rows: list[tuple[int, ...] | None] = [None] * len(self.elements)
         self._row_entries = 0
         self._single_products = [0] * len(self.elements)
@@ -228,6 +236,14 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def class_of(self) -> tuple[int, ...]:
+        """The position of each element's class in ``conjugacy_classes``,
+        which the first read computes."""
+        if self._class_of is None:
+            conjugacy_classes(self)
+        return self._class_of
+
     def right_row(self, j: int) -> tuple[int, ...]:
         """The products of every element with j on its right, by index."""
         row = self._rows[j]
@@ -236,8 +252,8 @@ class FiniteGroup:
         return row
 
     def _product_row(self, j: int) -> tuple[int, ...]:
-        pick = picker(self._images[j])
-        return tuple(map(self._position.__getitem__, map(pick, self._images)))
+        pick = picker(self.elements[j])
+        return tuple(map(self.index.__getitem__, map(pick, self.elements)))
 
     def mul(self, i: int, j: int) -> int:
         row = self._rows[j]
@@ -246,8 +262,8 @@ class FiniteGroup:
             if (served < _PRODUCTS_BEFORE_ROW
                     or self._row_entries + len(self._rows) > ROW_CACHE_CAP):
                 self._single_products[j] = served + 1
-                a = self._images[i]
-                return self._position[tuple(map(a.__getitem__, self._images[j]))]
+                a = self.elements[i]
+                return self.index[tuple(map(a.__getitem__, self.elements[j]))]
             row = self.right_row(j)
         return row[i]
 
@@ -270,8 +286,7 @@ class FiniteGroup:
             j = self.right_row(self.inv(a))[j]
         cr = self._class_rows[j]
         if cr is None:  # the identity's
-            conjugacy_classes(self)
-            cr = self._keep(self._class_rows, j, self._class_bytes(self._class_of))
+            cr = self._keep(self._class_rows, j, self._class_bytes(self.class_of))
         for j in reversed(chain):
             a = self.generators[self._words[j][-1] - 1]
             left = self._left_rows.get(a)
@@ -319,8 +334,8 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         if self._inv is None:
             # the inverse image tuple lists the points in the order of their images
-            pos, points = self._position, range(self.degree)
-            self._inv = tuple(pos[tuple(sorted(points, key=t.__getitem__))] for t in self._images)
+            pos, points = self.index, range(self.degree)
+            self._inv = tuple(pos[tuple(sorted(points, key=t.__getitem__))] for t in self.elements)
         return self._inv[i]
 
     def word_for(self, i: int) -> tuple[int, ...]:
@@ -352,8 +367,8 @@ def generate_group(generators: Sequence[Permutation], *,
         if g.degree != degree:
             raise ValueError("generators act on different numbers of points")
     _check_slots(degree)
-    # one picker per generator k: q = p ∘ k has images p.images[k(x)]
-    picks = [picker(g.images) for g in gens]
+    # one picker per generator k: q = p ∘ k has images p[k(x)]
+    picks = [picker(g) for g in gens]
     ident = tuple(range(degree))
     words: dict[tuple[int, ...], tuple[int, ...]] = {ident: ()}
     frontier = [ident]
@@ -449,8 +464,7 @@ def conjugacy_classes(g: FiniteGroup) -> tuple[ConjugacyClass, ...]:
 
 def class_index(g: FiniteGroup, i: int) -> int:
     """Position of element i's conjugacy class in conjugacy_classes(g)."""
-    conjugacy_classes(g)
-    return g._class_of[i]
+    return g.class_of[i]
 
 
 def permutation_character(g: FiniteGroup, h: "Subgroup") -> tuple[int, ...]:
@@ -463,10 +477,10 @@ def permutation_character(g: FiniteGroup, h: "Subgroup") -> tuple[int, ...]:
     """
     if h.group is not g:
         raise ValueError("subgroup belongs to a different group")
-    classes = conjugacy_classes(g)
+    classes, class_of = conjugacy_classes(g), g.class_of
     meets = [0] * len(classes)
     for m in h.members:
-        meets[g._class_of[m]] += 1
+        meets[class_of[m]] += 1
     return tuple(g.order * k // (len(c.members) * len(h))
                  for c, k in zip(classes, meets))
 

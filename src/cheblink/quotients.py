@@ -602,26 +602,31 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
 
 def load_matrix_file(path) -> IntMatrix:
     """Read a matrix as lines of space-separated integers ('#' comments ok);
-    a bad token or a row narrower or wider than the first names the line."""
+    a bad token or a row narrower or wider than the first names the line,
+    and text that does not decode, or holds no row, names the file."""
     rows, first = [], 0  # first: the line number of the first row
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            row = []
-            for tok in line.split():
-                try:
-                    row.append(int(tok))
-                except ValueError:
-                    shown = tok if len(tok) <= TOKEN_SHOWN else tok[:TOKEN_SHOWN] + "..."
-                    raise ValueError(f"{path}: line {lineno}: {shown!r} is not an integer") from None
-            if not rows:
-                first = lineno
-            elif len(row) != len(rows[0]):
-                raise ValueError(f"{path}: line {lineno}: {len(row)} entries, "
-                                 f"line {first} has {len(rows[0])}")
-            rows.append(row)
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        row = []
+        for tok in line.split():
+            try:
+                row.append(int(tok))
+            except ValueError:
+                shown = tok if len(tok) <= TOKEN_SHOWN else tok[:TOKEN_SHOWN] + "..."
+                raise ValueError(f"{path}: line {lineno}: {shown!r} is not an integer") from None
+        if not rows:
+            first = lineno
+        elif len(row) != len(rows[0]):
+            raise ValueError(f"{path}: line {lineno}: {len(row)} entries, "
+                             f"line {first} has {len(rows[0])}")
+        rows.append(row)
     if not rows:
-        raise ValueError("matrix file has no rows")
+        raise ValueError(f"{path}: matrix file has no rows")
     return IntMatrix(rows)

@@ -164,8 +164,7 @@ def enumerate_orbits(s: LabeledSFT, max_len: int) -> Iterator[Orbit]:
     if max_len > LENGTH_CAP:
         raise ValueError(f"max_len {max_len} exceeds the length cap {LENGTH_CAP}")
     g = s.hom.target
-    conjugacy_classes(g)
-    class_of = g._class_of  # filled by conjugacy_classes
+    class_of = g.class_of
     every = (-1,) * g.order  # every class bit at every holonomy: one row all states share
     states = range(s.state_count)
     reach: dict[int, list] = {}  # start state -> its levels
@@ -243,7 +242,7 @@ class _Transfer:
         self.g = g = s.hom.target
         self.moves = _lift_moves(s)
         self.classes = conjugacy_classes(g)
-        self.class_of = g._class_of  # filled by conjugacy_classes
+        self.class_of = g.class_of
         self.dense_moves = self.class_picks = None  # built at the first switch to dense counts
 
     def walk(self, s0: int, max_n: int) -> Iterator[tuple[int, list, bool]]:
@@ -539,7 +538,7 @@ def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
     classes = conjugacy_classes(g)
     # class_types refuses a subgroup of another group before anything is counted
     type_of_class = (class_types(g, subgroup) if subgroup is not None else
-                     [cycle_type(g.elements[c.representative].images) for c in classes])
+                     [cycle_type(g.elements[c.representative]) for c in classes])
     # the DP cap is checked first, so oversized inputs are refused before
     # the hom's image is closed in its target
     totals = _closed_path_totals(s, max_len)
@@ -707,7 +706,7 @@ def _class_witnesses(s: LabeledSFT, bound: int, moves) -> tuple[Optional[Orbit],
     of the levels the tables compute would pass DP_STATE_CAP × bound.
     """
     witnesses: list[Optional[Orbit]] = [None] * len(conjugacy_classes(s.hom.target))
-    class_of = s.hom.target._class_of
+    class_of = s.hom.target.class_of
     want = (1 << len(witnesses)) - 1
     tables: dict[int, _BackTable] = {}
     cells, cap = 0, DP_STATE_CAP * bound

@@ -127,6 +127,35 @@ def test_snf_quotes_a_prefix_of_a_long_bad_token(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and len(captured.err) < 200
 
 
+def test_snf_undecodable_matrix_names_the_file(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"\xff\xfe2\x00 \x004\x00\n\x00")  # UTF-16 text
+    assert main(["snf", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n   \n"], ids=["empty", "comments"])
+def test_snf_matrix_without_rows_names_the_file(tmp_path, capsys, text):
+    path = write(tmp_path, "m.txt", text)
+    assert main(["snf", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: matrix file has no rows\n")
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("(1 4)", "point 4 outside 1..3"),
+    ("(1 -2)", "point -2 outside 1..3"),
+    ("(1 2)(2 3)", "point 2 repeated across cycles"),
+    ("(a b)", "point 'a' is not an integer in 1..3"),
+], ids=["past-degree", "negative", "repeated", "not-an-integer"])
+def test_cycle_text_errors_name_the_point_as_written(tmp_path, capsys, text, problem):
+    path = write(tmp_path, "g.json", {"degree": 3, "generators": ["(1 2 3)", text]})
+    assert main(["group", "classes", path]) == 2
+    assert capsys.readouterr() == ("", f"error: bad cycle notation {text!r}: {problem}\n")
+
+
 def test_generic_check(capsys):
     assert main(["generic", "check", "--braid", "2:s1 s1 s1",
                  "--classes", "x1"]) == 0

@@ -1,6 +1,7 @@
 """Modules of the package import only public names from one another, and
-only names they use, and every private module-level name is read by the
-package itself, not by the tests alone.
+only names they use, every private module-level name is read by the
+package itself, not by the tests alone, and a module reads another's
+private attributes only where it assigns them too.
 
 A private helper such as ``permgroup._conjugations`` stays behind its
 module's public functions (``conjugates``), so one module alone knows how
@@ -128,3 +129,45 @@ def test_private_name_without_a_caller_is_caught(tmp_path):
                                    "    return _Row(g._adapter)\n")
     assert private_names_without_a_caller(sorted(tmp_path.glob("*.py"))) == [
         ("a.py", "_SEAM"), ("a.py", "_adapter"), ("a.py", "_helper")]
+
+
+def foreign_private_attribute_reads(paths):
+    """(module, line, name) for each read of ``obj._x`` in a module that
+    never assigns ``_x`` while another module of ``paths`` does: a private
+    attribute one module fills is read through that module's public names,
+    such as ``FiniteGroup.class_of``, not by reaching past them."""
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in paths}
+
+    def private_attributes(tree, ctx):
+        return [(node.lineno, node.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)
+                and node.attr.startswith("_") and not node.attr.endswith("__")]
+
+    stores = {module: {name for _, name in private_attributes(tree, ast.Store)}
+              for module, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        others = set().union(*(names for m, names in stores.items() if m != module))
+        found += [(module, line, name) for line, name in private_attributes(tree, ast.Load)
+                  if name in others and name not in stores[module]]
+    return sorted(found)
+
+
+def test_modules_read_no_private_attributes_another_module_assigns():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    assert foreign_private_attribute_reads(paths) == []
+
+
+def test_foreign_private_attribute_read_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text("class Group:\n"
+                                   "    def __init__(self):\n"
+                                   "        self._rows = self._cache = None\n"
+                                   "    def rows(self):\n"
+                                   "        return self._rows\n")
+    (tmp_path / "b.py").write_text("def plan(g, act):\n"
+                                   "    if act._trace is None:\n"
+                                   "        act._trace = g._rows\n"
+                                   "    return act._trace, g._cache, g._helper(), g.__dict__\n")
+    assert foreign_private_attribute_reads(sorted(tmp_path.glob("*.py"))) == [
+        ("b.py", 3, "_rows"), ("b.py", 4, "_cache")]

@@ -38,6 +38,23 @@ def test_parse_rejects_garbage():
         Permutation.parse("(1 4)", 3)
 
 
+def test_permutation_is_its_image_tuple():
+    p = Permutation.parse("(1 2 3)", 3)
+    assert p == (1, 2, 0) and hash(p) == hash((1, 2, 0))
+    g = perm_group(3, "(1 2 3)", "(1 2)")
+    i = g.index[(1, 2, 0)]
+    assert g.elements[i] == p
+    assert all(type(g.elements[j].images) is tuple for j in range(g.order))
+    with pytest.raises(ValueError):
+        Permutation((0, 0))
+    with pytest.raises(ValueError):
+        compose(p, Permutation.identity(4))
+    fresh = perm_group(4, "(1 2 3 4)", "(1 2)")
+    class_of = fresh.class_of  # read before anything asks for the classes
+    assert len(set(class_of)) == 5
+    assert class_of == tuple(class_index(fresh, j) for j in range(fresh.order))
+
+
 def test_compose_applies_right_factor_first():
     a = Permutation.parse("(1 2)", 3)
     b = Permutation.parse("(2 3)", 3)
