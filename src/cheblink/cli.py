@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .covers import ARTIN_WORK_BUDGET, build_cover, decompose_loop, verify_artin
-from .freewords import (braid_presentation, cyclic_reduce, evaluate, format_letters,
-                        load_hom_file, parse_braid, parse_word)
+from .freewords import (abelianized_matrix, braid_presentation, cyclic_reduce, evaluate,
+                        format_letters, load_hom_file, parse_braid, parse_word)
 from .permgroup import (FiniteGroup, Subgroup, all_subgroups, conjugacy_classes,
                         cycle_type, load_group_file, Permutation)
 from .quotients import (generic_check, load_matrix_file, quotient_search,
@@ -263,8 +263,6 @@ def _cmd_braid_presentation(args) -> int:
           f"{p.generator_count} generators, {len(p.relators)} relators")
     for i, r in enumerate(p.relators):
         print(f"r{i + 1} = {r}")
-    from .freewords import abelianized_matrix
-
     sf = smith_normal_form(abelianized_matrix(p))
     print(f"abelianization invariant factors: {list(sf.diagonal)}")
     return 0

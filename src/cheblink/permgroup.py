@@ -83,13 +83,11 @@ class Permutation(tuple):
         for part in _CYCLE_RE.findall(s):
             cyc = []
             for t in part.split():
-                try:
-                    cyc.append(int(t))
-                except ValueError:
+                if not (t.isascii() and t.removeprefix("-").isdigit()):
                     raise ValueError(f"bad cycle notation {text!r}: point {t!r} is not "
-                                     f"an integer in 1..{degree}") from None
-            if cyc:
-                cycles.append(cyc)
+                                     f"an integer in 1..{degree}")
+                cyc.append(int(t))
+            cycles.append(cyc)
         try:
             images = _cycle_map(cycles, degree, 1)
         except ValueError as e:
@@ -145,7 +143,7 @@ def _cycle_map(cycles: Iterable[Sequence[int]], degree: int, base: int) -> list[
             if p in seen:
                 raise ValueError(f"point {p} repeated across cycles")
             seen.add(p)
-        for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
+        for a, b in zip(cyc, (*cyc[1:], *cyc[:1])):  # an empty cycle maps nothing
             images[a - base] = b - base
     return images
 

@@ -629,4 +629,4 @@ def load_matrix_file(path) -> IntMatrix:
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: matrix file has no rows")
-    return IntMatrix(rows)
+    return IntMatrix._of_rows(rows, len(rows[0]))

@@ -98,11 +98,12 @@ def _cycles(s: LabeledSFT, length: int, e0: int,
     new length as p on a larger one, and a closed path is kept exactly when
     p equals its length.  It passes over a state u with r steps left whose
     ``allowed[r][u]`` is None before forming any product, and keeps a prefix
-    ending there with holonomy y only when ``allowed[r][u][y] & want``: the
-    stream's reach levels want every class, a ``_BackTable``'s levels the
-    witnesses still missing.  Its explicit stack carries each prefix's label
-    product and period, so no length is too deep for it, memory stays at
-    O(length), and a closed path's product is formed only once it is kept.
+    ending there with holonomy y only when ``allowed[r][u][y] & want``, on
+    a ``_BackTable``'s levels: the stream's want every class, the witness
+    search's the classes still missing.  Its explicit stack carries each
+    prefix's label product and period, so no length is too deep for it,
+    memory stays at O(length), and a closed path's product is formed only
+    once it is kept.
     """
     elem, dst = s.edge_elem, s.edge_dst
     first = allowed[length - 1][dst[e0]]
@@ -155,29 +156,23 @@ def enumerate_orbits(s: LabeledSFT, max_len: int) -> Iterator[Orbit]:
 
     One ``_cycles`` search per (length, start edge), wanting every class, on
     the start state's exact-step reach levels, kept only while the stream
-    runs: every class bit set at a state with a path of exactly k steps to
-    the start, else None.  Raises ValueError at the first ``next()`` for
-    max_len below 1 or above LENGTH_CAP.
+    runs: a ``_BackTable`` whose moves carry no row, holding the one row
+    ``every`` at a state with a path of exactly k steps to the start, else
+    None, and grown no further once a level repeats.  Raises ValueError at
+    the first ``next()`` for max_len below 1 or above LENGTH_CAP.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if max_len > LENGTH_CAP:
         raise ValueError(f"max_len {max_len} exceeds the length cap {LENGTH_CAP}")
-    g = s.hom.target
-    class_of = g.class_of
-    every = (-1,) * g.order  # every class bit at every holonomy: one row all states share
-    states = range(s.state_count)
-    reach: dict[int, list] = {}  # start state -> its levels
+    class_of = s.hom.target.class_of
+    every = b"\xff" * s.hom.target.order  # nonzero at every holonomy; bytes cache their hash
+    moves = [[(s.edge_dst[ei], None) for ei in out] for out in s.out_edges]
+    reach = {st: _BackTable(moves, st, every) for st in set(s.edge_src)}  # start state's levels
     for length in range(1, max_len + 1):
         for e0, src0 in enumerate(s.edge_src):
-            levels = reach.get(src0)
-            if levels is None:  # first met at length 1, where level 0 is all it needs
-                levels = reach[src0] = [[every if st == src0 else None for st in states]]
-            elif len(levels) < length:
-                prev = levels[-1]
-                levels.append([every if any(prev[s.edge_dst[ei]] for ei in s.out_edges[st])
-                               else None for st in states])
-            for edges, h in _cycles(s, length, e0, levels, -1):
+            reach[src0].extend(length - 1)
+            for edges, h in _cycles(s, length, e0, reach[src0].levels, -1):
                 yield Orbit(length, edges, h, class_of[h])
 
 
@@ -652,17 +647,19 @@ def realization_check(s: LabeledSFT, bound: int) -> RealizationReport:
 
 class _BackTable:
     """levels[r][u]: None when no r-step path leads from state u to s0, else
-    per holonomy x the bitmask of the classes such a path closes x into.
+    per holonomy x the bitmask of the classes such a path closes x into, or
+    for the stream one shared row with every bit set.
 
-    Level 0 at s0 is 1 << the class of x.  Level r at u is the OR, over u's
-    out-edges u -> v in the lift's ``moves``, of level r - 1 at v read
-    through the label's right-multiplication row.  Once a level repeats an
-    earlier one the rest repeat with them, and are appended as references.
+    Level 0 is ``first`` at s0.  Level r at u is the OR, over u's out-edges
+    u -> v in ``moves``, of level r - 1 at v moved by the label's
+    right-multiplication row, or kept where the row is None; a cell ORed
+    with itself stays as it is.  Once a level repeats an earlier one the
+    rest repeat with them, and are appended as references.
     """
 
-    def __init__(self, moves, s0: int, class_of: Sequence[int]):
+    def __init__(self, moves, s0: int, first: Sequence[int]):
         level = [None] * len(moves)
-        level[s0] = tuple(1 << c for c in class_of)
+        level[s0] = first
         self.moves = moves
         self.levels = [level]
         self.seen = {tuple(level): 0}  # each level computed -> its index
@@ -680,8 +677,10 @@ class _BackTable:
             for u, out in enumerate(self.moves):
                 for v, row in out:
                     if prev[v] is not None:
-                        moved, acc = picker(row)(prev[v]), level[u]
-                        level[u] = moved if acc is None else tuple(map(or_, acc, moved))
+                        moved = prev[v] if row is None else picker(row)(prev[v])
+                        acc = level[u]
+                        level[u] = (moved if acc is None or acc is moved
+                                    else tuple(map(or_, acc, moved)))
             first = self.seen.setdefault(tuple(level), len(levels))
             if first < len(levels):
                 self.period = len(levels) - first
@@ -716,7 +715,7 @@ def _class_witnesses(s: LabeledSFT, bound: int, moves) -> tuple[Optional[Orbit],
                 return tuple(witnesses)
             back = tables.get(s0)
             if back is None:
-                back = tables[s0] = _BackTable(moves, s0, class_of)
+                back = tables[s0] = _BackTable(moves, s0, tuple(1 << c for c in class_of))
             if len(back.levels) < length:
                 cells += back.extend(length - 1)
                 if cells > cap:

@@ -149,7 +149,11 @@ def test_snf_matrix_without_rows_names_the_file(tmp_path, capsys, text):
     ("(1 -2)", "point -2 outside 1..3"),
     ("(1 2)(2 3)", "point 2 repeated across cycles"),
     ("(a b)", "point 'a' is not an integer in 1..3"),
-], ids=["past-degree", "negative", "repeated", "not-an-integer"])
+    ("(1_0 2)", "point '1_0' is not an integer in 1..3"),
+    ("(\u0661 2)", "point '\u0661' is not an integer in 1..3"),
+    ("(+1 2)", "point '+1' is not an integer in 1..3"),
+], ids=["past-degree", "negative", "repeated", "not-an-integer", "underscore",
+        "arabic-indic-digit", "plus-sign"])
 def test_cycle_text_errors_name_the_point_as_written(tmp_path, capsys, text, problem):
     path = write(tmp_path, "g.json", {"degree": 3, "generators": ["(1 2 3)", text]})
     assert main(["group", "classes", path]) == 2

@@ -1,7 +1,8 @@
 """Modules of the package import only public names from one another, and
 only names they use, every private module-level name is read by the
 package itself, not by the tests alone, and a module reads another's
-private attributes only where it assigns them too.
+private attributes only where it assigns them too; a module imports
+only at its top level.
 
 A private helper such as ``permgroup._conjugations`` stays behind its
 module's public functions (``conjugates``), so one module alone knows how
@@ -79,6 +80,51 @@ def test_unused_import_is_caught(tmp_path):
                     "    from math import gcd\n"
                     "    return plus(accumulate(xs), islice(xs, 2))\n")
     assert unused_imports(path) == [(2, "os"), (3, "chain"), (4, "mul"), (6, "gcd")]
+
+
+def local_imports(path):
+    """(line, scope) for each import inside a function or class of ``path``,
+    scope the innermost one's name: a module imports at its top level, where
+    a reader finds every name it takes from elsewhere."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if scope and isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.append((child.lineno, scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if named else scope)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return found
+
+
+def test_modules_import_only_at_top_level():
+    # one exception: abelianized_matrix imports IntMatrix when it runs, which
+    # breaks the freewords <-> quotients import cycle
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = [(p.name, scope) for p in paths for _, scope in local_imports(p)]
+    assert found == [("freewords.py", "abelianized_matrix")]
+
+
+def test_local_import_is_caught(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("import json\n"
+                    "try:\n"
+                    "    import tomllib\n"
+                    "except ImportError:\n"
+                    "    tomllib = None\n"
+                    "def load(text):\n"
+                    "    from .quotients import IntMatrix\n"
+                    "    return IntMatrix(json.loads(text))\n"
+                    "class Reader:\n"
+                    "    import os\n"
+                    "    def read(self):\n"
+                    "        if self:\n"
+                    "            import re, sys\n"
+                    "        return tomllib\n")
+    assert local_imports(path) == [(7, "load"), (10, "Reader"), (13, "read")]
 
 
 def private_names_without_a_caller(paths):

@@ -38,6 +38,11 @@ def test_parse_rejects_garbage():
         Permutation.parse("(1 4)", 3)
 
 
+def test_from_cycles_skips_an_empty_cycle():
+    assert Permutation.from_cycles([(), (0, 1)], 3) == Permutation.from_cycles([(0, 1)], 3)
+    assert Permutation.from_cycles([()], 3) == Permutation.identity(3)
+
+
 def test_permutation_is_its_image_tuple():
     p = Permutation.parse("(1 2 3)", 3)
     assert p == (1, 2, 0) and hash(p) == hash((1, 2, 0))

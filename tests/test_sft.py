@@ -1,5 +1,6 @@
 import copy
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -429,6 +430,8 @@ def shift_from_spec(spec):
 @example(("c2", 1, [(0, 0, [1]), (0, 0, [])]), 6)             # full_shift_z2
 @example(("s3", 2, [(0, 0, [1]), (0, 1, [2]), (1, 0, [1, 2]), (1, 1, [-2, 1])]), 6)  # two_state_s3
 @example(("s3", 1, [(0, 0, [1]), (0, 0, [2]), (0, 0, [1, 2])]), 6)  # one state, three loops
+@example(("s3", 4, [(0, 1, [1]), (1, 2, [2]), (2, 3, []), (3, 0, [1]), (1, 0, [2])]),
+         8)  # a 4-cycle with a chord back: the reach levels repeat with period 2 by level 6
 def test_orbits_match_brute_force(spec, max_len):
     # the stream, in its order, with each holonomy the product of its edge
     # labels: witnesses_by_enumeration reads the stream, so this keeps the
@@ -880,6 +883,29 @@ def test_orbit_stream_work_pinned(monkeypatch):
     calls = count_muls(monkeypatch, s.hom.target)
     assert sum(1 for _ in enumerate_orbits(s, 8)) == 1318
     assert calls["mul"] <= 2689
+
+
+def directed_cycle(n):
+    """n states in one directed cycle, every edge labelled (1 2) in C2."""
+    hom = parse_hom_data({"degree": 2, "images": ["(1 2)"]})
+    w = parse_word("x1")
+    return LabeledSFT(n, [SftEdge(i, (i + 1) % n, w) for i in range(n)], hom)
+
+
+def test_orbit_stream_reach_levels_stop_growing():
+    # each start state's reach levels repeat with period 40, so the stream
+    # keeps 40 levels per start state and references past them: a stream
+    # that grew a level of 40 entries per start state at every length would
+    # hold 1,000 and peak at about 15 MiB
+    s = directed_cycle(40)
+    tracemalloc.start()
+    try:
+        orbits = list(enumerate_orbits(s, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(o.length, o.edges) for o in orbits] == [(40, tuple(range(40)))]
+    assert peak < 5 * 2 ** 20
 
 
 def test_witness_search_work_pinned(monkeypatch):
