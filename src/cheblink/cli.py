@@ -194,7 +194,7 @@ def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
     rows = tuple(A5TableRow(t, int(r.target * g.order), r.count, r.density, r.target,
                             r.deviation)
                  for t, r in zip(report.types, report.rows_at(cfg.max_len, types=True)))
-    max_dev = report.max_type_deviation
+    max_dev = max(r.deviation for r in rows)
     return A5Result(
         rows=rows,
         total_counted=report.total_counted,

@@ -746,7 +746,7 @@ def load_json(path):
     """The JSON value in a file; text that does not decode or parse, nesting
     too deep to parse, or an integer past CPython's int digit limit, raises
     a one-line ValueError naming the file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:

@@ -605,7 +605,7 @@ def load_matrix_file(path) -> IntMatrix:
     a bad token or a row narrower or wider than the first names the line,
     and text that does not decode, or holds no row, names the file."""
     rows, first = [], 0  # first: the line number of the first row
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             lines = list(fh)
         except UnicodeDecodeError as e:

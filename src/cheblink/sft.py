@@ -495,14 +495,9 @@ class DensityReport:
 
     @property
     def max_type_deviation(self) -> Fraction:
-        """The largest |density - target| over the types at max_len.  Every
-        type's deviation has the denominator total·|G|, so the numerators
-        are compared and one Fraction is built."""
-        _, counts, sizes, total = self.tally(self.max_len, types=True)
-        total = total or 1  # with nothing counted every count is 0, so is every density
-        order = self.group_order
-        return Fraction(max((abs(c * order - size * total) for c, size in zip(counts, sizes)),
-                            default=0), total * order)
+        """The largest deviation among ``rows_at(max_len, types=True)``."""
+        return max((r.deviation for r in self.rows_at(self.max_len, types=True)),
+                   default=Fraction(0))
 
 
 def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
@@ -653,16 +648,18 @@ class _BackTable:
     Level 0 is ``first`` at s0.  Level r at u is the OR, over u's out-edges
     u -> v in ``moves``, of level r - 1 at v moved by the label's
     right-multiplication row, or kept where the row is None; a cell ORed
-    with itself stays as it is.  Once a level repeats an earlier one the
-    rest repeat with them, and are appended as references.
+    with itself stays as it is.  Each level computed is one tuple, kept in
+    ``levels`` and as its key in ``seen``.  Once a level repeats an earlier
+    one the rest repeat with them, and are appended as references.
     """
 
     def __init__(self, moves, s0: int, first: Sequence[int]):
         level = [None] * len(moves)
         level[s0] = first
+        level = tuple(level)
         self.moves = moves
         self.levels = [level]
-        self.seen = {tuple(level): 0}  # each level computed -> its index
+        self.seen = {level: 0}  # each level computed -> its index
         self.period = 0  # of the levels' cycle, once a level repeats
 
     def extend(self, r: int) -> int:
@@ -681,7 +678,8 @@ class _BackTable:
                         acc = level[u]
                         level[u] = (moved if acc is None or acc is moved
                                     else tuple(map(or_, acc, moved)))
-            first = self.seen.setdefault(tuple(level), len(levels))
+            level = tuple(level)
+            first = self.seen.setdefault(level, len(levels))
             if first < len(levels):
                 self.period = len(levels) - first
                 continue
@@ -759,6 +757,7 @@ def bundled_a5(hom: Optional[GroupHom] = None) -> tuple[LabeledSFT, GroupHom]:
     relabeled through ``hom`` when one is given."""
     data_dir = files("cheblink") / "data"
     if hom is None:
-        hom = parse_hom_data(json.loads((data_dir / "a5_hom.json").read_text()))
-    s = parse_sft_data(json.loads((data_dir / "a5_full_shift.json").read_text()), hom)
+        hom = parse_hom_data(json.loads((data_dir / "a5_hom.json").read_text(encoding="utf-8")))
+    shift = json.loads((data_dir / "a5_full_shift.json").read_text(encoding="utf-8"))
+    s = parse_sft_data(shift, hom)
     return s, hom

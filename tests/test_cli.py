@@ -207,6 +207,23 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert "group of order 24 on 4 points; 5 classes" in proc.stdout
 
 
+def test_input_files_are_read_as_utf8_in_an_ascii_locale(tmp_path):
+    # JSON text is UTF-8 (RFC 8259 §8.1); the C locale's encoding is ASCII
+    group = tmp_path / "g.json"
+    group.write_bytes('{"degree": 5, "generators": ["(1 2 3 4 5)", "(1 2 3)"], '
+                      '"name": "icosaèdre"}'.encode("utf-8"))
+    matrix = tmp_path / "m.txt"
+    matrix.write_bytes("# matrice à deux lignes\n2 0\n0 4\n".encode("utf-8"))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    for argv, want in [(["group", "classes", str(group)], "group of order 60 on 5 points"),
+                       (["snf", str(matrix)], "invariant factors [2, 4]")]:
+        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "cheblink", *argv],
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert want in proc.stdout.decode("ascii")
+
+
 def test_reader_closing_the_pipe_early_is_not_an_error():
     # `cheblink a5 ... | head -2`: the output, some 4 MB, outgrows any pipe
     # buffer, so the writer meets the closed pipe while it still has rows

@@ -2,7 +2,8 @@
 only names they use, every private module-level name is read by the
 package itself, not by the tests alone, and a module reads another's
 private attributes only where it assigns them too; a module imports
-only at its top level.
+only at its top level, and every text file it reads or writes names its
+encoding.
 
 A private helper such as ``permgroup._conjugations`` stays behind its
 module's public functions (``conjugates``), so one module alone knows how
@@ -217,3 +218,43 @@ def test_foreign_private_attribute_read_is_caught(tmp_path):
                                    "    return act._trace, g._cache, g._helper(), g.__dict__\n")
     assert foreign_private_attribute_reads(sorted(tmp_path.glob("*.py"))) == [
         ("b.py", 3, "_rows"), ("b.py", 4, "_cache")]
+
+
+def implicit_encodings(path):
+    """(line, call) for each call in ``path`` of the builtin ``open`` or of a
+    ``.read_text`` or ``.write_text`` method that passes no ``encoding=``:
+    without it the locale picks the encoding, and a UTF-8 input fails to
+    decode under an ASCII one."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Call) or any(k.arg == "encoding" for k in node.keywords):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            found.append((node.lineno, "open"))
+        elif isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text"):
+            found.append((node.lineno, func.attr))
+    return sorted(found)
+
+
+def test_modules_name_every_text_encoding():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = {p.name: implicit_encodings(p) for p in paths}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
+def test_implicit_encoding_is_caught(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("import os\n"
+                    "def load(path, out):\n"
+                    "    with open(path) as fh:\n"
+                    "        text = fh.read() + path.read_text()\n"
+                    "    out.write_text(text, encoding='utf-8')\n"
+                    "    os.open(path, os.O_RDONLY)\n"
+                    "    with open(path, mode='w', encoding='utf-8') as fh:\n"
+                    "        fh.write(text)\n"
+                    "    out.write_text(text)\n"
+                    "    return open(path, 'r')\n")
+    assert implicit_encodings(path) == [(3, "open"), (4, "read_text"), (9, "write_text"),
+                                        (10, "open")]

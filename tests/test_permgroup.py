@@ -367,6 +367,16 @@ def test_subgroup_rejects_non_closed_sets():
         Subgroup(g, [g.identity, g.generators[0]])  # 3-cycle w/o its square
 
 
+def test_subgroup_equality_membership_and_repr():
+    c3 = GROUPS["c3"]
+    whole = Subgroup.whole(c3)
+    assert whole == Subgroup(c3, range(c3.order))
+    assert hash(whole) == hash(Subgroup(c3, range(c3.order)))
+    assert c3.identity in Subgroup.trivial(c3)
+    assert Subgroup.trivial(c3) != Subgroup.trivial(GROUPS["c2"])  # the same members
+    assert repr(whole) == "<Subgroup of order 3 and index 1>"
+
+
 def test_point_stabilizer():
     a5 = GROUPS["a5"]
     h = Subgroup.point_stabilizer(a5, 4)

@@ -193,6 +193,18 @@ def test_quotient_search_frozen_counts():
     assert len(quotient_search(trefoil, c2, surjective_only=True)) == 1
 
 
+def test_quotient_search_with_no_generators():
+    # the one hom sends nothing anywhere; its image is the trivial subgroup
+    free0 = Presentation(0, ())
+    c3, trivial = GROUPS["c3"], GROUPS["trivial"]
+    for dedup in (False, True):
+        assert [h.images for h in quotient_search(free0, c3, dedup_conjugacy=dedup)] == [()]
+        assert quotient_search(free0, c3, surjective_only=True, dedup_conjugacy=dedup) == []
+        for onto in (False, True):
+            homs = quotient_search(free0, trivial, surjective_only=onto, dedup_conjugacy=dedup)
+            assert [h.images for h in homs] == [()]
+
+
 def test_quotient_search_results_are_homs():
     trefoil = braid_presentation(parse_braid("2:s1 s1 s1"))
     s3 = GROUPS["s3"]

@@ -908,6 +908,45 @@ def test_orbit_stream_reach_levels_stop_growing():
     assert peak < 5 * 2 ** 20
 
 
+def test_orbit_stream_keeps_each_reach_level_once():
+    # a level of 100 cells per start state at each of the 100 lengths before
+    # the levels repeat: kept once, as the tuple that keys the table's seen
+    # levels, the stream peaks at about 10.2 MiB, and at about 18.3 MiB when
+    # each level is also kept as a list
+    s = directed_cycle(100)
+    tracemalloc.start()
+    try:
+        orbits = list(enumerate_orbits(s, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(o.length, o.edges) for o in orbits] == [(100, tuple(range(100)))]
+    assert peak < 14 * 2 ** 20
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["witness", "stream"])
+def test_back_table_levels_are_the_keys_of_seen(stream):
+    # the 4-cycle with a chord back from test_orbits_match_brute_force: its
+    # levels repeat with period 2, the stream's from level 3 and the witness
+    # search's, which carry class bitmasks per holonomy in S3, from level 19
+    s = shift_from_spec(("s3", 4, [(0, 1, [1]), (1, 2, [2]), (2, 3, []), (3, 0, [1]),
+                                   (1, 0, [2])]))
+    g = s.hom.target
+    if stream:
+        moves = [[(s.edge_dst[ei], None) for ei in out] for out in s.out_edges]
+        back = sft._BackTable(moves, 0, b"\xff" * g.order)
+    else:
+        back = sft._BackTable(sft._lift_moves(s), 0, tuple(1 << c for c in g.class_of))
+    back.extend(24)
+    assert back.period == 2 and len(back.seen) < len(back.levels) == 25
+    assert all(type(level) is tuple for level in back.levels)
+    assert sorted(back.seen.values()) == list(range(len(back.seen)))
+    for level, r in back.seen.items():
+        assert back.levels[r] is level
+    for r in range(len(back.seen), 25):
+        assert back.levels[r] is back.levels[r - 2]
+
+
 def test_witness_search_work_pinned(monkeypatch):
     s, _ = bundled_a5()
     calls = count_muls(monkeypatch, s.hom.target)
