@@ -26,7 +26,7 @@ from .permgroup import (FiniteGroup, Subgroup, all_subgroups, conjugacy_classes,
                         cycle_type, load_group_file, Permutation)
 from .quotients import (generic_check, load_matrix_file, quotient_search,
                         smith_normal_form)
-from .sft import (DensityReport, bundled_a5, chebotarev_report,
+from .sft import (DensityReport, DensityRow, bundled_a5, chebotarev_report,
                   enumerate_orbits, load_sft_file, realization_check)
 
 
@@ -127,18 +127,6 @@ def parse_subgroup(group: FiniteGroup, spec: str) -> Subgroup:
     return Subgroup.generated(group, gens)
 
 
-@dataclass(frozen=True)
-class A5TableRow:
-    """One decomposition type's line of the flagship table."""
-
-    dtype: tuple[int, ...]
-    element_count: int
-    orbit_count: int
-    density: Fraction
-    target: Fraction
-    deviation: Fraction
-
-
 @dataclass
 class ExperimentConfig:
     sft_path: Optional[str] = None      # None: bundled 3-symbol full shift
@@ -152,7 +140,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class A5Result:
-    rows: tuple[A5TableRow, ...]
+    rows: tuple[DensityRow, ...]
     total_counted: int
     max_deviation: Fraction
     within_tolerance: bool
@@ -168,8 +156,9 @@ def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
     the target is the alternating group on 5 points, gates on the
     realization check, then reads each Frobenius class's decomposition type
     on the cosets of the configured subgroup from its permutation character.
-    The table rows are the report's type rows at the length cutoff; the
-    report itself is carried for the rows at every other cutoff.
+    The rows are the report's type rows at the length cutoff, in the order
+    of ``report.types``; the report itself is carried for the rows at every
+    other cutoff.
     """
     hom = load_hom_file(cfg.hom_path) if cfg.hom_path else None
     if cfg.sft_path is None:
@@ -191,9 +180,7 @@ def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
             f"holonomy order {real.holonomy_order} of {g.order}, "
             f"classes without an orbit of length <= {real.bound}: [{missing}]")
     report = chebotarev_report(s, cfg.max_len, skip=cfg.skip, subgroup=h)
-    rows = tuple(A5TableRow(t, int(r.target * g.order), r.count, r.density, r.target,
-                            r.deviation)
-                 for t, r in zip(report.types, report.rows_at(cfg.max_len, types=True)))
+    rows = tuple(report.rows_at(cfg.max_len, types=True))
     max_dev = max(r.deviation for r in rows)
     return A5Result(
         rows=rows,
@@ -219,29 +206,29 @@ def _cmd_a5(args) -> int:
         realization_bound=args.bound,
     )
     result = run_a5_experiment(cfg)
+    report = result.report
+    # the type rows at the cutoff, rendered once: the table, the verdict
+    # line and the FAIL line all quote these digits
+    keys, counts, sizes, total = report.tally(cfg.max_len, types=True)
+    table = [(key, size, c, *rendered(c, total, size, report.group_order))
+             for key, c, size in zip(keys, counts, sizes)]
+    shown = _digits(max(dev for *_, dev, _ in table))
     with _any_digits():
         if args.format == "rows":
-            _print_rows(result.report, types=True)
+            _print_rows(report, types=True)
         else:
             print(f"orbits counted: {result.total_counted} "
                   f"(length <= {cfg.max_len}, skip {cfg.skip}); "
                   f"subgroup of order {result.subgroup_order}, index {result.subgroup_index}")
             print(f"{'type':<14} {'elements':>8} {'orbits':>8} {'density':>10} "
                   f"{'target':>8} {'deviation':>10}")
-            keys, counts, sizes, total = result.report.tally(cfg.max_len, types=True)
-            shown = 0
-            for key, c, size in zip(keys, counts, sizes):
-                dens, dev, target = rendered(c, total, size, result.report.group_order)
-                shown = max(shown, dev)
+            for key, size, c, dens, dev, target in table:
                 print(f"{key.removeprefix('type:'):<14} {size:>8} {c:>8} {dens:>10} "
                       f"{target:>8} {_digits(dev):>10}")
             verdict = "within" if result.within_tolerance else "OVER"
-            print(f"max deviation {_digits(shown)} — "
-                  f"{verdict} tolerance {decimal_str(cfg.tolerance)}")
+            print(f"max deviation {shown} — {verdict} tolerance {decimal_str(cfg.tolerance)}")
     if not result.within_tolerance:
-        raise CheckFailed(
-            f"max deviation {decimal_str(result.max_deviation)} exceeds "
-            f"tolerance {decimal_str(cfg.tolerance)}")
+        raise CheckFailed(f"max deviation {shown} exceeds tolerance {decimal_str(cfg.tolerance)}")
     return 0
 
 
@@ -526,6 +513,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # the output is UTF-8 in any locale (the verdict line has an em dash); a
+    # stream that cannot be reconfigured, such as a StringIO, is left alone
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(encoding="utf-8")
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

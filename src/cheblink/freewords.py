@@ -80,18 +80,35 @@ def reduce(letters: Iterable[int]) -> Word:
     return Word(tuple(out))
 
 
+def _least_rotation(keys: Sequence) -> int:
+    """Where the least rotation of ``keys`` starts: Booth's algorithm
+    (Inf. Process. Lett. 1980), a failure function over the doubled
+    sequence, in O(len(keys)) comparisons."""
+    doubled = list(keys) * 2
+    fail = [-1] * len(doubled)
+    k = 0  # start of the least rotation found so far
+    for j in range(1, len(doubled)):
+        key = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and key != doubled[k + i + 1]:
+            if key < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if key != doubled[k + i + 1]:  # here i == -1
+            if key < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
 def _canonical_rotation(ls: tuple[int, ...]) -> tuple[int, ...]:
     # one int key per letter, 2k - 1 for x_k and 2k for x_k^-1, orders the
     # letters x1 < x1^-1 < x2 < ...; the least rotation of the keys wins
-    n = len(ls)
-    if n < 2:
+    if len(ls) < 2:
         return ls
-    keys = tuple([2 * l - 1 if l > 0 else -2 * l for l in ls])
-    best, at = keys, 0
-    for i in range(1, n):
-        rot = keys[i:] + keys[:i]
-        if rot < best:
-            best, at = rot, i
+    at = _least_rotation([2 * l - 1 if l > 0 else -2 * l for l in ls])
     return ls[at:] + ls[:at]
 
 
@@ -121,9 +138,10 @@ class CyclicWord:
 def cyclic_reduce(w: Word | CyclicWord) -> CyclicWord:
     """Strip conjugating prefixes (a w' a^-1 -> w') and rotate canonically."""
     ls = w.letters
-    while len(ls) >= 2 and ls[0] == -ls[-1]:
-        ls = ls[1:-1]
-    return CyclicWord(_canonical_rotation(ls))
+    n, k = len(ls), 0
+    while n - 2 * k >= 2 and ls[k] == -ls[n - 1 - k]:
+        k += 1
+    return CyclicWord(_canonical_rotation(ls[k:n - k]))
 
 
 def parse_word(text: str) -> Word:

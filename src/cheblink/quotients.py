@@ -304,8 +304,6 @@ class GenericityResult:
     factors: tuple[int, ...]  # one per generator: diagonal of the stacked form, 0-padded
     witness_prime: Optional[int]
     witness: Optional[tuple[int, ...]]
-    smith: SmithForm
-    stacked: IntMatrix
 
 
 def generic_check(p: Presentation, classes: Sequence[Word]) -> GenericityResult:
@@ -318,16 +316,15 @@ def generic_check(p: Presentation, classes: Sequence[Word]) -> GenericityResult:
     n = p.generator_count
     rows = [r.exponent_vector(n) for r in p.relators]
     rows += [w.exponent_vector(n) for w in classes]
-    stacked = IntMatrix(rows, cols=n)
-    sf = smith_normal_form(stacked)
+    sf = smith_normal_form(IntMatrix(rows, cols=n))
     factors = (sf.diagonal + (0,) * n)[:n]
     bad = next((i for i, d in enumerate(factors) if d != 1), None)
     if bad is None:
-        return GenericityResult(True, factors, None, None, sf, stacked)
+        return GenericityResult(True, factors, None, None)
     d = factors[bad]
     prime = 2 if d == 0 else _least_prime_factor(d)
     witness = tuple(sf.v_inv.entries[j][bad] % prime for j in range(n))
-    return GenericityResult(False, factors, prime, witness, sf, stacked)
+    return GenericityResult(False, factors, prime, witness)
 
 
 def _search_plan(p: Presentation) -> list[tuple[int, Optional[Word], list[Word]]]:

@@ -493,12 +493,6 @@ class DensityReport:
             rows.append(DensityRow(cutoff, key, c, dens, target, abs(dens - target)))
         return rows
 
-    @property
-    def max_type_deviation(self) -> Fraction:
-        """The largest deviation among ``rows_at(max_len, types=True)``."""
-        return max((r.deviation for r in self.rows_at(self.max_len, types=True)),
-                   default=Fraction(0))
-
 
 def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
                       subgroup: Optional[Subgroup] = None) -> DensityReport:

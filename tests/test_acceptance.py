@@ -35,9 +35,9 @@ def test_criterion_1_a5_density_table():
     """Flagship table: 4 types, counts (1, 15, 20, 24), deviations <= 0.02."""
     result = run_a5_experiment(ExperimentConfig())
     assert result.total_counted == 25486
-    assert [r.dtype for r in result.rows] == [
-        (1, 1, 1, 1, 1), (2, 2, 1), (3, 1, 1), (5,)]
-    assert [r.element_count for r in result.rows] == [1, 15, 20, 24]
+    assert result.rows == tuple(result.report.rows_at(11, types=True))
+    assert list(result.report.types) == [(1, 1, 1, 1, 1), (2, 2, 1), (3, 1, 1), (5,)]
+    assert list(result.report.tally(11, types=True)[2]) == [1, 15, 20, 24]
     assert [r.target for r in result.rows] == [
         Fraction(1, 60), Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)]
     for row in result.rows:
@@ -54,7 +54,7 @@ def test_criterion_1_a5_density_table():
     for o in enumerate_orbits(s, 11):
         t = cycle_type(act.image(classes[o.frobenius_class].representative))
         by_type[t] = by_type.get(t, 0) + 1
-    assert by_type == {r.dtype: r.orbit_count for r in result.rows}
+    assert by_type == dict(zip(result.report.types, (r.count for r in result.rows)))
     report(1, "A5 table: counts (1,15,20,24), 25486 orbits, "
               f"max deviation {float(result.max_deviation):.6f} <= 0.02, "
               "enumeration cross-check exact")

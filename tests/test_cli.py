@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -7,6 +8,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import threading
 import weakref
 from fractions import Fraction
 from importlib.resources import files
@@ -224,6 +226,24 @@ def test_input_files_are_read_as_utf8_in_an_ascii_locale(tmp_path):
         assert want in proc.stdout.decode("ascii")
 
 
+def test_stdout_is_utf8_in_an_ascii_locale():
+    # the verdict line's em dash has no ASCII encoding
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "cheblink", "a5"],
+                          env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "a5_text.txt").read_bytes()
+
+
+def test_stdout_without_reconfigure_is_left_alone():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["a5"]) == 0
+    assert buf.getvalue() == (GOLDEN / "a5_text.txt").read_text(encoding="utf-8")
+
+
 def test_reader_closing_the_pipe_early_is_not_an_error():
     # `cheblink a5 ... | head -2`: the output, some 4 MB, outgrows any pipe
     # buffer, so the writer meets the closed pipe while it still has rows
@@ -238,6 +258,31 @@ def test_reader_closing_the_pipe_early_is_not_an_error():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_reader_closing_the_pipe_early_is_not_an_error_in_process(capsys, monkeypatch):
+    # the rows at --max-len 400 outgrow the pipe's buffer, so main meets the
+    # closed pipe and points the pipe's descriptor at devnull
+    read_fd, write_fd = os.pipe()
+    stdout = open(write_fd, "w", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    first = []
+
+    def reader():
+        with open(read_fd, "rb") as pipe:
+            first.append(pipe.readline())
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    try:
+        assert main(["a5", "--format", "rows", "--max-len", "400"]) == 0
+        written, devnull = os.fstat(write_fd), os.stat(os.devnull)
+        assert (written.st_dev, written.st_ino) == (devnull.st_dev, devnull.st_ino)
+    finally:
+        thread.join(timeout=60)
+        stdout.close()
+    assert first == [b"1\ttype:(1,1,1,1,1)\t0\t0.000000\t1/60\t0.016667\n"]
+    assert capsys.readouterr().err == ""
 
 
 def test_cover_decompose(tmp_path, capsys):
@@ -645,6 +690,23 @@ def test_a5_strict_tolerance_fails(capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "rows"])
+def test_fail_line_quotes_the_printed_max_deviation(capsys, fmt):
+    # the exact largest deviation, 323/764580, rounds to 0.000422; the
+    # largest printed one, |0.016244 - 1/60|, to 0.000423
+    assert main(["a5", "--tolerance", "0.0004"]) == 1
+    verdict = capsys.readouterr().out.splitlines()[-1]
+    assert verdict == "max deviation 0.000423 — OVER tolerance 0.000400"
+    assert main(["a5", "--tolerance", "0.0004", "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert err == "FAIL: max deviation 0.000423 exceeds tolerance 0.000400\n"
+    if fmt == "rows":
+        assert max(line.split("\t")[5] for line in out.splitlines()
+                   if line.startswith("11\t")) == "0.000423"
+    # the decision stays on the exact deviation
+    assert main(["a5", "--tolerance", "0.0004225", "--format", fmt]) == 0
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-0.5"])
 def test_a5_tolerance_must_be_finite_and_nonnegative(capsys, value):
     # refused before anything is counted: inf once overflowed into a
@@ -684,7 +746,8 @@ def test_a5_stab_spec_errors_are_one_based(capsys):
             ("stab:9", "subgroup spec 'stab:9': point 9 outside 1..5"),
             ("stab:0", "subgroup spec 'stab:0': point 0 outside 1..5"),
             ("stab:x", "subgroup spec 'stab:x': the point must be an integer "
-                       "in 1..5")):
+                       "in 1..5"),
+            ("(1 2)", "'(1 2)' is not an element of the group")):
         assert main(["a5", "--subgroup", spec]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -710,7 +773,8 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     {"degree": 3, "generators": [[1, 2, 3]]},
     {"degree": 3, "generators": [123]},
     [{"degree": 3, "generators": ["(1 2 3)"]}],
-], ids=["generators-as-lists", "generators-as-numbers", "top-level-list"])
+    {"degree": 0, "generators": []},
+], ids=["generators-as-lists", "generators-as-numbers", "top-level-list", "degree-zero"])
 @pytest.mark.parametrize("command", [
     ["group", "classes"],
     ["quotient", "search", "--braid", "2:s1 s1 s1", "--target"],
@@ -855,7 +919,8 @@ REFUSALS = (
        for args in COUNTING_REFUSALS for fmt in ("text", "rows")]
     + [(["a5", "--max-len", "6", *args, "--format", fmt], code) for args, code in A5_REFUSALS
        for fmt in ("text", "rows")]
-    + [(["sft", "orbits", "--sft", "A5", "--hom", "A5HOM", "--max-len", "4097"], 2)])
+    + [(["sft", "orbits", "--sft", "A5", "--hom", "A5HOM", "--max-len", n], 2)
+       for n in ("0", "4097")])
 
 
 @pytest.mark.parametrize("argv, code", REFUSALS,
@@ -893,6 +958,11 @@ def test_bad_word_is_input_error(tmp_path, capsys):
                  "--subgroup", "stab:5", "--word", "x9"]) == 2
     assert main(["cover", "decompose", "--hom", hom,
                  "--subgroup", "stab:9", "--word", "x1"]) == 2
+    capsys.readouterr()
+    assert main(["cover", "decompose", "--hom", hom,
+                 "--subgroup", "stab:5", "--word", "x1 x1^-1"]) == 2
+    assert capsys.readouterr().err == ("error: word 'x1 x1^-1' is trivial after "
+                                       "cyclic reduction\n")
 
 
 # sha256 and line count of whole outputs, captured before rows were rendered

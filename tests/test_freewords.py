@@ -105,6 +105,54 @@ def test_canonical_rotation_matches_tuple_key_oracle():
             assert cyclic_reduce(Word(w.letters[r:] + w.letters[:r])) == w
 
 
+@pytest.mark.parametrize("shape", ["periodic", "conjugated"])
+def test_cyclic_reduce_is_linear_in_key_comparisons(monkeypatch, shape):
+    # 2^16 letters: a period-4 word, where every rotation ties with three
+    # quarters of the others, and a 2^15-letter periodic core conjugated by
+    # 2^14 letters that alternate between x3 and x4 and so never cancel.
+    # Counts the key comparisons of both rotation searches, cyclic_reduce's
+    # and CyclicWord's check; a quadratic search stops at the bound
+    n = 1 << 16
+    rng = random.Random(3)
+    core = (2, 1, 2, -1) * (n // 4 if shape == "periodic" else n // 8)
+    u = tuple(rng.choice((3, -3) if i % 2 else (4, -4)) for i in range(n // 4))
+    letters = core if shape == "periodic" else u + core + tuple(-l for l in reversed(u))
+    assert len(letters) == n
+    bound = 12 * len(core)
+    compared = 0
+
+    class Key:
+        """An int key that counts the comparisons made on it."""
+
+        __slots__ = ("key",)
+
+        def __init__(self, key):
+            self.key = key
+
+        def _count(self):
+            nonlocal compared
+            compared += 1
+            assert compared <= bound, f"over {bound} key comparisons"
+
+        def __eq__(self, other):
+            self._count()
+            return self.key == other.key
+
+        def __ne__(self, other):
+            self._count()
+            return self.key != other.key
+
+        def __lt__(self, other):
+            self._count()
+            return self.key < other.key
+
+    least_rotation = freewords._least_rotation
+    monkeypatch.setattr(freewords, "_least_rotation",
+                        lambda keys: least_rotation([Key(k) for k in keys]))
+    assert cyclic_reduce(Word(letters)).letters == core[1:] + core[:1]
+    assert compared > 0
+
+
 def test_cyclic_words_validate():
     with pytest.raises(ValueError):
         CyclicWord((2, 1))   # rotation (1, 2) is smaller

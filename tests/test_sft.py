@@ -16,6 +16,7 @@ from cheblink import (CosetAction, FiniteGroup, GroupHom, LabeledSFT, Presentati
                       exact_counts, parse_hom_data, parse_sft_data, parse_word,
                       permutation_character, primitive_counts, realization_check, reduce)
 from cheblink import sft
+from cheblink.cli import ExperimentConfig, run_a5_experiment
 from cheblink.sft import DP_STATE_CAP, LENGTH_CAP, DensityRow
 
 from corpus import corpus, psl27
@@ -995,17 +996,20 @@ def test_witness_tables_over_the_cap_are_refused(monkeypatch):
         realization_check(s, 6)
 
 
-@pytest.mark.parametrize("make", [golden_mean, two_state_s3, a5_four_states])
-def test_max_type_deviation_is_the_largest_row_deviation(make):
-    # compared by numerators over one denominator; with a skip the early
-    # cutoffs count nothing
-    s = make()
-    for skip in (0, 1):
-        rep = chebotarev_report(s, 8, skip=skip)
-        assert rep.max_type_deviation == max(r.deviation for r in rep.rows_at(8, types=True))
+@pytest.mark.parametrize("max_len, skip", [(11, 0), (8, 1), (40, 1000), (6, 195)])
+def test_max_type_deviation_is_the_largest_row_deviation(max_len, skip):
+    # A5Result.max_deviation is the one exact maximum: the largest type row's
+    # deviation at the cutoff, redone here from the tally's integers; at
+    # (6, 195) the skip leaves one orbit
+    result = run_a5_experiment(ExperimentConfig(max_len=max_len, skip=skip))
+    rep = result.report
+    assert result.max_deviation == max(r.deviation for r in rep.rows_at(max_len, types=True))
+    _, counts, sizes, total = rep.tally(max_len, types=True)
+    assert result.max_deviation == max(abs(Fraction(c, total) - Fraction(size, rep.group_order))
+                                       for c, size in zip(counts, sizes))
     # a 3-cycle has no orbit up to length 2: every density is 0
     w = parse_word("x1")
     ring = LabeledSFT(3, [SftEdge(0, 1, w), SftEdge(1, 2, w), SftEdge(2, 0, w)], trivial_hom())
     rep = chebotarev_report(ring, 2)
     assert rep.total_counted == 0
-    assert rep.max_type_deviation == 1 == max(r.deviation for r in rep.rows_at(2, types=True))
+    assert max(r.deviation for r in rep.rows_at(2, types=True)) == 1
