@@ -128,6 +128,14 @@ class CyclicWord:
         if self.letters != _canonical_rotation(self.letters):
             raise ValueError("not in canonical rotation; use cyclic_reduce()")
 
+    @classmethod
+    def _trusted(cls, letters: tuple[int, ...]) -> "CyclicWord":
+        """A cyclic word whose letters the caller has already reduced and
+        rotated canonically, built without checking them again."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -141,7 +149,7 @@ def cyclic_reduce(w: Word | CyclicWord) -> CyclicWord:
     n, k = len(ls), 0
     while n - 2 * k >= 2 and ls[k] == -ls[n - 1 - k]:
         k += 1
-    return CyclicWord(_canonical_rotation(ls[k:n - k]))
+    return CyclicWord._trusted(_canonical_rotation(ls[k:n - k]))
 
 
 def parse_word(text: str) -> Word:

@@ -205,8 +205,8 @@ class FiniteGroup:
     row is kept while the rows kept by this group hold at most
     ``ROW_CACHE_CAP`` entries in all.  Past that, every product on an
     uncached row is formed alone and nothing is kept, so memory stays
-    bounded at every order.  Class rows and conjugation rows are kept under
-    the same cap.
+    bounded at every order.  Left rows, class rows and conjugation rows are
+    kept under the same cap.
     """
 
     def __init__(self, degree, elements, generator_perms, words):
@@ -221,7 +221,7 @@ class FiniteGroup:
         self._single_products = [0] * len(self.elements)
         self._class_rows: list[Sequence[int] | None] = [None] * len(self.elements)
         self._conjugation_rows: list[tuple[int, ...] | None] = [None] * len(self.elements)
-        self._left_rows: dict[int, tuple[int, ...]] = {}  # generator -> its left-multiplication row
+        self._left_rows: dict[int, tuple[int, ...]] = {}  # element -> its left row
         self._inv = None
         self._conjugations = None
         self._classes = None
@@ -247,6 +247,19 @@ class FiniteGroup:
         row = self._rows[j]
         if row is None:
             row = self._keep(self._rows, j, self._product_row(j))
+        return row
+
+    def left_row(self, a: int) -> tuple[int, ...]:
+        """The products of a with every element on its right, by index:
+        ``left_row(a)[c] == mul(a, c)``.  Counts |G| entries against
+        ``ROW_CACHE_CAP`` and is kept while the kept rows fit, like a class
+        row; past that it is built and dropped."""
+        row = self._left_rows.get(a)
+        if row is None:
+            # a·c is the inverse of c⁻¹·a⁻¹, read off a⁻¹'s right row
+            r = self.right_row(self.inv(a))
+            inv = self._inv
+            row = self._keep(self._left_rows, a, picker(picker(inv)(r))(inv))
         return row
 
     def _product_row(self, j: int) -> tuple[int, ...]:
@@ -286,13 +299,8 @@ class FiniteGroup:
         if cr is None:  # the identity's
             cr = self._keep(self._class_rows, j, self._class_bytes(self.class_of))
         for j in reversed(chain):
-            a = self.generators[self._words[j][-1] - 1]
-            left = self._left_rows.get(a)
-            if left is None:
-                # a·i is the inverse of i⁻¹·a⁻¹
-                row = self.right_row(self.inv(a))
-                left = self._left_rows[a] = itemgetter(*itemgetter(*self._inv)(row))(self._inv)
-            cr = self._keep(self._class_rows, j, self._class_bytes(itemgetter(*left)(cr)))
+            left = self.left_row(self.generators[self._words[j][-1] - 1])
+            cr = self._keep(self._class_rows, j, self._class_bytes(picker(left)(cr)))
         return cr
 
     def _class_bytes(self, classes: Sequence[int]) -> Sequence[int]:

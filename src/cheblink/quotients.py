@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 from typing import Iterable, Optional, Sequence
 
 from .freewords import GroupHom, Presentation, Word
@@ -417,9 +419,18 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
     product per occurrence.  The pinning relator reads a x^(±1) b = 1 and
     forces x = (b a)^(∓1); the node compiles it at once and tries only that
     image, when it is among the candidates it would have tried anyway.
-    Every other relator is compiled by the first candidate that passes the
-    relators before it, and kept for the node's later candidates, so a node
-    whose candidates all fail the first relator compiles no other.
+    A node with no pinning relator solves the first of its relators in
+    which x occurs exactly twice, once inverted: that relator reads
+    x⁻¹·a·x·b = 1 or x·a·x⁻¹·b = 1, so x solves u·x = x·v with (u, v) =
+    (a, b⁻¹) or (b⁻¹, a).  The node compiles a and b; unless u and v are
+    conjugate it has no candidate, and otherwise its candidates are the
+    solutions, a coset of u's centralizer, read in one pass comparing u's
+    ``left_row`` with v's ``right_row``, among the candidates it would have
+    tried anyway.  A relator in which x occurs three or more times is only
+    checked.  Every other relator is compiled by the first candidate that
+    passes the relators before it, and kept for the node's later
+    candidates, so a node whose candidates all fail the first relator
+    compiles no other.
 
     With ``dedup_conjugacy`` only the lexicographically least hom of each
     conjugation orbit is kept, and the rest are pruned during the backtrack:
@@ -484,6 +495,26 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
             parts.append(tuple(run))
         return w.letters[start] < 0, tuple(parts)
 
+    def conjugating(w: Word, new: int) -> Optional[tuple]:
+        # when the generator numbered new occurs in w exactly twice, once
+        # inverted, w is conjugate to x^(-1)·a·x·b or to x·a·x^(-1)·b:
+        # whether x comes inverted first, and the letters of a and of b;
+        # otherwise None
+        letters = w.letters
+        at = [i for i, l in enumerate(letters) if abs(l) == new]
+        if len(at) != 2 or letters[at[0]] != -letters[at[1]]:
+            return None
+        i, j = at
+        return letters[i] < 0, letters[i + 1:j], letters[j + 1:] + letters[:i]
+
+    def value(run: tuple[int, ...]) -> int:
+        # the product of a run of letters on the images chosen so far
+        acc = ident
+        for l in run:
+            e = images[l - 1] if l > 0 else inv(images[-l - 1])
+            acc = e if acc == ident else mul(acc, e)
+        return acc
+
     def compile_relator(parts: tuple) -> tuple[int, ...]:
         # split's parts with the images chosen so far multiplied out, each
         # factor an element or a marker: with neg from split, the relator
@@ -493,12 +524,7 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
         for part in parts:
             if isinstance(part, int):  # a marker
                 factors.append(part)
-                continue
-            run = ident
-            for l in part:
-                e = images[l - 1] if l > 0 else inv(images[-l - 1])
-                run = e if run == ident else mul(run, e)
-            if run != ident:
+            elif (run := value(part)) != ident:
                 factors.append(run)
         return tuple(factors)
 
@@ -547,7 +573,7 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
         # from them so far, and cent, the conjugation rows of the nontrivial
         # elements centralizing the images chosen so far, None when that
         # centralizer is the whole target (dedup only)
-        pin, relators = steps[k]
+        pin, solved, relators = steps[k]
         cands = reps if dedup_conjugacy and cent is None else range(g.order)
         if pin is not None:
             # x^(±1) b = 1 has the one solution x = b^(∓1)
@@ -556,14 +582,37 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
             b = factors[0] if factors else ident
             forced = b if neg else inv(b)
             cands = [forced] if forced in cands else []
+        elif solved is not None:
+            # x^(-1)·a·x·b = 1 exactly when a·x = x·b^(-1), and x·a·x^(-1)·b = 1
+            # when b^(-1)·x = x·a: u·x = x·v, whose solutions are a coset of
+            # u's centralizer when u and v are conjugate, and none otherwise
+            neg, a, b = solved
+            a, b_inv = value(a), inv(value(b))
+            u, v = (a, b_inv) if neg else (b_inv, a)
+            if g.class_of[u] != g.class_of[v]:
+                cands = []
+            else:
+                coset = compress(range(g.order), map(eq, g.left_row(u), g.right_row(v)))
+                cands = [c for c in coset if c in cands]
         return iter(cands), [None] * len(relators), relators, cent
 
     if n == 0:
         finish()
         return results
-    # the plan's relators, each split at its position's generator once
-    steps = [(None if pin is None else split(pin, x), [split(w, x) for w in relators])
-             for x, pin, relators in plan]
+    # the plan's relators, each split at its position's generator once; at
+    # a position with no pin, the first relator that conjugating reads is
+    # solved, and not checked
+    steps = []
+    for x, pin, relators in plan:
+        solved = None
+        if pin is None:
+            for i, w in enumerate(relators):
+                solved = conjugating(w, x)
+                if solved:
+                    relators = relators[:i] + relators[i + 1:]
+                    break
+        steps.append((None if pin is None else split(pin, x), solved,
+                      [split(w, x) for w in relators]))
     # depth-first on an explicit stack, one frame per chosen image, so a
     # braid on any number of strands is searched without recursion
     stack = [level(0, None)]

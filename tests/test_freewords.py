@@ -153,6 +153,25 @@ def test_cyclic_reduce_is_linear_in_key_comparisons(monkeypatch, shape):
     assert compared > 0
 
 
+def test_cyclic_reduce_searches_the_least_rotation_once(monkeypatch):
+    # the result is built unchecked: CyclicWord's own check would search
+    # the rotation a second time
+    calls = []
+    least_rotation = freewords._least_rotation
+    monkeypatch.setattr(freewords, "_least_rotation",
+                        lambda keys: calls.append(len(keys)) or least_rotation(keys))
+    assert cyclic_reduce(parse_word("x3 x2 x1^-1 x2 x1 x3^-1")).letters == (1, 2, -1, 2)
+    assert calls == [4]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), max_size=12))
+def test_cyclic_reduce_matches_the_validating_constructor(letters):
+    w = cyclic_reduce(reduce(letters))
+    assert w == CyclicWord(w.letters)
+    assert type(w) is CyclicWord and type(w.letters) is tuple
+
+
 def test_cyclic_words_validate():
     with pytest.raises(ValueError):
         CyclicWord((2, 1))   # rotation (1, 2) is smaller

@@ -552,6 +552,19 @@ def test_class_rows_match_products(monkeypatch, cap_rows):
 
 
 @pytest.mark.parametrize("cap_rows", [None, 2])
+def test_left_rows_match_products(monkeypatch, cap_rows):
+    # the trivial group's one-entry rows included; under a cap of two rows'
+    # entries the left rows that do not fit are built and dropped
+    for name, g in GROUPS.items():
+        g = fresh(g)
+        if cap_rows is not None:
+            monkeypatch.setattr(permgroup, "ROW_CACHE_CAP", cap_rows * g.order)
+        for a in range(g.order):
+            assert g.left_row(a) == tuple(g.mul(a, c) for c in range(g.order)), (name, a)
+            assert g._row_entries <= permgroup.ROW_CACHE_CAP
+
+
+@pytest.mark.parametrize("cap_rows", [None, 2])
 def test_conjugation_rows_match_products(monkeypatch, cap_rows):
     # under a cap of two rows' entries the conjugation rows that do not fit
     # are built and dropped, and kept_conjugation_row builds none

@@ -364,6 +364,78 @@ def test_quotient_search_all_relators_last_work_bounded(monkeypatch):
     assert calls[0] <= 1954, calls
 
 
+def counted_rows(monkeypatch, g):
+    """Count the left and right rows of g read from here on, built or kept,
+    mul's own right rows included; the count is in the returned list."""
+    rows = [0]
+    plain_left, plain_right = g.left_row, g.right_row
+
+    def counting(plain):
+        def row(a):
+            rows[0] += 1
+            return plain(a)
+        return row
+
+    monkeypatch.setattr(g, "left_row", counting(plain_left))
+    monkeypatch.setattr(g, "right_row", counting(plain_right))
+    return rows
+
+
+def test_quotient_search_conjugating_relator_work_bounded(monkeypatch):
+    # nothing is pinned here, and x3, searched last, occurs in
+    # r1 = x1^-1 x3^-1 x2^-1 x1^-1 x2 x1 x2 x3 exactly twice, once inverted:
+    # r1 reads x3^-1·a·x3·b = 1, so a pair (x1, x2) tries only the x3 with
+    # a·x3 = x3·b^-1, none unless a and b^-1 are conjugate.  Trying all 60
+    # made 15729 products and row reads here (14696 by mul).  The solve
+    # reads a's left row and b^-1's right row, a pass of 60 entries each, at
+    # each node where they are conjugate: 46 rows, 96 with the rows mul
+    # builds on a fresh group
+    knot = braid_presentation(parse_braid("3:s1^-1 s2^-1 s2^-1 s1^-1 s2 s1^-1"))
+    a5 = GROUPS["a5"]
+    calls = counted_products(monkeypatch, a5)
+    rows = counted_rows(monkeypatch, a5)
+    homs = quotient_search(knot, a5, surjective_only=True, dedup_conjugacy=True)
+    assert len(homs) == 2
+    assert calls[0] <= 3000, calls
+    assert rows[0] <= 2 * a5.order, rows
+
+
+# one relator, in which no generator occurs once: the highest-numbered
+# generator x is searched last, and where it occurs exactly twice, once
+# inverted, its node solves u·x = x·v instead of trying every candidate.
+# A search that swaps u and v still passes the first six on every corpus
+# group of order at most 24, where a and b are powers of x1 alone; the
+# last two need x2 to tell the two equations apart
+CONJUGATING_RELATORS = [
+    "x2^-1 x1 x2 x1^-1 x1^-1",   # BS(1, 2): x2 solved, with b = x1^-2
+    "x1^-1 x2 x1 x2^-1 x2^-1",   # BS(1, 2) as usually written: x2 occurs three times
+    "x2^-1 x1 x2 x1",            # the Klein bottle group: x2 solved, with b = x1
+    "x1^-1 x2 x1 x2",            # ... as usually written: x2 occurs twice uninverted
+    "x1^-1 x2^-1 x1 x2",         # Z^2: x2 solved as x2^-1·a·x2·b, a = x1, b = x1^-1
+    "x2 x1 x1 x2^-1",            # b is empty, and a = x1^2 is the identity when x1^2 is
+    "x3^-1 x1 x1 x3 x2 x2",      # x3^-1·a·x3 = b^-1 with a = x1^2, b = x2^2
+    "x3 x1 x1 x3^-1 x2 x2",      # x3·a·x3^-1 = b^-1, the mirror equation
+]
+
+
+@pytest.mark.parametrize("relator", CONJUGATING_RELATORS)
+def test_quotient_search_solving_a_conjugating_relator_matches_brute_force(relator):
+    # every hom, and under dedup_conjugacy the least of each orbit, image
+    # tuple by image tuple and in order, against walking all |G|^n tuples
+    w = parse_word(relator)
+    p = Presentation(max(map(abs, w.letters)), (w,))
+    for name, g in GROUPS.items():
+        if g.order > 24:
+            continue
+        for surjective in (False, True):
+            expected = homs_by_brute_force(p, g, surjective)
+            found = quotient_search(p, g, surjective_only=surjective)
+            assert [h.images for h in found] == expected, (name, surjective)
+            reps = quotient_search(p, g, surjective_only=surjective, dedup_conjugacy=True)
+            least = least_conjugate_homs(g, [GroupHom(p, g, t) for t in expected])
+            assert [h.images for h in reps] == [h.images for h in least], (name, surjective)
+
+
 def test_quotient_search_dedup_past_the_row_cap(monkeypatch):
     # with room for two rows, most centralizer elements conjugate by
     # products instead of rows, and the kept homs stay the same
@@ -421,6 +493,7 @@ def small_braids(draw):
 @example("2:s1 s1 s1")        # x2 occurs three times in each relator: nothing forced
 @example("3:s1 s1 s2 s2")     # x2 and x3 never forced
 @example("3:s1")              # x2 pinned either way, searched last: relabelled results
+@example("3:s1^-1 s2^-1 s2^-1 s1^-1 s2 s1^-1")  # x3 solved from x3^-1·a·x3·b
 def test_quotient_search_matches_brute_force(text):
     # every hom, image tuple by image tuple and in order, against walking all
     # |G|^n tuples; A5 only on 2-strand braids (60^3 tuples take too long)
@@ -464,6 +537,7 @@ def least_conjugate(g, t):
 @example(("3:s2^-1 s1^-1 s2 s1 s1 s2 s2", "a4", [0, 1, 2]))
 @example(("3:s2 s1^-1 s2 s1 s2^-1", "s3", [0, 1, 2]))
 @example(("3:s1^-1 s2 s1 s2^-1 s2^-1 s2^-1", "s3", [2, 1, 0]))  # pins x3, renamed x1
+@example(("3:s1^-1 s2^-1 s2^-1 s1^-1 s2 s1^-1", "a4", [1, 0, 2]))  # x3 solved in both
 def test_quotient_search_ignores_generator_labels(case):
     # x_k is renamed x_(perm[k-1]+1); the search on the renamed presentation,
     # read back through the renaming, gives the same list, and under
