@@ -109,8 +109,11 @@ def parse_subgroup(group: FiniteGroup, spec: str) -> Subgroup:
     if spec == "whole":
         return Subgroup.whole(group)
     if spec.startswith("stab:"):
+        text = spec[5:].strip()
         try:
-            point = int(spec[5:])
+            if not (text.isascii() and text.isdigit()):
+                raise ValueError(text)
+            point = int(text)  # refuses more digits than the conversion limit
         except ValueError:
             raise ValueError(f"subgroup spec {spec!r}: the point must be an integer "
                              f"in 1..{group.degree}") from None

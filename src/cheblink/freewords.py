@@ -211,8 +211,11 @@ def parse_braid(text: str) -> BraidWord:
     head, sep, body = text.partition(":")
     if not sep:
         raise ValueError(f"bad braid {text!r}: expected 'strands:letters'")
+    head = head.strip()
     try:
-        strands = int(head.strip())
+        if not (head.isascii() and head.isdigit()):
+            raise ValueError(head)
+        strands = int(head)  # refuses more digits than the conversion limit
     except ValueError:
         raise ValueError(f"bad strand count in {text!r}") from None
     letters = []

@@ -447,18 +447,9 @@ def conjugacy_classes(g: FiniteGroup) -> tuple[ConjugacyClass, ...]:
         unassigned = set(range(g.order))
         classes = []
         class_of = [0] * g.order
-        conjugations = _conjugations(g)
         while unassigned:
             start = min(unassigned)
-            orbit = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for conj in conjugations:
-                    y = conj[x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        stack.append(y)
+            orbit = {x for x, in conjugates(g, (start,))}
             for x in orbit:
                 class_of[x] = len(classes)
             classes.append(ConjugacyClass(start, frozenset(orbit)))

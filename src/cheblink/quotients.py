@@ -332,12 +332,13 @@ def generic_check(p: Presentation, classes: Sequence[Word]) -> GenericityResult:
 def _search_plan(p: Presentation) -> list[tuple[int, Optional[Word], list[Word]]]:
     """The order in which quotient_search picks generator images.
 
-    One (generator, pin, relators) triple per search position: the 1-based
-    generator whose image that position chooses, and the relators checked
-    there, those whose last generator in the order it is.  The generator is
-    pinned at its position when it occurs exactly once in one of them; pin
-    is the first such relator, which fixes the image, and relators holds
-    the others.  Otherwise pin is None.
+    One (generator, solved, relators) triple per search position: the
+    1-based generator x whose image that position chooses, and the
+    relators assigned there, those whose last generator in the order it is.
+    solved is the one the position solves for x: the first in which x
+    occurs exactly once, or else the first in which x occurs exactly twice,
+    once inverted, or else None.  relators holds the others, in their
+    order, which the position only checks.
 
     The order is built from the back.  Each position takes the
     highest-numbered generator left that occurs exactly once in a relator
@@ -368,18 +369,18 @@ def _search_plan(p: Presentation) -> list[tuple[int, Optional[Word], list[Word]]
             plain -= 1
         x = forced or plain
         left[x] = False
-        pin = None
-        checks = []
-        for i in holders[x]:
-            if not assigned[i]:
-                assigned[i] = True
-                if pin is None and counts[i][x] == 1:
-                    pin = p.relators[i]
-                else:
-                    checks.append(p.relators[i])
-                for y, m in counts[i].items():
-                    once[y] -= m == 1
-        plan.append((x, pin, checks))
+        mine = [i for i in holders[x] if not assigned[i]]
+        for i in mine:
+            assigned[i] = True
+            for y, m in counts[i].items():
+                once[y] -= m == 1
+        # x once, or twice and once inverted; once ranks first, and min
+        # keeps the first of equal rank
+        solvable = [i for i in mine if counts[i][x] == 1 or (
+            counts[i][x] == 2 and {x, -x} <= set(p.relators[i].letters))]
+        solved = min(solvable, key=lambda i: counts[i][x], default=None)
+        plan.append((x, None if solved is None else p.relators[solved],
+                     [p.relators[i] for i in mine if i != solved]))
     plan.reverse()
     return plan
 
@@ -416,18 +417,17 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
     A node compiles a relator by multiplying out the letters on the images
     already chosen, which leaves a few fixed elements between the
     occurrences of the new generator x, so a candidate costs about one
-    product per occurrence.  The pinning relator reads a x^(±1) b = 1 and
-    forces x = (b a)^(∓1); the node compiles it at once and tries only that
-    image, when it is among the candidates it would have tried anyway.
-    A node with no pinning relator solves the first of its relators in
-    which x occurs exactly twice, once inverted: that relator reads
-    x⁻¹·a·x·b = 1 or x·a·x⁻¹·b = 1, so x solves u·x = x·v with (u, v) =
-    (a, b⁻¹) or (b⁻¹, a).  The node compiles a and b; unless u and v are
-    conjugate it has no candidate, and otherwise its candidates are the
-    solutions, a coset of u's centralizer, read in one pass comparing u's
-    ``left_row`` with v's ``right_row``, among the candidates it would have
-    tried anyway.  A relator in which x occurs three or more times is only
-    checked.  Every other relator is compiled by the first candidate that
+    product per occurrence.  The node solves the relator the plan names
+    for it, when there is one, and compiles it at once.  When x occurs
+    there once, it reads x^(±1)·b = 1 and forces x = b^(∓1).  When x occurs
+    there twice, once inverted, it reads x⁻¹·a·x·b = 1 or x·a·x⁻¹·b = 1,
+    so x solves u·x = x·v with (u, v) = (a, b⁻¹) or (b⁻¹, a): unless u and
+    v are conjugate there is no solution, and otherwise the solutions are
+    a coset of u's centralizer, read in one pass comparing u's
+    ``left_row`` with v's ``right_row``.  The node tries the solutions
+    that are among the candidates it would have tried anyway.  It only
+    checks its other relators, among them every one in which x occurs
+    three or more times.  Each is compiled by the first candidate that
     passes the relators before it, and kept for the node's later
     candidates, so a node whose candidates all fail the first relator
     compiles no other.
@@ -477,7 +477,8 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
         # w rotated to start at its first letter on the generator numbered
         # new (a conjugate, so it holds exactly when w does): whether that
         # letter is an inverse, and the letters after it as markers for the
-        # new generator and tuples of the letters between them
+        # new generator and tuples of the letters between them, empty runs
+        # kept, so a relator meeting it once reads (b,) and twice (a, marker, b)
         letters = w.letters
         start = next(i for i, l in enumerate(letters) if abs(l) == new)
         letters = letters[start + 1:] + letters[:start]
@@ -485,27 +486,12 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
         run: list[int] = []
         for l in letters:
             if abs(l) == new:
-                if run:
-                    parts.append(tuple(run))
-                    run = []
-                parts.append(X if l > 0 else X_INV)
+                parts += (tuple(run), X if l > 0 else X_INV)
+                run = []
             else:
                 run.append(l)
-        if run:
-            parts.append(tuple(run))
+        parts.append(tuple(run))
         return w.letters[start] < 0, tuple(parts)
-
-    def conjugating(w: Word, new: int) -> Optional[tuple]:
-        # when the generator numbered new occurs in w exactly twice, once
-        # inverted, w is conjugate to x^(-1)·a·x·b or to x·a·x^(-1)·b:
-        # whether x comes inverted first, and the letters of a and of b;
-        # otherwise None
-        letters = w.letters
-        at = [i for i, l in enumerate(letters) if abs(l) == new]
-        if len(at) != 2 or letters[at[0]] != -letters[at[1]]:
-            return None
-        i, j = at
-        return letters[i] < 0, letters[i + 1:j], letters[j + 1:] + letters[:i]
 
     def value(run: tuple[int, ...]) -> int:
         # the product of a run of letters on the images chosen so far
@@ -573,46 +559,36 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
         # from them so far, and cent, the conjugation rows of the nontrivial
         # elements centralizing the images chosen so far, None when that
         # centralizer is the whole target (dedup only)
-        pin, solved, relators = steps[k]
+        solved, relators = steps[k]
         cands = reps if dedup_conjugacy and cent is None else range(g.order)
-        if pin is not None:
-            # x^(±1) b = 1 has the one solution x = b^(∓1)
-            neg, parts = pin
-            factors = compile_relator(parts)
-            b = factors[0] if factors else ident
-            forced = b if neg else inv(b)
-            cands = [forced] if forced in cands else []
-        elif solved is not None:
-            # x^(-1)·a·x·b = 1 exactly when a·x = x·b^(-1), and x·a·x^(-1)·b = 1
-            # when b^(-1)·x = x·a: u·x = x·v, whose solutions are a coset of
-            # u's centralizer when u and v are conjugate, and none otherwise
-            neg, a, b = solved
-            a, b_inv = value(a), inv(value(b))
-            u, v = (a, b_inv) if neg else (b_inv, a)
-            if g.class_of[u] != g.class_of[v]:
-                cands = []
+        if solved is not None:
+            neg, parts = solved
+            if len(parts) == 1:
+                # x^(±1)·b = 1 has the one solution x = b^(∓1)
+                b = value(parts[0])
+                forced = b if neg else inv(b)
+                cands = [forced] if forced in cands else []
             else:
-                coset = compress(range(g.order), map(eq, g.left_row(u), g.right_row(v)))
-                cands = [c for c in coset if c in cands]
+                # x^(-1)·a·x·b = 1 exactly when a·x = x·b^(-1), and
+                # x·a·x^(-1)·b = 1 when b^(-1)·x = x·a: u·x = x·v, whose
+                # solutions are a coset of u's centralizer when u and v are
+                # conjugate, and none otherwise
+                a, _, b = parts
+                a, b_inv = value(a), inv(value(b))
+                u, v = (a, b_inv) if neg else (b_inv, a)
+                if g.class_of[u] != g.class_of[v]:
+                    cands = []
+                else:
+                    coset = compress(range(g.order), map(eq, g.left_row(u), g.right_row(v)))
+                    cands = [c for c in coset if c in cands]
         return iter(cands), [None] * len(relators), relators, cent
 
     if n == 0:
         finish()
         return results
-    # the plan's relators, each split at its position's generator once; at
-    # a position with no pin, the first relator that conjugating reads is
-    # solved, and not checked
-    steps = []
-    for x, pin, relators in plan:
-        solved = None
-        if pin is None:
-            for i, w in enumerate(relators):
-                solved = conjugating(w, x)
-                if solved:
-                    relators = relators[:i] + relators[i + 1:]
-                    break
-        steps.append((None if pin is None else split(pin, x), solved,
-                      [split(w, x) for w in relators]))
+    # the plan's relators, each split at its position's generator once
+    steps = [(None if solved is None else split(solved, x), [split(w, x) for w in relators])
+             for x, solved, relators in plan]
     # depth-first on an explicit stack, one frame per chosen image, so a
     # braid on any number of strands is searched without recursion
     stack = [level(0, None)]

@@ -747,6 +747,14 @@ def test_a5_stab_spec_errors_are_one_based(capsys):
             ("stab:0", "subgroup spec 'stab:0': point 0 outside 1..5"),
             ("stab:x", "subgroup spec 'stab:x': the point must be an integer "
                        "in 1..5"),
+            ("stab:+5", "subgroup spec 'stab:+5': the point must be an integer "
+                        "in 1..5"),
+            ("stab:\u0665", "subgroup spec 'stab:\u0665': the point must be an integer "
+                             "in 1..5"),
+            ("stab:0_5", "subgroup spec 'stab:0_5': the point must be an integer "
+                         "in 1..5"),
+            ("stab:" + "9" * 5000, f"subgroup spec 'stab:{'9' * 5000}': the point must "
+                                   "be an integer in 1..5"),
             ("(1 2)", "'(1 2)' is not an element of the group")):
         assert main(["a5", "--subgroup", spec]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"

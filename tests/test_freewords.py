@@ -187,6 +187,10 @@ def test_parse_braid():
     for bad in ("s1 s2", "3:s3", "3:t1", "x:s1"):
         with pytest.raises(ValueError):
             parse_braid(bad)
+    # ASCII digits only, and no more than int() converts
+    for bad in ("\u0663:s1 s2", "0_3:s1 s2", "+3:s1 s2", "9" * 5000 + ":s1"):
+        with pytest.raises(ValueError, match="bad strand count"):
+            parse_braid(bad)
 
 
 def test_braid_word_validates():

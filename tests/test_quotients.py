@@ -336,6 +336,19 @@ def test_search_plan_puts_a_pinned_generator_last():
                                    (2, split.relators[0], [split.relators[1]])]
     # no relator at all: the numbering decides
     assert _search_plan(Presentation(3, ())) == [(1, None, []), (2, None, []), (3, None, [])]
+    # no relator meets a generator once; x3, last, occurs twice, once
+    # inverted, in r1 = x1^-1 x3^-1 x2^-1 x1^-1 x2 x1 x2 x3, which is solved
+    knot = braid_presentation(parse_braid("3:s1^-1 s2^-1 s2^-1 s1^-1 s2 s1^-1"))
+    k1, k2, k3 = knot.relators
+    assert _search_plan(knot) == [(1, None, []), (2, None, []), (3, k1, [k2, k3])]
+    # x2, last, occurs twice, once inverted, in k1, but once in k2 after
+    # it: the relator meeting it once is solved
+    knot = braid_presentation(parse_braid("3:s1 s2 s1^-1 s2 s2 s1"))
+    k1, k2, k3 = knot.relators
+    assert _search_plan(knot) == [(1, None, []), (3, None, []), (2, k2, [k1, k3])]
+    # x3 occurs three or more times in every relator: nothing is solved
+    knot = braid_presentation(parse_braid("3:s1^-1 s2^-1 s2^-1 s1^-1 s1^-1 s2^-1"))
+    assert _search_plan(knot) == [(1, None, []), (2, None, []), (3, None, list(knot.relators))]
 
 
 def test_quotient_search_forcing_order_work_bounded(monkeypatch):
@@ -415,6 +428,9 @@ CONJUGATING_RELATORS = [
     "x2 x1 x1 x2^-1",            # b is empty, and a = x1^2 is the identity when x1^2 is
     "x3^-1 x1 x1 x3 x2 x2",      # x3^-1·a·x3 = b^-1 with a = x1^2, b = x2^2
     "x3 x1 x1 x3^-1 x2 x2",      # x3·a·x3^-1 = b^-1, the mirror equation
+    "x3^-1 x1 x3 x2^-1 x1 x2",   # x3 solved, with b = x2^-1 x1 x2
+    "x1 x3 x2 x2 x3^-1 x1^-1",   # a = x2^2 and b = x1^-1 x1, the identity
+    "x3 x1 x1 x3^-1",            # b is empty, and x2 is a free generator
 ]
 
 
