@@ -2,6 +2,7 @@
 density statistics for periodic orbits of labeled shifts of finite type."""
 
 from .permgroup import (
+    ClassLink,
     ConjugacyClass,
     CosetAction,
     FiniteGroup,

@@ -15,6 +15,16 @@ by whichever check runs first: every element's loop is traced once, by one
 walk of the group's word tree, and the trace keeps each element's cycle type
 and fixed cosets, not its monodromy.  Both are read off the monodromy in one
 pass over its cycles, which lists the fixed cosets as it meets them.
+
+Over ``all_subgroups`` the word tree is walked once per conjugacy class of
+subgroups.  A subgroup H' = c⁻¹·H·c linked to its class representative H
+has the coset map φ(H'y) = H·c·y, which commutes with the action.  Once
+φ∘image'(k) = image(k)∘φ is checked for each generator k, every monodromy
+composed from those images is φ-conjugate to H's: H' shares H's cycle
+types, and its fixed cosets are H's taken back through φ.  Should the check
+fail, H''s own cover is walked.  The walks then pass over |G| [G:H]
+summed over 9 subgroups of A5, 9,540 coset points instead of 61,140, and
+over 22 of A6's 501, 538,560 instead of 12,688,560.
 """
 
 from __future__ import annotations
@@ -23,7 +33,8 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .freewords import CyclicWord, GroupHom, Word, cyclic_reduce, evaluate, format_letters
-from .permgroup import FiniteGroup, Subgroup, class_types, cycles, picker, powers
+from .permgroup import (ClassLink, CosetAction, FiniteGroup, Subgroup, class_types, cycles,
+                        picker, powers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,15 +136,15 @@ def _trace_plan(g: FiniteGroup) -> _TracePlan:
     return g._trace_plan
 
 
-def _loop_monodromies(h: Subgroup) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(z, monodromy of z's loop) for every element z, on the cosets of h.
+def _loop_monodromies(act: CosetAction) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(z, monodromy of z's loop) for every element z, on the cosets of act.
 
     z's loop is word_for(z), its parent's word with one more letter, so its
     monodromy is its parent's composed with that generator's coset-action
     image; the walk keeps one monodromy per depth on the current path, from
     the identity's, which moves no coset.
     """
-    g, act = h.group, h.action
+    g = act.group
     plan = _trace_plan(g)
     # m composed with generator k's image is m[image[v]] at each v
     picks = [picker(act.image(k)) for k in g.generators]
@@ -187,20 +198,52 @@ class _CosetTrace(NamedTuple):
 
 def _coset_trace(h: Subgroup) -> _CosetTrace:
     """The trace of every element's loop through the cover of g/h, made on
-    first use by one ``_loop_monodromies`` walk and kept on ``h.action``;
-    each monodromy is passed over once, by ``_cycle_walk``."""
+    first use and kept on ``h.action``: relabelled from the trace of h's
+    class representative when h has a ``link`` whose generator check
+    passes, else walked."""
     act = h.action
     if act._trace is None:
         g = h.group
-        types = [None] * g.order
-        fixed = [None] * g.order
-        interned = {}
-        for z, m in _loop_monodromies(h):
-            t, fixed[z] = _cycle_walk(m)
-            types[z] = interned.setdefault(t, t)
-        act._trace = _CosetTrace(tuple(types), tuple(fixed),
-                                 frozenset(g.class_of[m] for m in h.members))
+        meets = frozenset(map(g.class_of.__getitem__, h.members))
+        act._trace = ((h.link and _relabelled_trace(act, h.link, meets))
+                      or _walked_trace(act, meets))
     return act._trace
+
+
+def _walked_trace(act: CosetAction, meets: frozenset) -> _CosetTrace:
+    """The trace made by one ``_loop_monodromies`` walk; each monodromy is
+    passed over once, by ``_cycle_walk``."""
+    g = act.group
+    types = [None] * g.order
+    fixed = [None] * g.order
+    interned = {}
+    for z, m in _loop_monodromies(act):
+        t, fixed[z] = _cycle_walk(m)
+        types[z] = interned.setdefault(t, t)
+    return _CosetTrace(tuple(types), tuple(fixed), meets)
+
+
+def _relabelled_trace(act: CosetAction, link: ClassLink,
+                      meets: frozenset) -> Optional[_CosetTrace]:
+    """The trace on act's cosets of H' = c⁻¹·H·c, H's trace relabelled
+    through φ(H'y) = H·c·y as the module docstring says; None when some
+    generator k has φ∘image'(k) != image(k)∘φ.  meets is H''s, which is H's
+    too: conjugate subgroups meet the same classes."""
+    rep, c, mul = link.action, link.conjugator, act.group.mul
+    phi = tuple(rep.coset_of[mul(c, r)] for r in act.reps)
+    for k in act.group.generators:
+        if (tuple(map(phi.__getitem__, act.image(k)))
+                != tuple(map(rep.image(k).__getitem__, phi))):
+            return None
+    if rep._trace is None:
+        rep._trace = _walked_trace(rep, meets)
+    back = [0] * len(phi)
+    for v, u in enumerate(phi):
+        back[u] = v
+    # many elements fix the same cosets, so each distinct set is relabelled once
+    relabelled = {f: tuple(sorted(map(back.__getitem__, f))) for f in set(rep._trace.fixed)}
+    return _CosetTrace(rep._trace.types, tuple(map(relabelled.__getitem__, rep._trace.fixed)),
+                       meets)
 
 
 @dataclass(frozen=True)
@@ -236,7 +279,9 @@ def verify_artin(g: FiniteGroup, h: Subgroup) -> ArtinReport:
     the subgroup's kept trace: its walk of the tree of recorded words makes
     each element's monodromy its parent's composed with one generator's
     coset-action image, and ``CosetAction.image`` is called only for the
-    generators.
+    generators.  A subgroup linked to its class representative takes the
+    representative's trace, relabelled, once its generators' images pass
+    the check.
     """
     if h.group is not g:
         raise ValueError("subgroup belongs to a different group")

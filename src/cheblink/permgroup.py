@@ -41,6 +41,7 @@ _PRODUCTS_BEFORE_ROW = 8
 # joins the all_subgroups search may plan, times the group order; S5 plans
 # 1.25e6 and A6 3.0e7
 SUBGROUP_JOIN_BUDGET = 1 << 25
+TOKEN_SHOWN = 40  # characters of a bad token quoted in an error
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -83,8 +84,11 @@ class Permutation(tuple):
         for part in _CYCLE_RE.findall(s):
             cyc = []
             for t in part.split():
-                if not (t.isascii() and t.removeprefix("-").isdigit()):
-                    raise ValueError(f"bad cycle notation {text!r}: point {t!r} is not "
+                # no degree has TOKEN_SHOWN digits, and int() refuses a
+                # point past its conversion limit
+                if not (t.isascii() and t.removeprefix("-").isdigit()) or len(t) > TOKEN_SHOWN:
+                    shown = t if len(t) <= TOKEN_SHOWN else t[:TOKEN_SHOWN] + "..."
+                    raise ValueError(f"bad cycle notation {text!r}: point {shown!r} is not "
                                      f"an integer in 1..{degree}")
                 cyc.append(int(t))
             cycles.append(cyc)
@@ -412,18 +416,26 @@ def conjugates(g: FiniteGroup, t: tuple | frozenset) -> set:
     """The orbit of t, a tuple or frozenset of element indices, under
     entrywise conjugation by g, walked with the generators' conjugation
     maps: index lookups, no products."""
+    return set(_conjugation_tree(g, t))
+
+
+def _conjugation_tree(g: FiniteGroup, t: tuple | frozenset) -> dict:
+    """t's ``conjugates`` orbit as the tree its walk grows: t maps to None,
+    and every other member v to (u, k) when it was first reached from the
+    member u by the generator k, as v = k⁻¹·u·k entrywise.  Each member
+    comes after the one it was reached from."""
     make = type(t)
-    conjugations = _conjugations(g)
-    orbit = {t}
+    steps = tuple(zip(g.generators, _conjugations(g)))
+    tree = {t: None}
     stack = [t]
     while stack:
         u = stack.pop()
-        for conj in conjugations:
+        for k, conj in steps:
             v = make(map(conj.__getitem__, u))
-            if v not in orbit:
-                orbit.add(v)
+            if v not in tree:
+                tree[v] = (u, k)
                 stack.append(v)
-    return orbit
+    return tree
 
 
 def powers(g: FiniteGroup, i: int) -> list[int]:
@@ -558,8 +570,21 @@ def generated_set(g: FiniteGroup, seed: Iterable[int]) -> frozenset:
     return frozenset(members)
 
 
+class ClassLink(NamedTuple):
+    """How a subgroup H' from ``all_subgroups`` reaches the representative H
+    of its conjugacy class: H' = c⁻¹·H·c for the ``conjugator`` c, and H's
+    coset action, which keeps the trace the cover checks relabel for H'."""
+
+    action: "CosetAction"
+    conjugator: int
+
+
 class Subgroup:
-    """A validated subgroup, held as a frozenset of element indices."""
+    """A validated subgroup, held as a frozenset of element indices.
+
+    ``link`` is a ``ClassLink`` to its class representative's coset action
+    when ``all_subgroups`` made it and it is not that representative or
+    normal; None otherwise."""
 
     def __init__(self, group: FiniteGroup, members: Iterable[int]):
         members = frozenset(members)
@@ -571,6 +596,7 @@ class Subgroup:
             raise ValueError("member set not closed under composition")
         self.group = group
         self.members = members
+        self.link: ClassLink | None = None  # set by all_subgroups
         self._action = None
 
     @property
@@ -638,18 +664,28 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     the representatives make fewer joins than that count.  S6, whose 362
     cyclic subgroups plan 9.4e7 for the first level alone, is refused before
     any join.
+
+    The first subgroup found of each class is its representative H, and the
+    orbit walk's tree gives a conjugator c for each other member
+    H' = c⁻¹·H·c, one product each.
+    H's coset action is built here, and H' gets a ``ClassLink`` to it:
+    the cover checks walk H's cover once and relabel its trace for H'.
     """
     cyclics = {frozenset(powers(g, i)) for i in range(g.order)}
-    subs: set[frozenset] = set()
+    # each subgroup -> (its class representative, its conjugator)
+    links: dict[frozenset, tuple[frozenset, int]] = {}
 
-    def add_class(t: frozenset, found: list[set]) -> None:
-        """Add t's conjugacy class to subs and to found, unless t is known."""
-        if t not in subs:
-            orbit = conjugates(g, t)
-            subs.update(orbit)
-            found.append(orbit)
+    def add_class(t: frozenset, found: list[dict]) -> None:
+        """Add t's conjugacy class to links and to found, unless t is known."""
+        if t not in links:
+            tree = _conjugation_tree(g, t)
+            for s, reached in tree.items():
+                # k⁻¹·(c⁻¹·t·c)·k is (c·k)⁻¹·t·(c·k)
+                links[s] = (t, g.identity if reached is None
+                            else g.mul(links[reached[0]][1], reached[1]))
+            found.append(tree)
 
-    frontier: list[set] = []
+    frontier: list[dict] = []
     for c in cyclics:
         add_class(c, frontier)
     pairs = 0
@@ -659,14 +695,19 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
             raise ValueError(
                 f"subgroup search in a group of order {g.order} plans {pairs} joins; "
                 f"joins x order exceeds the budget of {SUBGROUP_JOIN_BUDGET}")
-        found: list[set] = []
+        found: list[dict] = []
         for cls in frontier:
             s = next(iter(cls))
             for c in cyclics:
                 if not c <= s:
                     add_class(generated_set(g, s | c), found)
         frontier = found
-    return [Subgroup(g, ms) for ms in sorted(subs, key=lambda ms: (len(ms), sorted(ms)))]
+    subs = {ms: Subgroup(g, ms) for ms in sorted(links, key=lambda ms: (len(ms), sorted(ms)))}
+    for ms, h in subs.items():
+        rep, c = links[ms]
+        if rep != ms:
+            h.link = ClassLink(subs[rep].action, c)
+    return list(subs.values())
 
 
 class CosetAction:
@@ -675,27 +716,36 @@ class CosetAction:
     Coset 0 is H itself; ``reps[j]`` is the first element found in coset j by
     the breadth-first labeling walk, and ``coset_of[i]`` locates element i's
     coset.  ``image(z)`` is the image tuple of Hx -> H x z^{-1} on coset labels.
+
+    The action also keeps the trace the cover checks make of every element's
+    loop.  For a conjugate H' = c⁻¹·H·c, the map H'y -> H·c·y commutes with
+    the action, so H''s trace is H's relabelled through it, once the
+    generators' images are checked to correspond.
     """
 
     def __init__(self, group: FiniteGroup, subgroup: Subgroup):
         if subgroup.group is not group:
             raise ValueError("subgroup belongs to a different group")
+        # right_row(k⁻¹) takes the coset H·r, as listed, to H·r·k⁻¹
+        steps = [group.right_row(group.inv(k)) for k in group.generators]
         reps = [group.identity]
+        cosets = [tuple(subgroup.members)]
         coset_of: list[int | None] = [None] * group.order
-        for m in subgroup.members:
+        for m in cosets[0]:
             coset_of[m] = 0
-        frontier = [group.identity]
+        frontier = [0]
         while frontier:
             nxt = []
-            for r in frontier:
-                for k in group.generators:
-                    t = group.mul(r, group.inv(k))
+            for j in frontier:
+                for step in steps:
+                    t = step[reps[j]]
                     if coset_of[t] is None:
                         c = len(reps)
                         reps.append(t)
-                        for m in subgroup.members:
-                            coset_of[group.mul(m, t)] = c
-                        nxt.append(t)
+                        cosets.append(picker(cosets[j])(step))
+                        for y in cosets[c]:
+                            coset_of[y] = c
+                        nxt.append(c)
             frontier = nxt
         if any(c is None for c in coset_of):
             raise ValueError("generators do not generate the group")

@@ -15,13 +15,12 @@ from operator import eq
 from typing import Iterable, Optional, Sequence
 
 from .freewords import GroupHom, Presentation, Word
-from .permgroup import FiniteGroup, conjugacy_classes, conjugates, generated_set
+from .permgroup import TOKEN_SHOWN, FiniteGroup, conjugacy_classes, conjugates, generated_set
 
 TRIAL_DIVISION_CAP = 2 ** 24  # _least_prime_factor trial-divides no further
 # Miller–Rabin with the primes up to 41 as bases decides primality below this
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_LIMIT = 3317044064679887385961981
-TOKEN_SHOWN = 40  # characters of a bad matrix token quoted in the error
 
 
 class IntMatrix:

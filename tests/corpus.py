@@ -94,6 +94,18 @@ def psl27() -> FiniteGroup:
     return perm_group(7, "(1 2 3 4 5 6 7)", "(3 5)(6 7)")
 
 
+def s5() -> FiniteGroup:
+    """S5, order 120, with 156 subgroups; kept out of ``corpus()`` like
+    ``psl27``."""
+    return perm_group(5, "(1 2 3 4 5)", "(1 2)")
+
+
+def a6() -> FiniteGroup:
+    """A6, order 360, with 501 subgroups in 22 conjugacy classes; kept out of
+    ``corpus()`` like ``psl27``."""
+    return perm_group(6, "(1 2 3 4 5)", "(4 5 6)")
+
+
 EXPECTED_ORDERS = {
     "trivial": 1, "c2": 2, "c3": 3, "c4": 4, "v4": 4, "c5": 5, "c6": 6,
     "s3": 6, "d4": 8, "q8": 8, "a4": 12, "d6": 12, "dic12": 12, "s4": 24,

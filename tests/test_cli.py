@@ -19,9 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cheblink import (CosetAction, Subgroup, all_subgroups, bundled_a5, chebotarev_report, cli,
-                      parse_group_data, permgroup, sft)
+                      covers, group_file_data, parse_group_data, permgroup, sft)
 from cheblink.cli import ExperimentConfig, decimal_str, main, run_a5_experiment
 
+from corpus import a6
 from oracles import render_row_by_fractions
 
 A5_HOM = {"degree": 5, "images": ["(1 2 3 4 5)", "(1 2 3)"]}
@@ -378,6 +379,26 @@ def test_cover_verify_artin_holds_one_subgroup_at_a_time(tmp_path, capsys, monke
     assert main(["cover", "verify-artin", "--group", grp, "--all-subgroups"]) == 0
     assert "all 30 subgroup(s) verified" in capsys.readouterr().out
     assert len(checked) == 30
+
+
+def test_cover_verify_artin_a6_walks_the_word_tree_once_per_class(tmp_path, capsys,
+                                                                  monkeypatch):
+    # A6's 501 subgroups fall in 22 conjugacy classes: every other subgroup's
+    # trace is its class representative's, relabelled
+    plain = covers._loop_monodromies
+    walks = 0
+
+    def counting(act):
+        nonlocal walks
+        walks += 1
+        return plain(act)
+
+    monkeypatch.setattr(covers, "_loop_monodromies", counting)
+    grp = write(tmp_path, "a6.json", group_file_data(a6()))
+    assert main(["cover", "verify-artin", "--group", grp, "--all-subgroups"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert (len(out), out[-1]) == (502, "all 501 subgroup(s) verified")
+    assert walks == 22
 
 
 def test_cover_verify_artin_needs_spec(tmp_path, capsys):
@@ -758,6 +779,16 @@ def test_a5_stab_spec_errors_are_one_based(capsys):
             ("(1 2)", "'(1 2)' is not an element of the group")):
         assert main(["a5", "--subgroup", spec]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a5_subgroup_point_past_the_int_digit_limit(capsys):
+    # int() would refuse the point with its own message; the point is
+    # refused first, and quoted shortened
+    text = f"({'9' * 5000} 1)"
+    assert main(["a5", "--subgroup", text]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: bad cycle notation {text!r}: point '{'9' * 40}...' is not an "
+            "integer in 1..5\n")
 
 
 def test_a5_rejects_wrong_target(tmp_path, capsys):

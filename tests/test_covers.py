@@ -14,8 +14,9 @@ from cheblink.covers import (BijectionReport, Component, ComponentCheck,
                              LiftResult, _coset_trace, _cycle_walk, _loop_monodromies,
                              _loop_word_for, _monodromy)
 
-from corpus import corpus, psl27
-from oracles import conjugator_by_full_scan, lift_by_vertex_walk, orbits
+from corpus import corpus, psl27, s5
+from oracles import (conjugates_by_every_element, conjugator_by_full_scan, lift_by_vertex_walk,
+                     orbits)
 
 GROUPS = corpus()
 
@@ -233,15 +234,17 @@ def test_loop_monodromies_are_coset_images(name):
     # its element, so the one-pass trace gives every element's image itself
     g = psl27() if name == "psl27" else GROUPS[name]
     for h in all_subgroups(g):
-        traced = dict(_loop_monodromies(h))
+        traced = dict(_loop_monodromies(h.action))
         assert len(traced) == g.order
         assert traced == {z: h.action.image(z) for z in range(g.order)}, len(h)
 
 
 @pytest.mark.parametrize("name", ["s4", "a5", "psl27"])
 def test_verify_artin_work_bounded(name, monkeypatch):
-    # no loop is composed letter by letter; every loop but the identity's
-    # costs one generator's coset image composed onto its parent's monodromy
+    # no loop is composed letter by letter; on a class representative (or a
+    # normal subgroup) every loop but the identity's costs one generator's
+    # coset image composed onto its parent's monodromy, and a subgroup linked
+    # to its representative composes none: it relabels the kept trace
     g = psl27() if name == "psl27" else GROUPS[name]
     plain_monodromy, plain_picker = covers._monodromy, covers.picker
     monodromies = compositions = 0
@@ -267,12 +270,12 @@ def test_verify_artin_work_bounded(name, monkeypatch):
 
     monkeypatch.setattr(covers, "_monodromy", counting_monodromy)
     monkeypatch.setattr(covers, "picker", counting_picker)
-    for h in all_subgroups(g):
+    # the representatives first, so that each walks its own cover
+    for h in sorted(all_subgroups(g), key=lambda h: h.link is not None):
         monodromies = compositions = 0
         assert verify_artin(g, h).passed
         assert monodromies <= 1
-        assert compositions <= g.order
-        assert compositions == g.order - 1
+        assert compositions == (g.order - 1 if h.link is None else 0)
 
 
 def test_component_bijection_pinned():
@@ -402,6 +405,50 @@ def test_coset_trace_is_read_off_the_coset_images(name):
         assert trace.meets == {class_index(g, m) for m in h.members}
 
 
+@pytest.mark.parametrize("name", sorted(GROUPS) + ["psl27", "s5"])
+def test_linked_traces_equal_fresh_walks(name):
+    # a subgroup linked to its class representative H is c⁻¹·H·c for its
+    # recorded conjugator c, conjugated here as permutations, and its trace,
+    # H's relabelled with H's very types, is the one a fresh subgroup with
+    # the same members walks for itself
+    g = psl27() if name == "psl27" else s5() if name == "s5" else GROUPS[name]
+    for h in all_subgroups(g):
+        fresh = Subgroup(g, h.members)
+        assert fresh.link is None
+        assert _coset_trace(h) == _coset_trace(fresh), len(h)
+        if h.link is not None:
+            act, c = h.link
+            rep = frozenset(y for y, v in enumerate(act.coset_of) if v == 0)
+            assert h.members in conjugates_by_every_element(g, rep)
+            cp = g.elements[c]
+            assert h.members == {g.index[cp.inverse() * g.elements[y] * cp] for y in rep}
+            assert _coset_trace(h).types is act._trace.types
+
+
+def test_corrupt_generator_image_on_a_linked_action_is_walked(monkeypatch):
+    # the relabelling rests on the generator check: with one generator's
+    # image swapped on a linked subgroup's action, the check fails and the
+    # subgroup's own cover is walked, so verify_artin reports what it
+    # reports on a fresh subgroup, no link, whose action is corrupted alike
+    g = GROUPS["a5"]
+    k = g.generators[0]
+    plain_image = CosetAction.image
+    corrupt = None
+
+    def swapped_image(self, z):
+        m = plain_image(self, z)
+        return (m[1], m[0]) + m[2:] if z == k and self.coset_of == corrupt else m
+
+    monkeypatch.setattr(CosetAction, "image", swapped_image)
+    linked = [h for h in all_subgroups(g) if h.link is not None]
+    assert len(linked) == 50
+    for h in linked:
+        corrupt = h.action.coset_of
+        report = verify_artin(g, h)
+        assert not report.passed, len(h)
+        assert report == verify_artin(g, Subgroup(g, h.members)), len(h)
+
+
 def test_component_bijection_work_bounded(monkeypatch):
     # whether some conjugate of the loop's image lies in H is read off its
     # class: a search for a conjugator on the loops whose class meets H made
@@ -424,12 +471,14 @@ def test_component_bijection_work_bounded(monkeypatch):
     assert calls <= 30_000
 
 
-@pytest.mark.parametrize("name", ["a5", "psl27"])
-def test_both_cover_checks_share_one_trace(name, monkeypatch):
-    # verify_artin, build_cover and a bijection check on every element's loop
-    # build one coset action and walk the word tree once; verify_artin passes
-    # over each element's monodromy once, and the bijection check composes no
-    # monodromy and walks no cycles of its own
+@pytest.mark.parametrize("name, classes", [("s4", 11), ("a5", 9), ("psl27", 15)])
+def test_both_cover_checks_share_one_trace(name, classes, monkeypatch):
+    # all_subgroups, verify_artin, build_cover and a bijection check on every
+    # element's loop build one coset action per subgroup and walk the word
+    # tree once per conjugacy class of subgroups.  A class representative's
+    # verify_artin walks it and passes over each element's monodromy once; a
+    # subgroup linked to the representative walks nothing and no cycles; the
+    # bijection check composes no monodromy and walks no cycles of its own
     g = psl27() if name == "psl27" else GROUPS[name]
     counts = dict.fromkeys(("actions", "walks", "monodromies", "cycle walks"), 0)
     plain_init, plain_walk = CosetAction.__init__, covers._loop_monodromies
@@ -445,17 +494,23 @@ def test_both_cover_checks_share_one_trace(name, monkeypatch):
     monkeypatch.setattr(covers, "_loop_monodromies", counted("walks", plain_walk))
     monkeypatch.setattr(covers, "_monodromy", counted("monodromies", plain_monodromy))
     monkeypatch.setattr(covers, "_cycle_walk", counted("cycle walks", plain_cycle_walk))
+    subs = all_subgroups(g)
+    totals = dict(counts)  # the representatives' actions, built by all_subgroups
     hom = free_hom(g)
     words = [_loop_word_for(g, z) for z in range(g.order)]
-    for h in all_subgroups(g):
+    # the representatives first, so that each walks its own cover
+    for h in sorted(subs, key=lambda h: h.link is not None):
+        walked = h.link is None
         counts.update(dict.fromkeys(counts, 0))
         assert verify_artin(g, h).passed
-        assert counts["cycle walks"] == g.order, len(h)
+        assert counts["cycle walks"] == g.order * walked, len(h)
         cover = build_cover(hom, h)
         assert all(verify_component_bijection(cover, w).passed for w in words)
-        assert counts["cycle walks"] == g.order, len(h)
-        assert (counts["actions"], counts["walks"]) == (1, 1), len(h)
+        assert counts["cycle walks"] == g.order * walked, len(h)
+        assert counts["actions"] <= 1 and counts["walks"] == walked, len(h)
         assert counts["monodromies"] <= 1
+        totals = {key: totals[key] + n for key, n in counts.items()}
+    assert (totals["actions"], totals["walks"]) == (len(subs), classes)
 
 
 @functools.cache

@@ -14,7 +14,7 @@ from cheblink import (ConjugacyClass, CosetAction, Permutation, Subgroup, all_su
                       power_classes, powers)
 from cheblink.cli import main, parse_subgroup
 
-from corpus import corpus, perm_group, psl27, EXPECTED_ORDERS
+from corpus import corpus, a6, perm_group, psl27, s5, EXPECTED_ORDERS
 from oracles import (closure_by_products, conjugates_by_every_element, coset_image_by_sets,
                      group_by_composition, orbits, powers_by_composition,
                      subgroups_by_all_joins)
@@ -314,8 +314,7 @@ def test_all_subgroups_counts():
 
 
 def test_all_subgroups_join_budget():
-    s5 = perm_group(5, "(1 2 3 4 5)", "(1 2)")
-    assert len(all_subgroups(s5)) == 156
+    assert len(all_subgroups(s5())) == 156
     # 362 cyclic subgroups and 1455 subgroups: refused before any join
     s6 = perm_group(6, "(1 2 3 4 5 6)", "(1 2)")
     start = time.perf_counter()
@@ -324,15 +323,14 @@ def test_all_subgroups_join_budget():
     assert time.perf_counter() - start < 2
 
 
-@pytest.mark.parametrize("group", [GROUPS["s4"], GROUPS["a5"],
-                                   perm_group(5, "(1 2 3 4 5)", "(1 2)")],
+@pytest.mark.parametrize("group", [GROUPS["s4"], GROUPS["a5"], s5()],
                          ids=["s4", "a5", "s5"])
 def test_all_subgroups_match_all_joins_oracle(group):
     assert [h.members for h in all_subgroups(group)] == subgroups_by_all_joins(group)
 
 
 def test_all_subgroups_of_a6():
-    assert len(all_subgroups(perm_group(6, "(1 2 3 4 5)", "(4 5 6)"))) == 501
+    assert len(all_subgroups(a6())) == 501
 
 
 def test_all_subgroups_joins_one_representative_per_class(monkeypatch):
