@@ -15,7 +15,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -23,10 +22,10 @@ from .covers import ARTIN_WORK_BUDGET, build_cover, decompose_loop, verify_artin
 from .freewords import (abelianized_matrix, braid_presentation, cyclic_reduce, evaluate,
                         format_letters, load_hom_file, parse_braid, parse_word)
 from .permgroup import (FiniteGroup, Subgroup, all_subgroups, conjugacy_classes,
-                        cycle_type, load_group_file, Permutation)
+                        cycle_type, load_group_file, parse_digits, Permutation, shorten)
 from .quotients import (generic_check, load_matrix_file, quotient_search,
                         smith_normal_form)
-from .sft import (DensityReport, DensityRow, bundled_a5, chebotarev_report,
+from .sft import (DensityReport, bundled_a5, chebotarev_report,
                   enumerate_orbits, load_sft_file, realization_check)
 
 
@@ -109,72 +108,46 @@ def parse_subgroup(group: FiniteGroup, spec: str) -> Subgroup:
     if spec == "whole":
         return Subgroup.whole(group)
     if spec.startswith("stab:"):
-        text = spec[5:].strip()
-        try:
-            if not (text.isascii() and text.isdigit()):
-                raise ValueError(text)
-            point = int(text)  # refuses more digits than the conversion limit
-        except ValueError:
-            raise ValueError(f"subgroup spec {spec!r}: the point must be an integer "
-                             f"in 1..{group.degree}") from None
+        point = parse_digits(spec[5:].strip())
+        if point is None:
+            raise ValueError(f"subgroup spec {shorten(spec)!r}: the point must be an "
+                             f"integer in 1..{group.degree}")
         if not 1 <= point <= group.degree:
-            raise ValueError(f"subgroup spec {spec!r}: point {point} outside "
-                             f"1..{group.degree}")
+            raise ValueError(f"subgroup spec {shorten(spec)!r}: point "
+                             f"{shorten(str(point))} outside 1..{group.degree}")
         return Subgroup.point_stabilizer(group, point - 1)
     gens = []
     for part in spec.split(";"):
         p = Permutation.parse(part, group.degree)
         if p not in group.index:
-            raise ValueError(f"{part.strip()!r} is not an element of the group")
+            raise ValueError(f"{shorten(part.strip())!r} is not an element of the group")
         gens.append(group.index[p])
     return Subgroup.generated(group, gens)
 
 
-@dataclass
-class ExperimentConfig:
-    sft_path: Optional[str] = None      # None: bundled 3-symbol full shift
-    hom_path: Optional[str] = None
-    subgroup: str = "stab:5"
-    max_len: int = 11
-    skip: int = 0
-    tolerance: Fraction = Fraction(1, 50)
-    realization_bound: int = 6
+def run_a5_experiment(*, sft_path: Optional[str] = None, hom_path: Optional[str] = None,
+                      subgroup: str = "stab:5", max_len: int = 11, skip: int = 0,
+                      bound: int = 6) -> tuple[DensityReport, Subgroup]:
+    """The Chebotarev report of the flagship experiment, and its subgroup.
 
-
-@dataclass(frozen=True)
-class A5Result:
-    rows: tuple[DensityRow, ...]
-    total_counted: int
-    max_deviation: Fraction
-    within_tolerance: bool
-    subgroup_order: int
-    subgroup_index: int
-    report: DensityReport
-
-
-def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
-    """Count orbit decomposition types against the class-size prediction.
-
-    Loads the shift and its labeling hom (bundled ones by default), insists
-    the target is the alternating group on 5 points, gates on the
-    realization check, then reads each Frobenius class's decomposition type
-    on the cosets of the configured subgroup from its permutation character.
-    The rows are the report's type rows at the length cutoff, in the order
-    of ``report.types``; the report itself is carried for the rows at every
-    other cutoff.
+    Loads the shift and its labeling hom (the bundled 3-symbol full shift
+    and its labels by default), insists the target is the alternating group
+    on 5 points, gates on the realization check with length bound ``bound``,
+    then reads each Frobenius class's decomposition type on the cosets of
+    ``subgroup`` from its permutation character.
     """
-    hom = load_hom_file(cfg.hom_path) if cfg.hom_path else None
-    if cfg.sft_path is None:
+    hom = load_hom_file(hom_path) if hom_path else None
+    if sft_path is None:
         s = bundled_a5(hom)[0]
     else:
-        s = load_sft_file(cfg.sft_path, hom or bundled_a5()[1])
+        s = load_sft_file(sft_path, hom or bundled_a5()[1])
     g = s.hom.target
     if g.degree != 5 or g.order != 60:
         raise CheckFailed(
             f"hom target has degree {g.degree} and order {g.order}; "
             "the experiment needs the alternating group on 5 points")
-    h = parse_subgroup(g, cfg.subgroup)
-    real = realization_check(s, cfg.realization_bound)
+    h = parse_subgroup(g, subgroup)
+    real = realization_check(s, bound)
     if not real.passed:
         missing = ", ".join(str(i) for i in real.missing_classes) or "none"
         raise CheckFailed(
@@ -182,37 +155,19 @@ def run_a5_experiment(cfg: ExperimentConfig) -> A5Result:
             f"strongly_connected={real.strongly_connected}, period={real.period}, "
             f"holonomy order {real.holonomy_order} of {g.order}, "
             f"classes without an orbit of length <= {real.bound}: [{missing}]")
-    report = chebotarev_report(s, cfg.max_len, skip=cfg.skip, subgroup=h)
-    rows = tuple(report.rows_at(cfg.max_len, types=True))
-    max_dev = max(r.deviation for r in rows)
-    return A5Result(
-        rows=rows,
-        total_counted=report.total_counted,
-        max_deviation=max_dev,
-        within_tolerance=max_dev <= cfg.tolerance,
-        subgroup_order=len(h),
-        subgroup_index=h.index,
-        report=report,
-    )
+    return chebotarev_report(s, max_len, skip=skip, subgroup=h), h
 
 
 def _cmd_a5(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ValueError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
-    cfg = ExperimentConfig(
-        sft_path=args.sft,
-        hom_path=args.hom,
-        subgroup=args.subgroup,
-        max_len=args.max_len,
-        skip=args.skip,
-        tolerance=Fraction(args.tolerance).limit_denominator(10 ** 9),
-        realization_bound=args.bound,
-    )
-    result = run_a5_experiment(cfg)
-    report = result.report
+    tolerance = Fraction(args.tolerance).limit_denominator(10 ** 9)
+    report, h = run_a5_experiment(sft_path=args.sft, hom_path=args.hom, subgroup=args.subgroup,
+                                  max_len=args.max_len, skip=args.skip, bound=args.bound)
+    within = max(r.deviation for r in report.rows_at(args.max_len, types=True)) <= tolerance
     # the type rows at the cutoff, rendered once: the table, the verdict
     # line and the FAIL line all quote these digits
-    keys, counts, sizes, total = report.tally(cfg.max_len, types=True)
+    keys, counts, sizes, total = report.tally(args.max_len, types=True)
     table = [(key, size, c, *rendered(c, total, size, report.group_order))
              for key, c, size in zip(keys, counts, sizes)]
     shown = _digits(max(dev for *_, dev, _ in table))
@@ -220,18 +175,18 @@ def _cmd_a5(args) -> int:
         if args.format == "rows":
             _print_rows(report, types=True)
         else:
-            print(f"orbits counted: {result.total_counted} "
-                  f"(length <= {cfg.max_len}, skip {cfg.skip}); "
-                  f"subgroup of order {result.subgroup_order}, index {result.subgroup_index}")
+            print(f"orbits counted: {report.total_counted} "
+                  f"(length <= {report.max_len}, skip {report.skip}); "
+                  f"subgroup of order {len(h)}, index {h.index}")
             print(f"{'type':<14} {'elements':>8} {'orbits':>8} {'density':>10} "
                   f"{'target':>8} {'deviation':>10}")
             for key, size, c, dens, dev, target in table:
                 print(f"{key.removeprefix('type:'):<14} {size:>8} {c:>8} {dens:>10} "
                       f"{target:>8} {_digits(dev):>10}")
-            verdict = "within" if result.within_tolerance else "OVER"
-            print(f"max deviation {shown} — {verdict} tolerance {decimal_str(cfg.tolerance)}")
-    if not result.within_tolerance:
-        raise CheckFailed(f"max deviation {shown} exceeds tolerance {decimal_str(cfg.tolerance)}")
+            verdict = "within" if within else "OVER"
+            print(f"max deviation {shown} — {verdict} tolerance {decimal_str(tolerance)}")
+    if not within:
+        raise CheckFailed(f"max deviation {shown} exceeds tolerance {decimal_str(tolerance)}")
     return 0
 
 
@@ -264,7 +219,7 @@ def _cmd_cover_decompose(args) -> int:
     cover = build_cover(hom, h)
     w = cyclic_reduce(parse_word(args.word))
     if not w.letters:
-        raise ValueError(f"word {args.word!r} is trivial after cyclic reduction")
+        raise ValueError(f"word {shorten(args.word)!r} is trivial after cyclic reduction")
     lift = decompose_loop(cover, w)
     z = evaluate(hom, w)
     print(f"cover on {h.index} vertices (subgroup order {len(h)})")

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .permgroup import (FiniteGroup, generate_group, generated_set, load_json,
-                        parse_cycle_strings)
+                        parse_cycle_strings, parse_digits, shorten)
 
-_WORD_TOKEN = re.compile(r"^x([1-9][0-9]*)(\^-1)?$")
-_BRAID_TOKEN = re.compile(r"^s([1-9][0-9]*)(\^-1)?$")
+_LETTER_TOKEN = re.compile(r"([a-z])([1-9][0-9]*)(\^-1)?")
 
 # strands a braid may have; 1024:s1 s2 ... s1023 takes 0.26 s to present, and
 # `braid presentation` on it 2.5-3.5 s (2 vCPUs, Python 3.11), most of that
@@ -61,7 +60,7 @@ class Word:
         v = [0] * generator_count
         for l in self.letters:
             if abs(l) > generator_count:
-                raise ValueError(f"letter {l} outside x1..x{generator_count}")
+                raise ValueError(f"letter {shorten(str(l))} outside x1..x{generator_count}")
             v[abs(l) - 1] += 1 if l > 0 else -1
         return v
 
@@ -152,16 +151,24 @@ def cyclic_reduce(w: Word | CyclicWord) -> CyclicWord:
     return CyclicWord._trusted(_canonical_rotation(ls[k:n - k]))
 
 
+def _read_letters(body: str, name: str, kind: str, text: str) -> list[int]:
+    """The letters of the whitespace-separated tokens "<name>k" and
+    "<name>k^-1" (k >= 1) in ``body``, a part of ``text``; a token that is
+    neither, or whose k has more digits than int() converts, is refused as a
+    bad ``kind`` token, quoted with ``text``."""
+    letters = []
+    for tok in body.split():
+        m = _LETTER_TOKEN.fullmatch(tok)
+        k = parse_digits(m.group(2)) if m and m.group(1) == name else None
+        if k is None:
+            raise ValueError(f"bad {kind} token {shorten(tok)!r} in {shorten(text)!r}")
+        letters.append(-k if m.group(3) else k)
+    return letters
+
+
 def parse_word(text: str) -> Word:
     """Parse "x1 x2^-1 x1" (whitespace-separated, ^-1 for inverses)."""
-    letters = []
-    for tok in text.split():
-        m = _WORD_TOKEN.match(tok)
-        if not m:
-            raise ValueError(f"bad word token {tok!r} in {text!r}")
-        k = int(m.group(1))
-        letters.append(-k if m.group(2) else k)
-    return reduce(letters)
+    return reduce(_read_letters(text, "x", "word", text))
 
 
 def format_letters(letters: Sequence[int]) -> str:
@@ -195,11 +202,12 @@ class BraidWord:
         if self.strands < 1:
             raise ValueError("a braid needs at least one strand")
         if self.strands > BRAID_STRAND_CAP:
-            raise ValueError(f"a braid on {self.strands} strands exceeds the strand cap "
-                             f"of {BRAID_STRAND_CAP}")
+            raise ValueError(f"a braid on {shorten(str(self.strands))} strands exceeds "
+                             f"the strand cap of {BRAID_STRAND_CAP}")
         for l in self.letters:
             if not isinstance(l, int) or not 1 <= abs(l) < self.strands:
-                raise ValueError(f"bad braid letter {l}: need 1 <= |letter| < {self.strands}")
+                raise ValueError(f"bad braid letter {shorten(str(l))}: "
+                                 f"need 1 <= |letter| < {self.strands}")
 
     def __str__(self) -> str:
         body = " ".join(f"s{l}" if l > 0 else f"s{-l}^-1" for l in self.letters)
@@ -210,22 +218,11 @@ def parse_braid(text: str) -> BraidWord:
     """Parse "3:s1 s2^-1 s1" — strand count, colon, braid letters."""
     head, sep, body = text.partition(":")
     if not sep:
-        raise ValueError(f"bad braid {text!r}: expected 'strands:letters'")
-    head = head.strip()
-    try:
-        if not (head.isascii() and head.isdigit()):
-            raise ValueError(head)
-        strands = int(head)  # refuses more digits than the conversion limit
-    except ValueError:
-        raise ValueError(f"bad strand count in {text!r}") from None
-    letters = []
-    for tok in body.split():
-        m = _BRAID_TOKEN.match(tok)
-        if not m:
-            raise ValueError(f"bad braid token {tok!r} in {text!r}")
-        k = int(m.group(1))
-        letters.append(-k if m.group(2) else k)
-    return BraidWord(strands, tuple(letters))
+        raise ValueError(f"bad braid {shorten(text)!r}: expected 'strands:letters'")
+    strands = parse_digits(head.strip())
+    if strands is None:
+        raise ValueError(f"bad strand count in {shorten(text)!r}")
+    return BraidWord(strands, tuple(_read_letters(body, "s", "braid", text)))
 
 
 def braid_presentation(b: BraidWord) -> Presentation:
@@ -311,7 +308,7 @@ def evaluate(hom: GroupHom, w: Word | CyclicWord) -> int:
     acc = g.identity
     for l in w.letters:
         if abs(l) > n:
-            raise ValueError(f"letter {l} outside x1..x{n}")
+            raise ValueError(f"letter {shorten(str(l))} outside x1..x{n}")
         e = hom.images[l - 1] if l > 0 else g.inv(hom.images[-l - 1])
         acc = g.mul(acc, e)
     return acc

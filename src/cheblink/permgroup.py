@@ -41,9 +41,23 @@ _PRODUCTS_BEFORE_ROW = 8
 # joins the all_subgroups search may plan, times the group order; S5 plans
 # 1.25e6 and A6 3.0e7
 SUBGROUP_JOIN_BUDGET = 1 << 25
-TOKEN_SHOWN = 40  # characters of a bad token quoted in an error
+TOKEN_SHOWN = 40  # characters of the user's text or token quoted in an error
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def shorten(text: str) -> str:
+    """``text`` cut to its first TOKEN_SHOWN characters, with "..." when cut."""
+    return text if len(text) <= TOKEN_SHOWN else text[:TOKEN_SHOWN] + "..."
+
+
+def parse_digits(text: str) -> int | None:
+    """The value of ASCII decimal digits, or None for anything else: a sign,
+    an underscore, other digits, or more digits than int() converts."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # past the integer string conversion limit
+        return None
 
 
 class Permutation(tuple):
@@ -79,7 +93,7 @@ class Permutation(tuple):
         if s in ("", "()"):
             return cls.identity(degree)
         if _CYCLE_RE.sub("", s).strip():
-            raise ValueError(f"bad cycle notation: {text!r}")
+            raise ValueError(f"bad cycle notation: {shorten(text)!r}")
         cycles = []
         for part in _CYCLE_RE.findall(s):
             cyc = []
@@ -87,15 +101,14 @@ class Permutation(tuple):
                 # no degree has TOKEN_SHOWN digits, and int() refuses a
                 # point past its conversion limit
                 if not (t.isascii() and t.removeprefix("-").isdigit()) or len(t) > TOKEN_SHOWN:
-                    shown = t if len(t) <= TOKEN_SHOWN else t[:TOKEN_SHOWN] + "..."
-                    raise ValueError(f"bad cycle notation {text!r}: point {shown!r} is not "
-                                     f"an integer in 1..{degree}")
+                    raise ValueError(f"bad cycle notation {shorten(text)!r}: point "
+                                     f"{shorten(t)!r} is not an integer in 1..{degree}")
                 cyc.append(int(t))
             cycles.append(cyc)
         try:
             images = _cycle_map(cycles, degree, 1)
         except ValueError as e:
-            raise ValueError(f"bad cycle notation {text!r}: {e}") from None
+            raise ValueError(f"bad cycle notation {shorten(text)!r}: {e}") from None
         return cls(images)
 
     @property

@@ -15,7 +15,7 @@ from operator import eq
 from typing import Iterable, Optional, Sequence
 
 from .freewords import GroupHom, Presentation, Word
-from .permgroup import TOKEN_SHOWN, FiniteGroup, conjugacy_classes, conjugates, generated_set
+from .permgroup import FiniteGroup, conjugacy_classes, conjugates, generated_set, shorten
 
 TRIAL_DIVISION_CAP = 2 ** 24  # _least_prime_factor trial-divides no further
 # Miller–Rabin with the primes up to 41 as bases decides primality below this
@@ -640,8 +640,8 @@ def load_matrix_file(path) -> IntMatrix:
             try:
                 row.append(int(tok))
             except ValueError:
-                shown = tok if len(tok) <= TOKEN_SHOWN else tok[:TOKEN_SHOWN] + "..."
-                raise ValueError(f"{path}: line {lineno}: {shown!r} is not an integer") from None
+                raise ValueError(f"{path}: line {lineno}: {shorten(tok)!r} "
+                                 "is not an integer") from None
         if not rows:
             first = lineno
         elif len(row) != len(rows[0]):

@@ -62,9 +62,10 @@ class LabeledSFT:
             raise ValueError(f"{state_count} states exceed the cap of {DP_STATE_CAP}")
         if not edges:
             raise ValueError("need at least one edge")
-        for e in edges:
+        for i, e in enumerate(edges):
             if not (0 <= e.src < state_count and 0 <= e.dst < state_count):
-                raise ValueError(f"edge {e} leaves 0..{state_count - 1}")
+                raise ValueError(f"edge {i} ({e.src} -> {e.dst}) leaves states "
+                                 f"0..{state_count - 1}")
         self.state_count = state_count
         self.edges = tuple(edges)
         self.hom = hom

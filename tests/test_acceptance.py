@@ -16,7 +16,7 @@ from cheblink import (CosetAction, GroupHom, LabeledSFT, Presentation, SftEdge,
                       primitive_counts, quotient_search, realization_check,
                       smith_normal_form, verify_artin,
                       verify_component_bijection)
-from cheblink.cli import ExperimentConfig, run_a5_experiment
+from cheblink.cli import run_a5_experiment
 from cheblink.covers import _loop_word_for
 from cheblink.quotients import IntMatrix
 
@@ -33,16 +33,18 @@ def report(n, text):
 
 def test_criterion_1_a5_density_table():
     """Flagship table: 4 types, counts (1, 15, 20, 24), deviations <= 0.02."""
-    result = run_a5_experiment(ExperimentConfig())
-    assert result.total_counted == 25486
-    assert result.rows == tuple(result.report.rows_at(11, types=True))
-    assert list(result.report.types) == [(1, 1, 1, 1, 1), (2, 2, 1), (3, 1, 1), (5,)]
-    assert list(result.report.tally(11, types=True)[2]) == [1, 15, 20, 24]
-    assert [r.target for r in result.rows] == [
+    rep, h = run_a5_experiment()
+    assert (rep.max_len, rep.skip, len(h), h.index) == (11, 0, 12, 5)
+    assert rep.total_counted == 25486
+    rows = rep.rows_at(11, types=True)
+    assert list(rep.types) == [(1, 1, 1, 1, 1), (2, 2, 1), (3, 1, 1), (5,)]
+    assert list(rep.tally(11, types=True)[2]) == [1, 15, 20, 24]
+    assert [r.target for r in rows] == [
         Fraction(1, 60), Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)]
-    for row in result.rows:
+    for row in rows:
         assert row.deviation <= TOLERANCE, row
-    assert result.max_deviation <= Fraction(1, 1000)  # observed ~0.00042
+    max_deviation = max(r.deviation for r in rows)
+    assert max_deviation <= Fraction(1, 1000)  # observed ~0.00042
 
     # cross-check the transfer-DP counts per type against orbit enumeration,
     # which shares none of their counting code
@@ -54,9 +56,9 @@ def test_criterion_1_a5_density_table():
     for o in enumerate_orbits(s, 11):
         t = cycle_type(act.image(classes[o.frobenius_class].representative))
         by_type[t] = by_type.get(t, 0) + 1
-    assert by_type == dict(zip(result.report.types, (r.count for r in result.rows)))
+    assert by_type == dict(zip(rep.types, (r.count for r in rows)))
     report(1, "A5 table: counts (1,15,20,24), 25486 orbits, "
-              f"max deviation {float(result.max_deviation):.6f} <= 0.02, "
+              f"max deviation {float(max_deviation):.6f} <= 0.02, "
               "enumeration cross-check exact")
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from cheblink import (CosetAction, Subgroup, all_subgroups, bundled_a5, chebotarev_report, cli,
                       covers, group_file_data, parse_group_data, permgroup, sft)
-from cheblink.cli import ExperimentConfig, decimal_str, main, run_a5_experiment
+from cheblink.cli import decimal_str, main, run_a5_experiment
 
 from corpus import a6
 from oracles import render_row_by_fractions
@@ -696,12 +696,13 @@ def test_a5_experiment_at_length_100():
     # far beyond enumeration: the DP total must equal the Moebius count of
     # primitive orbits of the full 3-shift, sum over n of
     # (1/n) sum_{d | n} mu(n/d) 3^d
-    result = run_a5_experiment(ExperimentConfig(max_len=100))
+    rep, _ = run_a5_experiment(max_len=100)
     expected = sum(sum(mobius(n // d) * 3 ** d for d in range(1, n + 1) if n % d == 0) // n
                    for n in range(1, 101))
-    assert result.total_counted == expected
-    assert len(result.rows) == 4
-    for row in result.rows:
+    assert rep.total_counted == expected
+    rows = rep.rows_at(100, types=True)
+    assert len(rows) == 4
+    for row in rows:
         assert row.deviation <= Fraction(1, 50), row
 
 
@@ -774,7 +775,7 @@ def test_a5_stab_spec_errors_are_one_based(capsys):
                              "in 1..5"),
             ("stab:0_5", "subgroup spec 'stab:0_5': the point must be an integer "
                          "in 1..5"),
-            ("stab:" + "9" * 5000, f"subgroup spec 'stab:{'9' * 5000}': the point must "
+            ("stab:" + "9" * 5000, f"subgroup spec 'stab:{'9' * 35}...': the point must "
                                    "be an integer in 1..5"),
             ("(1 2)", "'(1 2)' is not an element of the group")):
         assert main(["a5", "--subgroup", spec]) == 2
@@ -783,12 +784,54 @@ def test_a5_stab_spec_errors_are_one_based(capsys):
 
 def test_a5_subgroup_point_past_the_int_digit_limit(capsys):
     # int() would refuse the point with its own message; the point is
-    # refused first, and quoted shortened
-    text = f"({'9' * 5000} 1)"
-    assert main(["a5", "--subgroup", text]) == 2
+    # refused first, and the text and the point are quoted shortened
+    assert main(["a5", "--subgroup", f"({'9' * 5000} 1)"]) == 2
     assert capsys.readouterr() == (
-        "", f"error: bad cycle notation {text!r}: point '{'9' * 40}...' is not an "
+        "", f"error: bad cycle notation '({'9' * 39}...': point '{'9' * 40}...' is not an "
             "integer in 1..5\n")
+
+
+LONG = "9" * 5000     # past int()'s default limit of 4300 digits
+LONGISH = "9" * 4000  # within it
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["a5", "--subgroup", f"({LONG} 1)"], "bad cycle notation"),
+    (["a5", "--subgroup", f"stab:{LONG}"], "the point must be an integer"),
+    (["a5", "--subgroup", f"stab:{LONGISH}"], "outside 1..5"),
+    (["cover", "decompose", "--hom", str(DATA / "a5_hom.json"), "--subgroup", "stab:5",
+      "--word", f"x1 q{LONG}"], "bad word token"),
+    (["cover", "decompose", "--hom", str(DATA / "a5_hom.json"), "--subgroup", "stab:5",
+      "--word", f"x{LONGISH}"], "outside x1..x2"),
+    (["generic", "check", "--braid", "2:s1", "--classes", f"x{LONG}"], "bad word token"),
+    (["braid", "presentation", f"3:s1 t{LONG}"], "bad braid token"),
+    (["braid", "presentation", f"3:s{LONG}"], "bad braid token"),
+    (["braid", "presentation", f"3:s{LONGISH}"], "bad braid letter"),
+    (["braid", "presentation", f"{LONG}:s1"], "bad strand count"),
+    (["braid", "presentation", f"{LONGISH}:s1"], "exceeds the strand cap"),
+    (["snf", "MATRIX"], "is not an integer"),
+], ids=["cycle-point", "stab-point", "stab-point-in-range", "word-token",
+        "word-letter-in-range", "class-word-token", "braid-token", "braid-letter",
+        "braid-letter-in-range", "strand-count", "strand-count-in-range", "matrix-token"])
+def test_over_long_input_is_one_short_error_line(tmp_path, capsys, argv, says):
+    # an error quotes at most TOKEN_SHOWN characters of any one piece of the
+    # input, whether int() would refuse its digits or not
+    matrix = write(tmp_path, "m.txt", f"1 2\n3 {LONG}x\n")
+    assert main([matrix if arg == "MATRIX" else arg for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200, err[:300]
+    assert says in err
+
+
+def test_sft_edge_off_the_states_is_named_by_index_and_ends(tmp_path, capsys):
+    hom = write(tmp_path, "hom.json", TRIVIAL_HOM)
+    for (src, dst), message in (((1, 5), "edge 1 (1 -> 5) leaves states 0..1"),
+                                ((-1, 0), "edge 1 (-1 -> 0) leaves states 0..1")):
+        sft = write(tmp_path, "bad.json", {"states": 2, "edges": [
+            {"from": 0, "to": 1, "label": "x1"}, {"from": src, "to": dst, "label": "x1"}]})
+        assert main(["sft", "orbits", "--sft", sft, "--hom", hom, "--max-len", "2"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_a5_rejects_wrong_target(tmp_path, capsys):

@@ -39,6 +39,36 @@ def test_parse_word_rejects_garbage():
             parse_word(bad)
 
 
+def test_letter_past_the_int_digit_limit_is_a_bad_token():
+    # int() refuses more than 4300 digits with a message of its own; such a
+    # letter is a bad token like any other, and the error quotes a prefix of
+    # the token and of the text
+    big = "9" * 5000
+    with pytest.raises(ValueError) as e:
+        parse_word(f"x1 x{big}^-1")
+    assert str(e.value) == f"bad word token 'x{'9' * 39}...' in 'x1 x{'9' * 36}...'"
+    with pytest.raises(ValueError) as e:
+        parse_braid(f"3:s1 s{big}")
+    assert str(e.value) == f"bad braid token 's{'9' * 39}...' in '3:s1 s{'9' * 34}...'"
+    # digits int() converts are read as a letter, whatever their number
+    assert parse_word("x" + "9" * 4000).letters == (int("9" * 4000),)
+    with pytest.raises(ValueError) as e:
+        parse_braid("3:s" + "9" * 4000)
+    assert str(e.value) == f"bad braid letter {'9' * 40}...: need 1 <= |letter| < 3"
+
+
+def test_bad_tokens_int_accepts_keep_their_messages():
+    with pytest.raises(ValueError) as e:
+        parse_word("x1 y2")
+    assert str(e.value) == "bad word token 'y2' in 'x1 y2'"
+    with pytest.raises(ValueError) as e:
+        parse_braid("3:s1 x2")
+    assert str(e.value) == "bad braid token 'x2' in '3:s1 x2'"
+    with pytest.raises(ValueError) as e:
+        parse_braid("3:s1 s2^-2")
+    assert str(e.value) == "bad braid token 's2^-2' in '3:s1 s2^-2'"
+
+
 def test_reduce_and_multiply():
     assert reduce([1, 2, -2, -1]).letters == ()
     assert reduce([1, 2, -2, 3]).letters == (1, 3)

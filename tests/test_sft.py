@@ -16,7 +16,7 @@ from cheblink import (CosetAction, FiniteGroup, GroupHom, LabeledSFT, Presentati
                       exact_counts, parse_hom_data, parse_sft_data, parse_word,
                       permutation_character, primitive_counts, realization_check, reduce)
 from cheblink import sft
-from cheblink.cli import ExperimentConfig, run_a5_experiment
+from cheblink.cli import run_a5_experiment
 from cheblink.sft import DP_STATE_CAP, LENGTH_CAP, DensityRow
 
 from corpus import corpus, psl27
@@ -998,15 +998,15 @@ def test_witness_tables_over_the_cap_are_refused(monkeypatch):
 
 @pytest.mark.parametrize("max_len, skip", [(11, 0), (8, 1), (40, 1000), (6, 195)])
 def test_max_type_deviation_is_the_largest_row_deviation(max_len, skip):
-    # A5Result.max_deviation is the one exact maximum: the largest type row's
+    # `cheblink a5` decides on one exact maximum: the largest type row's
     # deviation at the cutoff, redone here from the tally's integers; at
     # (6, 195) the skip leaves one orbit
-    result = run_a5_experiment(ExperimentConfig(max_len=max_len, skip=skip))
-    rep = result.report
-    assert result.max_deviation == max(r.deviation for r in rep.rows_at(max_len, types=True))
+    rep, _ = run_a5_experiment(max_len=max_len, skip=skip)
+    assert (rep.max_len, rep.skip) == (max_len, skip)
+    max_deviation = max(r.deviation for r in rep.rows_at(max_len, types=True))
     _, counts, sizes, total = rep.tally(max_len, types=True)
-    assert result.max_deviation == max(abs(Fraction(c, total) - Fraction(size, rep.group_order))
-                                       for c, size in zip(counts, sizes))
+    assert max_deviation == max(abs(Fraction(c, total) - Fraction(size, rep.group_order))
+                                for c, size in zip(counts, sizes))
     # a 3-cycle has no orbit up to length 2: every density is 0
     w = parse_word("x1")
     ring = LabeledSFT(3, [SftEdge(0, 1, w), SftEdge(1, 2, w), SftEdge(2, 0, w)], trivial_hom())
