@@ -255,7 +255,7 @@ def _cmd_cover_verify_artin(args) -> int:
 
 def _cmd_sft_orbits(args) -> int:
     if args.limit < 0:
-        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
+        raise ValueError(f"--limit must be nonnegative, got {shorten(str(args.limit))}")
     hom = load_hom_file(args.hom)
     s = load_sft_file(args.sft, hom)
     g = hom.target
@@ -363,6 +363,15 @@ def _cmd_generic_check(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """The type of every integer option: an optional '-' and ASCII digits,
+    read by ``parse_digits``; a bad value is quoted through ``shorten``."""
+    n = parse_digits(text.removeprefix("-"))
+    if n is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {shorten(text)!r}")
+    return -n if text.startswith("-") else n
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error in one line on stderr, exit 2, like any other
     input error; ``-h`` still prints the usage."""
@@ -386,11 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
                                   "5-point alternating group)")
     a5.add_argument("--subgroup", default="stab:5",
                     help="subgroup spec (default stab:5, the point stabilizer)")
-    a5.add_argument("--max-len", type=int, default=11)
-    a5.add_argument("--skip", type=int, default=0,
+    a5.add_argument("--max-len", type=_integer, default=11)
+    a5.add_argument("--skip", type=_integer, default=0,
                     help="drop this many of the shortest orbits first")
     a5.add_argument("--tolerance", type=float, default=0.02)
-    a5.add_argument("--bound", type=int, default=6,
+    a5.add_argument("--bound", type=_integer, default=6,
                     help="realization-check length bound")
     a5.add_argument("--format", choices=("text", "rows"), default="text")
     a5.set_defaults(func=_cmd_a5)
@@ -426,14 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
     so = ssub.add_parser("orbits", help="stream primitive orbits")
     so.add_argument("--sft", required=True)
     so.add_argument("--hom", required=True)
-    so.add_argument("--max-len", type=int, required=True)
-    so.add_argument("--limit", type=int, default=0)
+    so.add_argument("--max-len", type=_integer, required=True)
+    so.add_argument("--limit", type=_integer, default=0)
     so.set_defaults(func=_cmd_sft_orbits)
     sc = ssub.add_parser("chebotarev", help="empirical class/type densities")
     sc.add_argument("--sft", required=True)
     sc.add_argument("--hom", required=True)
-    sc.add_argument("--max-len", type=int, required=True)
-    sc.add_argument("--skip", type=int, default=0)
+    sc.add_argument("--max-len", type=_integer, required=True)
+    sc.add_argument("--skip", type=_integer, default=0)
     sc.add_argument("--format", choices=("text", "rows"), default="text")
     sc.set_defaults(func=_cmd_sft_chebotarev)
     sr = ssub.add_parser("realization", help="lift on states x G strongly connected "
@@ -441,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                                              "lift's), and class witnesses")
     sr.add_argument("--sft", required=True)
     sr.add_argument("--hom", required=True)
-    sr.add_argument("--bound", type=int, default=6)
+    sr.add_argument("--bound", type=_integer, default=6)
     sr.set_defaults(func=_cmd_sft_realization)
 
     quo = sub.add_parser("quotient", help="finite quotients of braid closures")
@@ -451,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     qs.add_argument("--target", required=True, help="group file (json)")
     qs.add_argument("--surjective-only", action="store_true")
     qs.add_argument("--dedup-conjugacy", action="store_true")
-    qs.add_argument("--budget", type=int, default=10 ** 8)
+    qs.add_argument("--budget", type=_integer, default=10 ** 8)
     qs.set_defaults(func=_cmd_quotient_search)
 
     snf = sub.add_parser("snf", help="Smith normal form with transforms")

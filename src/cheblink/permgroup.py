@@ -370,8 +370,8 @@ class FiniteGroup:
 
 def _check_slots(degree: int, elements: int = 1) -> None:
     if elements * degree > IMAGE_SLOT_CAP:
-        raise ValueError(f"{elements} x {degree} image slots (order times degree) exceed "
-                         f"the cap of {IMAGE_SLOT_CAP}")
+        raise ValueError(f"{elements} x {shorten(str(degree))} image slots (order times "
+                         f"degree) exceed the cap of {IMAGE_SLOT_CAP}")
 
 
 def generate_group(generators: Sequence[Permutation], *,

@@ -328,16 +328,50 @@ def generic_check(p: Presentation, classes: Sequence[Word]) -> GenericityResult:
     return GenericityResult(False, factors, prime, witness)
 
 
-def _search_plan(p: Presentation) -> list[tuple[int, Optional[Word], list[Word]]]:
+def _wirtinger_pair(letters: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    """The letters (a, b) of the first rotation of ``letters`` that reads
+    a·u·b·u⁻¹ with a and b on distinct generators, or None.
+
+    Such a rotation is an anti-palindrome (the k-th letter after the centre
+    is the inverse of the k-th before it) of radius len/2 - 1 centred on b.
+    Manacher's scan over the doubled word finds every centre's radius in
+    O(len) comparisons, with one change: a centre's own letter is not its
+    own inverse, so a centre c inside the anti-palindrome around mid copies
+    the radius of its mirror image only up to c - mid - 1.  At distance
+    c - mid, c's pair holds exactly when its mirror's does not.
+    """
+    n, half = len(letters), len(letters) // 2
+    if n % 2 or not n:
+        return None
+    s = letters + letters
+    radius = [0] * (2 * n)
+    mid = hi = -1  # the centre and right end of the one reaching furthest right
+    for c in range(2 * n):
+        k = min(radius[2 * mid - c], hi - c, c - mid - 1) if c < hi else 0
+        while k < c and c + k + 1 < 2 * n and s[c - k - 1] == -s[c + k + 1]:
+            k += 1
+        radius[c] = k
+        if c + k > hi:
+            mid, hi = c, c + k
+    return next(((s[i], s[i + half]) for i in range(n)
+                 if radius[i + half] >= half - 1 and abs(s[i]) != abs(s[i + half])), None)
+
+
+def _search_plan(p: Presentation) -> list[tuple[int, Optional[Word], list[Word],
+                                                 Optional[tuple[int, int]]]]:
     """The order in which quotient_search picks generator images.
 
-    One (generator, solved, relators) triple per search position: the
-    1-based generator x whose image that position chooses, and the
+    One (generator, solved, relators, conjugate) entry per search position:
+    the 1-based generator x whose image that position chooses, and the
     relators assigned there, those whose last generator in the order it is.
     solved is the one the position solves for x: the first in which x
     occurs exactly once, or else the first in which x occurs exactly twice,
     once inverted, or else None.  relators holds the others, in their
-    order, which the position only checks.
+    order, which the position only checks.  conjugate is (y, sign) when x
+    is conjugate to y^sign for a generator y placed before it, else None:
+    the first relator read by ``_wirtinger_pair`` as x^e·u·y^f·u⁻¹ up to
+    rotation makes x conjugate to y^(-e·f), as a braid closure's relator
+    does for the meridians of two distinct strands.
 
     The order is built from the back.  Each position takes the
     highest-numbered generator left that occurs exactly once in a relator
@@ -378,10 +412,16 @@ def _search_plan(p: Presentation) -> list[tuple[int, Optional[Word], list[Word]]
         solvable = [i for i in mine if counts[i][x] == 1 or (
             counts[i][x] == 2 and {x, -x} <= set(p.relators[i].letters))]
         solved = min(solvable, key=lambda i: counts[i][x], default=None)
-        plan.append((x, None if solved is None else p.relators[solved],
-                     [p.relators[i] for i in mine if i != solved]))
+        plan.append([x, None if solved is None else p.relators[solved],
+                     [p.relators[i] for i in mine if i != solved], None])
     plan.reverse()
-    return plan
+    position = {x: k for k, (x, *_) in enumerate(plan)}
+    for r in p.relators:
+        if pair := _wirtinger_pair(r.letters):
+            y, x = sorted(map(abs, pair), key=position.get)
+            if plan[position[x]][3] is None:
+                plan[position[x]][3] = (y, 1 if (pair[0] > 0) != (pair[1] > 0) else -1)
+    return list(map(tuple, plan))
 
 
 class _ProductRow:
@@ -431,6 +471,10 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
     candidates, so a node whose candidates all fail the first relator
     compiles no other.
 
+    When the plan names (y, sign) for a position, x is conjugate to y^sign,
+    and the node keeps, in their order, only the candidates in the class of
+    image(y)^sign.
+
     With ``dedup_conjugacy`` only the lexicographically least hom of each
     conjugation orbit is kept, and the rest are pruned during the backtrack:
     a tuple t is least among its conjugates exactly when each t[k] is least
@@ -456,9 +500,9 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
     n = p.generator_count
     if g.order ** n > budget:
         raise ValueError(
-            f"{g.order}^{n} candidate image tuples exceed the budget of {budget}")
+            f"{g.order}^{n} candidate image tuples exceed the budget of {shorten(str(budget))}")
     plan = _search_plan(p)
-    relabelled = [x for x, _, _ in plan] != list(range(1, n + 1))
+    relabelled = [x for x, *_ in plan] != list(range(1, n + 1))
 
     images = [g.identity] * n
     results: list[GroupHom] = []
@@ -558,8 +602,8 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
         # from them so far, and cent, the conjugation rows of the nontrivial
         # elements centralizing the images chosen so far, None when that
         # centralizer is the whole target (dedup only)
-        solved, relators = steps[k]
-        cands = reps if dedup_conjugacy and cent is None else range(g.order)
+        solved, relators, conjugate = steps[k]
+        cands = reps if dedup_conjugacy and cent is None else everything
         if solved is not None:
             neg, parts = solved
             if len(parts) == 1:
@@ -580,14 +624,24 @@ def quotient_search(p: Presentation, target: FiniteGroup, *,
                 else:
                     coset = compress(range(g.order), map(eq, g.left_row(u), g.right_row(v)))
                     cands = [c for c in coset if c in cands]
+        if conjugate is not None:
+            # x is conjugate to y^sign: its candidates in that one class
+            y, sign = conjugate
+            cls = class_of[images[y - 1] if sign > 0 else inv(images[y - 1])]
+            cands = members[cls] if cands is everything else \
+                [c for c in cands if class_of[c] == cls]
         return iter(cands), [None] * len(relators), relators, cent
 
     if n == 0:
         finish()
         return results
     # the plan's relators, each split at its position's generator once
-    steps = [(None if solved is None else split(solved, x), [split(w, x) for w in relators])
-             for x, solved, relators in plan]
+    steps = [(None if solved is None else split(solved, x), [split(w, x) for w in relators],
+              conjugate) for x, solved, relators, conjugate in plan]
+    everything = range(g.order)
+    if any(conjugate for *_, conjugate in plan):
+        class_of = g.class_of
+        members = [sorted(c.members) for c in conjugacy_classes(g)]
     # depth-first on an explicit stack, one frame per chosen image, so a
     # braid on any number of strands is searched without recursion
     stack = [level(0, None)]

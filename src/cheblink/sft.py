@@ -22,7 +22,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .freewords import GroupHom, Word, evaluate, parse_hom_data, parse_word
 from .permgroup import (FiniteGroup, Subgroup, class_types, conjugacy_classes,
-                        cycle_type, load_json, picker, power_classes)
+                        cycle_type, load_json, picker, power_classes, shorten)
 
 DP_STATE_CAP = 65536  # the transfer DP and realization_check refuse above state_count * |G|
 SKIP_CAP = 10 ** 6    # chebotarev_report refuses to enumerate more skipped orbits
@@ -59,13 +59,13 @@ class LabeledSFT:
             raise ValueError("need at least one state")
         if state_count > DP_STATE_CAP:
             # every count and check works on states x G, so nothing could run
-            raise ValueError(f"{state_count} states exceed the cap of {DP_STATE_CAP}")
+            raise ValueError(f"{shorten(str(state_count))} states exceed the cap of {DP_STATE_CAP}")
         if not edges:
             raise ValueError("need at least one edge")
         for i, e in enumerate(edges):
             if not (0 <= e.src < state_count and 0 <= e.dst < state_count):
-                raise ValueError(f"edge {i} ({e.src} -> {e.dst}) leaves states "
-                                 f"0..{state_count - 1}")
+                raise ValueError(f"edge {i} ({shorten(str(e.src))} -> {shorten(str(e.dst))}) "
+                                 f"leaves states 0..{state_count - 1}")
         self.state_count = state_count
         self.edges = tuple(edges)
         self.hom = hom
@@ -165,7 +165,7 @@ def enumerate_orbits(s: LabeledSFT, max_len: int) -> Iterator[Orbit]:
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if max_len > LENGTH_CAP:
-        raise ValueError(f"max_len {max_len} exceeds the length cap {LENGTH_CAP}")
+        raise ValueError(f"max_len {shorten(str(max_len))} exceeds the length cap {LENGTH_CAP}")
     class_of = s.hom.target.class_of
     every = b"\xff" * s.hom.target.order  # nonzero at every holonomy; bytes cache their hash
     moves = [[(s.edge_dst[ei], None) for ei in out] for out in s.out_edges]
@@ -515,10 +515,10 @@ def chebotarev_report(s: LabeledSFT, max_len: int, *, skip: int = 0,
     if skip < 0:
         raise ValueError("skip must be nonnegative")
     if skip > SKIP_CAP:
-        raise ValueError(f"skip {skip} exceeds the skip cap {SKIP_CAP}: "
+        raise ValueError(f"skip {shorten(str(skip))} exceeds the skip cap {SKIP_CAP}: "
                          "skipped orbits are enumerated one by one")
     if max_len > LENGTH_CAP:
-        raise ValueError(f"max_len {max_len} exceeds the length cap {LENGTH_CAP}")
+        raise ValueError(f"max_len {shorten(str(max_len))} exceeds the length cap {LENGTH_CAP}")
     g = s.hom.target
     classes = conjugacy_classes(g)
     # class_types refuses a subgroup of another group before anything is counted
@@ -603,7 +603,7 @@ def realization_check(s: LabeledSFT, bound: int) -> RealizationReport:
     if bound < 1:
         raise ValueError("bound must be at least 1")
     if bound > LENGTH_CAP:
-        raise ValueError(f"bound {bound} exceeds the length cap {LENGTH_CAP}")
+        raise ValueError(f"bound {shorten(str(bound))} exceeds the length cap {LENGTH_CAP}")
     g = s.hom.target
     n, order = s.state_count, g.order
     moves = _lift_moves(s)

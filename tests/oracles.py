@@ -7,7 +7,8 @@ closures from products of all member pairs, subgroup lattices from joining
 every pair of subgroup and cyclic subgroup,
 conjugacy representatives of homs by trying every conjugator on each hom,
 homs themselves by evaluating every relator on every image tuple,
-canonical rotations by comparing per-letter key tuples, conjugators by
+canonical rotations by comparing per-letter key tuples, Wirtinger shapes
+by cutting every rotation into its halves, conjugators by
 composing permutations for every element of the group, a shift's
 connectivity, period and holonomy from separate passes over its base graph,
 a loop's lift by walking each vertex through every letter, a
@@ -235,6 +236,22 @@ def rotation_by_tuple_keys(letters):
         return letters
     rotations = [letters[i:] + letters[:i] for i in range(len(letters))]
     return min(rotations, key=lambda r: [(abs(l), l < 0) for l in r])
+
+
+def wirtinger_pair_by_rotations(letters):
+    """The letters (a, b) of the first rotation a·u·b·u⁻¹ of ``letters``
+    with a and b on distinct generators, or None: cuts each rotation at its
+    first letter and its middle letter and compares the two halves between
+    them, about len^2 / 2 letters in all."""
+    n = len(letters)
+    if n % 2 or not n:
+        return None
+    for i in range(n):
+        r = letters[i:] + letters[:i]
+        a, u, b, rest = r[0], r[1:n // 2], r[n // 2], r[n // 2 + 1:]
+        if abs(a) != abs(b) and rest == tuple(-l for l in reversed(u)):
+            return a, b
+    return None
 
 
 def conjugator_by_full_scan(g, z, members):

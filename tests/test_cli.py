@@ -551,6 +551,58 @@ def test_quotient_search_a5_forced_golden(tmp_path, capsys):
         (GOLDEN / "quotient_a5_forced.txt").read_text()
 
 
+# 2- and 3-strand knots and links: the four knots the benchmark rewrites,
+# the words the quotient tests single out, split links and torus links
+PINNED_BRAIDS = [
+    "2:s1 s1 s1", "2:s1 s1", "2:s1^-1 s1^-1 s1^-1 s1^-1 s1^-1", "3:s1 s2", "3:s1",
+    "3:s1 s1 s2 s2", "3:s1 s2^-1 s1 s2^-1", "3:s1^-1 s2 s1 s2^-1 s2^-1 s2^-1",
+    "3:s1 s2 s1^-1 s2 s2 s1", "3:s2 s2 s1 s1 s2 s1", "3:s2^-1 s2^-1 s1^-1 s2 s1^-1 s2^-1",
+    "3:s2 s1 s2^-1 s1^-1 s2 s2", "3:s1^-1 s2^-1 s2^-1 s1^-1 s2 s1^-1",
+    "3:s1^-1 s2^-1 s2^-1 s1^-1 s1^-1 s2^-1"]
+PINNED_TARGETS = {"s4": ["(1 2 3 4)", "(1 2)"], "a5": ["(1 2 3 4 5)", "(1 2 3)"],
+                  "s5": ["(1 2 3 4 5)", "(1 2)"]}
+# the sha256 of the concatenated output of `quotient search` over
+# PINNED_BRAIDS, by target and flags, as the search printed it before it
+# confined generators to conjugacy classes
+QUOTIENT_SEARCH_DIGESTS = {
+    ("s4", ()): "346940c79ec578b48da4781359a648e450e039f6b058d301b254961a22160b28",
+    ("s4", ("--surjective-only",)):
+        "5dc4f9fda79d003c3c3867d7b967b86de96f2532b5092d6cdddcabc181eb6866",
+    ("s4", ("--dedup-conjugacy",)):
+        "757597ed25fca214d608601284710c392dd633b019e8f9a0ccf0f5c792db2c40",
+    ("s4", ("--surjective-only", "--dedup-conjugacy")):
+        "3c2d8162c1b75b91f5de04b118e81979b6257bcbf14f5b513164d3e2385d544e",
+    ("a5", ()): "e6eba8fd7768565d4c0b2da2e49b84deab9597aa0dedbadc1ddf1831866d4f50",
+    ("a5", ("--surjective-only",)):
+        "4e7197174b2e468bee141a6c205fbb2d9e24afab231c42f41934538f149c469b",
+    ("a5", ("--dedup-conjugacy",)):
+        "cfe0a1d89ac620a53bc28274dfd2d826a56b72eb6672e0a213b05b8907bf1361",
+    ("a5", ("--surjective-only", "--dedup-conjugacy")):
+        "764eca9c5636eea1238ca3446d4dbed216ac95c998d1a8e1ef57516c7f9616c3",
+    ("s5", ()): "f735aac4db3f1e3f542d526abbfb233830be09eeb4a46335a643efae24ed8283",
+    ("s5", ("--surjective-only",)):
+        "df084486153d1f601a0aed403ad51df72b103c642a2309faa0542495d5ae5d4b",
+    ("s5", ("--dedup-conjugacy",)):
+        "1af26c872f4212a3c510c4895622bbbd1bdba00998e02a7d05216cd1d28f3035",
+    ("s5", ("--surjective-only", "--dedup-conjugacy")):
+        "68394195ea5d62dd5a3c23e655bc61b4435660e3bd6b83f3d001edecc82f3e1e",
+}
+
+
+@pytest.mark.parametrize("target, flags", QUOTIENT_SEARCH_DIGESTS, ids=[
+    "-".join([target, *(f.removeprefix("--") for f in flags)]) for target, flags in
+    QUOTIENT_SEARCH_DIGESTS])
+def test_quotient_search_output_is_pinned(tmp_path, capsys, target, flags):
+    # every hom of every pinned braid, byte for byte, in the order printed
+    grp = write(tmp_path, f"{target}.json",
+                {"degree": int(target[1]), "generators": PINNED_TARGETS[target]})
+    digest = hashlib.sha256()
+    for braid in PINNED_BRAIDS:
+        assert main(["quotient", "search", "--braid", braid, "--target", grp, *flags]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == QUOTIENT_SEARCH_DIGESTS[target, flags]
+
+
 def test_successive_calls_share_one_parser_and_no_values(tmp_path, capsys):
     # the argument tree is built once per process; every call still starts
     # from the defaults, whatever the calls before it set
@@ -822,6 +874,63 @@ def test_over_long_input_is_one_short_error_line(tmp_path, capsys, argv, says):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200, err[:300]
     assert says in err
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["a5", "--max-len", LONGISH], "exceeds the length cap"),
+    (["a5", "--skip", LONGISH], "exceeds the skip cap"),
+    (["a5", "--bound", LONGISH], "exceeds the length cap"),
+    (["sft", "orbits", "--sft", "SHIFT", "--hom", "HOM", "--max-len", "2", "--limit",
+      f"-{LONGISH}"], "--limit must be nonnegative"),
+    (["quotient", "search", "--braid", "2:s1", "--target", "GROUP", "--budget", f"-{LONGISH}"],
+     "exceed the budget"),
+    (["sft", "orbits", "--sft", "STATES", "--hom", "HOM", "--max-len", "2"],
+     "states exceed the cap"),
+    (["sft", "orbits", "--sft", "TO", "--hom", "HOM", "--max-len", "2"], "leaves states 0..1"),
+    (["group", "classes", "DEGREE"], "image slots"),
+], ids=["max-len", "skip", "bound", "limit", "budget", "json-states", "json-to", "json-degree"])
+def test_integers_past_a_line_are_shortened(tmp_path, capsys, argv, says):
+    # integers within int()'s digit limit, from an option or a JSON file,
+    # are quoted through shorten in the messages that refuse them
+    big = int(LONGISH)
+    edge = {"from": 0, "to": 1, "label": "x1"}
+    files = {
+        "SHIFT": {"states": 2, "edges": [edge, {"from": 1, "to": 0, "label": "x1"}]},
+        "HOM": TRIVIAL_HOM,
+        "GROUP": {"degree": 3, "generators": ["(1 2 3)"]},
+        "STATES": {"states": big, "edges": [edge]},
+        "TO": {"states": 2, "edges": [edge, {"from": 1, "to": big, "label": "x1"}]},
+        "DEGREE": {"degree": big, "generators": []},
+    }
+    argv = [write(tmp_path, f"{arg}.json", files[arg]) if arg in files else arg
+            for arg in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200, err[:300]
+    assert says in err
+
+
+INT_OPTIONS = [(["a5"], "--max-len"), (["a5"], "--skip"), (["a5"], "--bound"),
+               (["sft", "orbits"], "--max-len"), (["sft", "orbits"], "--limit"),
+               (["sft", "chebotarev"], "--max-len"), (["sft", "chebotarev"], "--skip"),
+               (["sft", "realization"], "--bound"), (["quotient", "search"], "--budget")]
+
+
+@pytest.mark.parametrize("command, option", INT_OPTIONS,
+                         ids=[" ".join(c) + " " + o for c, o in INT_OPTIONS])
+def test_integer_options_take_ascii_digits_only(capsys, command, option):
+    # the value is an optional '-' and ASCII digits, as tokens are elsewhere:
+    # int() would read the first four as 11 and refuse the last in a line of
+    # about 5,060 characters
+    for value in ("\u0661\u0661", "1_1", " 11", "+11", LONG, "-", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, option, value])
+        assert exc.value.code == 2
+        shown = value if len(value) <= 40 else value[:40] + "..."
+        assert capsys.readouterr() == (
+            "", f"cheblink {' '.join(command)}: error: argument {option}: "
+                f"invalid int value: {shown!r}\n")
 
 
 def test_sft_edge_off_the_states_is_named_by_index_and_ends(tmp_path, capsys):

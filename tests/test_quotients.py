@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -5,15 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cheblink import (GroupHom, IntMatrix, Presentation, Word, abelianized_matrix,
+from cheblink import (BraidWord, GroupHom, IntMatrix, Presentation, Word, abelianized_matrix,
                       braid_presentation, cycle_type, freewords, generic_check, parse_braid,
                       parse_word, permgroup, quotient_search, quotients, smith_normal_form)
 from cheblink.quotients import (MILLER_RABIN_LIMIT, TRIAL_DIVISION_CAP,
-                                _least_prime_factor, _search_plan, load_matrix_file)
+                                _least_prime_factor, _search_plan, _wirtinger_pair,
+                                load_matrix_file)
 
 from corpus import corpus, perm_group
 from oracles import (homs_by_brute_force, laplace_det, least_conjugate_homs,
-                     minor_gcd_factors, product_by_every_term)
+                     minor_gcd_factors, product_by_every_term, wirtinger_pair_by_rotations)
 
 GROUPS = corpus()
 
@@ -320,35 +322,131 @@ def test_quotient_search_forced_image_work_bounded(monkeypatch):
 def test_search_plan_puts_a_pinned_generator_last():
     # r1 = x1^-1 x2 x3 x2 x3 x2^-1 x3^-1 x2^-1 meets x1 once; no relator
     # meets x2 or x3 once, so x1 goes last, pinned by r1, and x3 before it,
-    # and r3, on x2 and x3 only, is checked there
+    # and r3, on x2 and x3 only, is checked there.  r3 reads
+    # x3^-1·u·x2·u^-1 and r1 x1^-1·u·x3·u^-1, so x3 is conjugate to x2 and
+    # x1 to x3, each named at the later of its two positions
     p = braid_presentation(parse_braid("3:s2 s1 s2^-1 s1^-1 s2 s2"))
     r1, r2, r3 = p.relators
-    assert _search_plan(p) == [(2, None, []), (3, None, [r3]), (1, r1, [r2])]
+    assert _search_plan(p) == [(2, None, [], None), (3, None, [r3], (2, 1)),
+                               (1, r1, [r2], (3, 1))]
     # the relator x3^-1 x1, the last of the three, pins x3: the order stays
-    # x1, x2, x3
+    # x1, x2, x3.  r1 = x3^-1 x2^-1 x3^-1 x2 x3 x2 x3 x1^-1 makes x2
+    # conjugate to x1, and r2 x3 to x2: the first relator wins at x3
     knot = braid_presentation(parse_braid("3:s1^-1 s2 s1 s2^-1 s2^-1 s2^-1"))
     k1, k2, k3 = knot.relators
-    assert _search_plan(knot) == [(1, None, []), (2, None, []), (3, k3, [k1, k2])]
+    assert _search_plan(knot) == [(1, None, [], None), (2, None, [], (1, 1)),
+                                  (3, k3, [k1, k2], (2, 1))]
     # a split link: from the back x2 is pinned, so it goes last, though it
-    # is pinned in the order x1, x2, x3 as well
+    # is pinned in the order x1, x2, x3 as well; x2 x1^-1 makes it conjugate
+    # to x1, and x3 is conjugate to no other generator
     split = braid_presentation(parse_braid("3:s1"))
-    assert _search_plan(split) == [(1, None, []), (3, None, []),
-                                   (2, split.relators[0], [split.relators[1]])]
+    assert _search_plan(split) == [(1, None, [], None), (3, None, [], None),
+                                   (2, split.relators[0], [split.relators[1]], (1, 1))]
     # no relator at all: the numbering decides
-    assert _search_plan(Presentation(3, ())) == [(1, None, []), (2, None, []), (3, None, [])]
+    assert _search_plan(Presentation(3, ())) == [(1, None, [], None), (2, None, [], None),
+                                                 (3, None, [], None)]
     # no relator meets a generator once; x3, last, occurs twice, once
     # inverted, in r1 = x1^-1 x3^-1 x2^-1 x1^-1 x2 x1 x2 x3, which is solved
     knot = braid_presentation(parse_braid("3:s1^-1 s2^-1 s2^-1 s1^-1 s2 s1^-1"))
     k1, k2, k3 = knot.relators
-    assert _search_plan(knot) == [(1, None, []), (2, None, []), (3, k1, [k2, k3])]
+    assert _search_plan(knot) == [(1, None, [], None), (2, None, [], (1, 1)),
+                                  (3, k1, [k2, k3], (2, 1))]
     # x2, last, occurs twice, once inverted, in k1, but once in k2 after
     # it: the relator meeting it once is solved
     knot = braid_presentation(parse_braid("3:s1 s2 s1^-1 s2 s2 s1"))
     k1, k2, k3 = knot.relators
-    assert _search_plan(knot) == [(1, None, []), (3, None, []), (2, k2, [k1, k3])]
-    # x3 occurs three or more times in every relator: nothing is solved
+    assert _search_plan(knot) == [(1, None, [], None), (3, None, [], (1, 1)),
+                                  (2, k2, [k1, k3], (1, 1))]
+    # x3 occurs three or more times in every relator: nothing is solved,
+    # but r1 = x1^-1 x3^-1 x2^-1 x1^-1 x3 x1 x2 x3 confines x3 to x1's class
     knot = braid_presentation(parse_braid("3:s1^-1 s2^-1 s2^-1 s1^-1 s1^-1 s2^-1"))
-    assert _search_plan(knot) == [(1, None, []), (2, None, []), (3, None, list(knot.relators))]
+    assert _search_plan(knot) == [(1, None, [], None), (2, None, [], (1, 1)),
+                                  (3, None, list(knot.relators), (1, 1))]
+
+
+LETTERS = st.sampled_from((1, -1, 2, -2, 3, -3, 4, -4))
+
+
+@st.composite
+def planted_shapes(draw):
+    """A rotation of a·u·u'·b·u⁻¹ with u' empty or one letter, so that the
+    shape is there when u' is empty, and maybe one letter changed."""
+    u = draw(st.lists(LETTERS, max_size=10))
+    a, b = draw(LETTERS), draw(LETTERS)
+    letters = [a, *u, *draw(st.lists(LETTERS, max_size=1)), b, *(-l for l in reversed(u))]
+    if draw(st.booleans()):
+        letters[draw(st.integers(0, len(letters) - 1))] = draw(LETTERS)
+    k = draw(st.integers(0, len(letters) - 1))
+    return tuple(letters[k:] + letters[:k])
+
+
+@settings(max_examples=300)
+@given(planted_shapes())
+@example((-1, 2, 1, -2, 1, -2))  # copying the mirror radius past the centre would take -1, -2
+@example((-1, -2, 1, 2))         # the commutator pairs each generator with itself
+@example((1, 2))                 # x1 x2: x1 conjugate to x2^-1, with u empty
+@example(())
+def test_wirtinger_pair_matches_every_rotation(letters):
+    assert _wirtinger_pair(letters) == wirtinger_pair_by_rotations(letters)
+
+
+def test_wirtinger_pair_on_braid_relators():
+    # the relator of strand j reads x_j^-1·W·x_k·W^-1, k the position at
+    # which strand j ends, up to rotation and free reduction: the scan pairs
+    # x_j with x_k exactly when k != j, as the rotation oracle does
+    for strands, longest in ((2, 6), (3, 6), (4, 4)):
+        letters = [i * e for i in range(1, strands) for e in (1, -1)]
+        for size in range(1, longest + 1):
+            for word in itertools.product(letters, repeat=size):
+                ends = list(range(1, strands + 1))  # the strand at each position
+                for l in word:
+                    ends[abs(l) - 1], ends[abs(l)] = ends[abs(l)], ends[abs(l) - 1]
+                p = braid_presentation(BraidWord(strands, word))
+                for j, r in enumerate(p.relators, 1):
+                    pair = _wirtinger_pair(r.letters)
+                    assert pair == wirtinger_pair_by_rotations(r.letters), (word, j)
+                    k = ends.index(j) + 1
+                    assert (pair is None) == (k == j), (word, j)
+                    assert pair is None or {abs(pair[0]), abs(pair[1])} == {j, k}, (word, j)
+
+
+def test_wirtinger_pair_scan_is_linear():
+    # 2^18 letters, u·x5·u^-1·x4 with u = x1 x2 x3 x2^-1 x1 ..., rotated to
+    # start in the middle of u, so that a scan by rotations tries n/4 of
+    # them before the one starting at x5.  Counts the letters read from the
+    # word, one per index and len(slice) per slice, copies included: cutting
+    # out one rotation already reads 2n.  The scan reads about 9.5n: the
+    # doubled word, then two letters a comparison, one failing comparison
+    # a centre and the successful ones amortized against the right end
+    n = 1 << 18
+    bound = 12 * n
+    read = 0
+
+    class Counted(tuple):
+        """A word that counts the letters read from it."""
+
+        def _count(self, k):
+            nonlocal read
+            read += k
+            assert read <= bound, "more letters read than the linear bound"
+
+        def __getitem__(self, i):
+            got = tuple.__getitem__(self, i)
+            if isinstance(i, slice):
+                self._count(len(got))
+                return Counted(got)
+            self._count(1)
+            return got
+
+        def __add__(self, other):
+            self._count(len(self) + len(other))
+            return Counted(tuple.__add__(self, other))
+
+    u = ((1, 2, 3, -2) * (n // 8))[:n // 2 - 1]
+    letters = u + (5,) + tuple(-l for l in reversed(u)) + (4,)
+    assert len(letters) == n
+    assert _wirtinger_pair(Counted(letters[n // 4:] + letters[:n // 4])) == (5, 4)
+    assert read <= bound
 
 
 def test_quotient_search_forcing_order_work_bounded(monkeypatch):
@@ -368,7 +466,7 @@ def test_quotient_search_all_relators_last_work_bounded(monkeypatch):
     # where x2 is pinned; the search compiled every relator at each node and
     # conjugated by products, 4995 products here
     knot = braid_presentation(parse_braid("3:s1 s2 s1^-1 s2 s2 s1"))
-    assert [len(relators) + (pin is not None) for _, pin, relators in _search_plan(knot)] == \
+    assert [len(relators) + (pin is not None) for _, pin, relators, _ in _search_plan(knot)] == \
         [0, 0, 3]
     a5 = GROUPS["a5"]
     calls = counted_products(monkeypatch, a5)
@@ -450,6 +548,50 @@ def test_quotient_search_solving_a_conjugating_relator_matches_brute_force(relat
             reps = quotient_search(p, g, surjective_only=surjective, dedup_conjugacy=True)
             least = least_conjugate_homs(g, [GroupHom(p, g, t) for t in expected])
             assert [h.images for h in reps] == [h.images for h in least], (name, surjective)
+
+
+def test_quotient_search_twenty_letters_work_bounded(monkeypatch):
+    # the closure of this 20-letter braid is a knot: every relator confines
+    # the image of a generator to the class of an earlier one, so the second
+    # position tries the members of one class (at most 20) instead of all 60
+    # elements.  Trying all 60 made 99,449,968 products here
+    knot = braid_presentation(parse_braid("3:" + " ".join(["s1 s2^-1"] * 10)))
+    a5 = GROUPS["a5"]
+    calls = counted_products(monkeypatch, a5)
+    homs = quotient_search(knot, a5, surjective_only=True, dedup_conjugacy=True)
+    assert len(homs) == 32
+    assert calls[0] <= 12 * 10 ** 6, calls
+
+
+@st.composite
+def three_strand_braids(draw):
+    letters = draw(st.lists(st.tuples(st.integers(1, 2), st.booleans()),
+                            min_size=1, max_size=6))
+    return "3:" + " ".join(f"s{i}{'^-1' if neg else ''}" for i, neg in letters)
+
+
+# a few examples only: walking the 60^3 image triples of A5 takes about a
+# second for each braid and each value of surjective_only.  S4 meets many
+# more 3-strand braids in test_quotient_search_matches_brute_force
+@settings(max_examples=1, deadline=None)
+@given(three_strand_braids())
+@example("3:s1^-1 s2^-1 s2^-1 s1^-1 s1^-1 s2^-1")  # x3 three times, confined to x1's class
+@example("3:s1 s2^-1 s1 s2^-1")  # the figure-eight knot
+@example("3:s1")                 # x3 is conjugate to no other generator
+def test_quotient_search_onto_s4_and_a5_matches_brute_force(text):
+    # every hom, and under dedup_conjugacy the least of each orbit, image
+    # tuple by image tuple and in order, against walking all |G|^3 tuples
+    p = braid_presentation(parse_braid(text))
+    for name in ("s4", "a5"):
+        g = GROUPS[name]
+        for surjective in (False, True):
+            expected = homs_by_brute_force(p, g, surjective)
+            found = quotient_search(p, g, surjective_only=surjective)
+            assert [h.images for h in found] == expected, (name, text, surjective)
+            reps = quotient_search(p, g, surjective_only=surjective, dedup_conjugacy=True)
+            least = least_conjugate_homs(g, [GroupHom(p, g, t) for t in expected])
+            assert [h.images for h in reps] == [h.images for h in least], \
+                (name, text, surjective)
 
 
 def test_quotient_search_dedup_past_the_row_cap(monkeypatch):
